@@ -1,12 +1,14 @@
-"""Brute-force Fock-space oracle: explicit ladder matrices and dense spectra.
+"""Brute-force Fock-space oracle: sparse ladder matrices and exact spectra.
 
 The oracle builds the creation operators ``a_i`` and annihilation operators
-``a_i^+`` as explicit matrices, assembles any quadratic form as a matrix, and
-diagonalizes it directly.  It knows nothing about the closed-form machinery
-in :mod:`bogodiag.spectral` and serves as its independent ground truth.
+``a_i^+`` as explicit matrices, assembles any quadratic form as a sparse
+matrix, and diagonalizes it directly.  It knows nothing about the closed-form
+machinery in :mod:`bogodiag.spectral` and serves as its independent ground
+truth.
 
-Fermions live on the exact 2^n-dimensional space with a Jordan-Wigner style
-sign-string construction (integer matrices, anticommutators exact).  Bosons
+Fermions live on the exact 2^n-dimensional space with a Jordan-Wigner sign
+string built by bit arithmetic (integer matrices, anticommutators exact);
+their spectra are dense solves of the even and odd parity blocks.  Bosons
 live on a per-mode truncated space of dimension (cutoff+1)^n; the commutator
 [a_i^+, a_j] = delta_ij holds exactly below the top occupation rung.  Basis
 vectors are indexed by occupation numbers, mode 0 most significant.
@@ -15,6 +17,7 @@ vectors are indexed by occupation numbers, mode 0 most significant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -35,16 +38,10 @@ DENSE_EIG_LIMIT = 1200
 
 Matrix = Union[np.ndarray, sp.csr_matrix]
 
-_CREATE = np.array([[0, 0], [1, 0]], dtype=np.int64)
-_SIGN = np.array([[1, 0], [0, -1]], dtype=np.int64)
-_EYE2 = np.eye(2, dtype=np.int64)
 
-
-def _kron_chain(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+def _occupation_bits(n: int) -> np.ndarray:
+    """Occupation (0 or 1) of every mode in every basis vector, shape (2^n, n)."""
+    return (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
 
 
 @dataclass(frozen=True)
@@ -57,10 +54,32 @@ class FermionFockRep:
     def dim(self) -> int:
         return 2 ** self.n
 
+    @cached_property
+    def _ladders(self) -> tuple[list, list]:
+        """Sparse int64 (creation, annihilation) operators of every mode.
+
+        a_i takes basis vector b with mode i empty to b with mode i filled,
+        signed by (-1)^(occupation of modes 0..i-1): a running XOR parity
+        over the more significant bits.  A row of a_i is empty unless mode i
+        is filled in it, and then holds one entry, so the CSR arrays are
+        written down directly.
+        """
+        bits = _occupation_bits(self.n)
+        below = np.bitwise_xor.accumulate(bits, axis=1) ^ bits
+        idx = np.arange(self.dim)
+        shape = (self.dim, self.dim)
+        creators = []
+        for i in range(self.n):
+            filled = bits[:, i] == 1
+            indptr = np.concatenate(([0], np.cumsum(filled)))
+            sign = 1 - 2 * below[filled, i]
+            cols = idx[filled] ^ (1 << (self.n - 1 - i))
+            creators.append(sp.csr_matrix((sign, cols, indptr), shape=shape))
+        return creators, [m.T.tocsr() for m in creators]
+
     def a(self, i: int) -> np.ndarray:
         """Creation operator for mode i, sign strings over lower modes."""
-        mats = [_SIGN] * i + [_CREATE] + [_EYE2] * (self.n - i - 1)
-        return _kron_chain(mats)
+        return self._ladders[0][i].toarray()
 
     def a_dag(self, i: int) -> np.ndarray:
         """Annihilation operator for mode i (kills the vacuum)."""
@@ -68,11 +87,7 @@ class FermionFockRep:
 
     def occupations(self) -> np.ndarray:
         """Total occupation of each basis vector (popcount of its index)."""
-        idx = np.arange(self.dim)
-        occ = np.zeros(self.dim, dtype=np.int64)
-        for bit in range(self.n):
-            occ += (idx >> bit) & 1
-        return occ
+        return _occupation_bits(self.n).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -86,23 +101,26 @@ class BosonFockRep:
     def dim(self) -> int:
         return (self.cutoff + 1) ** self.n
 
-    def _mode_ladder(self) -> sp.csr_matrix:
-        amp = np.sqrt(np.arange(1.0, self.cutoff + 1.0))
-        return sp.diags(amp, -1, format="csr")
+    @cached_property
+    def _ladders(self) -> tuple[list, list]:
+        """Sparse (creation, annihilation) operators of every mode."""
+        d = self.cutoff + 1
+        eye = sp.identity(d, format="csr")
+        step = sp.diags(np.sqrt(np.arange(1.0, d)), -1, format="csr")
+        creators = []
+        for i in range(self.n):
+            out = sp.identity(1, format="csr")
+            for k in range(self.n):
+                out = sp.kron(out, step if k == i else eye, format="csr")
+            creators.append(out)
+        return creators, [m.T.tocsr() for m in creators]
 
     def a(self, i: int) -> sp.csr_matrix:
         """Creation operator for mode i (matrix elements sqrt(m+1))."""
-        d = self.cutoff + 1
-        eye = sp.identity(d, format="csr")
-        mats = [eye] * self.n
-        mats[i] = self._mode_ladder()
-        out = mats[0]
-        for m in mats[1:]:
-            out = sp.kron(out, m, format="csr")
-        return out
+        return self._ladders[0][i].copy()
 
     def a_dag(self, i: int) -> sp.csr_matrix:
-        return self.a(i).T.tocsr()
+        return self._ladders[1][i].copy()
 
     def occupations(self) -> np.ndarray:
         """Total occupation of each basis vector (base cutoff+1 digit sum)."""
@@ -115,11 +133,11 @@ class BosonFockRep:
         return occ
 
 
-def build_fermion_rep(n: int, n_max: int = 12) -> FermionFockRep:
-    """Exact fermionic representation; guarded at dimension 2^n_max."""
+def build_fermion_rep(n: int) -> FermionFockRep:
+    """Exact fermionic representation; guarded at dimension FERMION_DIM_GUARD."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > n_max or 2 ** n > FERMION_DIM_GUARD:
+    if 2 ** n > FERMION_DIM_GUARD:
         raise ResourceLimitError(f"fermionic Fock dimension 2^{n} exceeds the guard")
     return FermionFockRep(n=n)
 
@@ -136,66 +154,46 @@ def build_boson_rep(n: int, cutoff: int, dim_guard: int = BOSON_DIM_GUARD) -> Bo
     return BosonFockRep(n=n, cutoff=cutoff)
 
 
-def _pairwise_sum_dense(coeff: np.ndarray, left: list, right: list) -> np.ndarray:
-    # sum_ij coeff_ij left_i @ right_j via one batched contraction
-    lstack = np.stack(left).astype(float)
-    rstack = np.stack(right).astype(float)
-    mixed = np.tensordot(coeff, rstack, axes=(1, 0))
-    return np.einsum("ikl,ilm->km", lstack, mixed, optimize=True)
-
-
 def _pairwise_sum_sparse(coeff: np.ndarray, left: list, right: list, dim: int) -> sp.csr_matrix:
-    out = sp.csr_matrix((dim, dim))
-    n = coeff.shape[0]
-    for i in range(n):
-        for j in range(n):
-            if coeff[i, j] != 0.0:
-                out = out + coeff[i, j] * (left[i] @ right[j])
-    return out
+    # sum_ij coeff_ij left_i @ right_j as three sparse products:
+    # [left_0 .. left_n-1] @ kron(coeff, 1) @ [right_0; ..; right_n-1]
+    mixed = sp.kron(coeff, sp.identity(dim), format="csr") @ sp.vstack(right, format="csr")
+    return (sp.hstack(left, format="csr") @ mixed).tocsr()
 
 
-def build_hamiltonian(form: QuadraticForm, rep) -> Matrix:
-    """Assemble the quadratic form as an explicit (symmetric) matrix.
+def build_hamiltonian(form: QuadraticForm, rep) -> sp.csr_matrix:
+    """Assemble the quadratic form as an explicit (symmetric) sparse matrix.
 
     Transposing Y = sum U_ij a_i^+ a_j^+ yields the -/+ U_ij a_i a_j block
     and transposing X = sum V_ij a_i a_j^+ its mirror, so
     H = Y + Y^t + X + X^t + const is symmetric exactly by construction.
-    Fermionic output is dense, bosonic output is sparse CSR.
+    The output is CSR for both statistics.
     """
     if form.statistics is not _rep_statistics(rep):
         raise ValueError("statistics of form and representation differ")
     if form.n != rep.n:
         raise ValueError(f"mode count mismatch: form has {form.n}, rep has {rep.n}")
-    n = form.n
-    a_ops = [rep.a(i) for i in range(n)]
-    adag_ops = [rep.a_dag(i) for i in range(n)]
-    if isinstance(rep, FermionFockRep):
-        a_f = [m.astype(float) for m in a_ops]
-        adag_f = [m.astype(float) for m in adag_ops]
-        y = _pairwise_sum_dense(form.U, adag_f, adag_f)
-        x = _pairwise_sum_dense(form.V, a_f, adag_f)
-        return y + y.T + x + x.T + form.const * np.eye(rep.dim)
+    a_ops, adag_ops = rep._ladders
     y = _pairwise_sum_sparse(form.U, adag_ops, adag_ops, rep.dim)
     x = _pairwise_sum_sparse(form.V, a_ops, adag_ops, rep.dim)
     return (y + y.T + x + x.T + form.const * sp.identity(rep.dim, format="csr")).tocsr()
 
 
-def build_standard_hamiltonian(std: StandardForm, rep) -> Matrix:
-    """Assemble a normal form as a matrix from its (T, R) or C coefficients."""
+def build_standard_hamiltonian(std: StandardForm, rep) -> sp.csr_matrix:
+    """Assemble a normal form as a CSR matrix from its (T, R) or C coefficients."""
     if std.statistics is not _rep_statistics(rep):
         raise ValueError("statistics of form and representation differ")
     if std.n != rep.n:
         raise ValueError(f"mode count mismatch: form has {std.n}, rep has {rep.n}")
-    n = std.n
+    a_ops, adag_ops = rep._ladders
+    xs = [a + d for a, d in zip(a_ops, adag_ops)]
     if std.statistics is Statistics.FERMION:
-        xs = [(rep.a(i) + rep.a_dag(i)).astype(float) for i in range(n)]
-        zs = [(rep.a_dag(i) - rep.a(i)).astype(float) for i in range(n)]
-        h = _pairwise_sum_dense(std.C, xs, zs)
-        return h + std.k0 * np.eye(rep.dim)
-    xs = [rep.a(i) + rep.a_dag(i) for i in range(n)]
-    ys = [rep.a(i) - rep.a_dag(i) for i in range(n)]
-    h = _pairwise_sum_sparse(std.T, xs, xs, rep.dim)
-    h = h + _pairwise_sum_sparse(std.R, ys, ys, rep.dim)
+        zs = [d - a for a, d in zip(a_ops, adag_ops)]
+        h = _pairwise_sum_sparse(std.C, xs, zs, rep.dim)
+    else:
+        ys = [a - d for a, d in zip(a_ops, adag_ops)]
+        h = _pairwise_sum_sparse(std.T, xs, xs, rep.dim)
+        h = h + _pairwise_sum_sparse(std.R, ys, ys, rep.dim)
     return (h + std.k0 * sp.identity(rep.dim, format="csr")).tocsr()
 
 
@@ -247,18 +245,17 @@ def parity_sectors(rep: FermionFockRep) -> tuple[np.ndarray, np.ndarray]:
     return even, odd
 
 
-def sector_spectra(hamiltonian: np.ndarray, rep: FermionFockRep) -> tuple[np.ndarray, np.ndarray]:
+def sector_spectra(hamiltonian: Matrix, rep: FermionFockRep) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of H restricted to the even and odd sectors.
 
     H commutes with the occupation parity (every quadratic term changes the
-    particle number by 0 or 2), so restricting is an exact block split.
+    particle number by 0 or 2), so restricting is an exact block split: each
+    block of dimension 2^(n-1) is sliced from the sparse H and solved densely.
     """
-    occ = rep.occupations()
-    even_idx = np.flatnonzero(occ % 2 == 0)
-    odd_idx = np.flatnonzero(occ % 2 == 1)
-    h = np.asarray(hamiltonian, dtype=float)
-    even = np.linalg.eigvalsh(h[np.ix_(even_idx, even_idx)])
-    odd = np.linalg.eigvalsh(h[np.ix_(odd_idx, odd_idx)])
+    parity = rep.occupations() % 2
+    h = sp.csr_matrix(hamiltonian, dtype=float)
+    even, odd = (np.linalg.eigvalsh(h[idx][:, idx].toarray())
+                 for idx in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)))
     return even, odd
 
 

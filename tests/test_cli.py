@@ -1,10 +1,24 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import bogodiag
 from bogodiag.cli import main
+
+#: Child that caps its own address space, then runs the CLI on argv[2:].
+CAPPED_CLI = (
+    "import resource, sys\n"
+    "cap = int(sys.argv[1])\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+    "from bogodiag.cli import main\n"
+    "main(sys.argv[2:])\n"
+)
 
 
 @pytest.fixture
@@ -181,6 +195,33 @@ class TestVerify:
         result = runner.invoke(main, ["verify", path])
         assert result.exit_code == 2
         assert json.loads(result.output)["error"] == "ResourceLimitError"
+
+    def test_fermion_guard_edge_n12_under_memory_cap(self, tmp_path):
+        # the largest n the guard admits must verify within a 1.5 GB address
+        # space; a too-hungry oracle fails with MemoryError instead of
+        # exhausting the host
+        n = 12
+        rng = np.random.default_rng(12)
+        a = rng.uniform(-1, 1, (n, n))
+        b = rng.uniform(-1, 1, (n, n))
+        path = write_json(tmp_path / "f12.json", {
+            "statistics": "fermion", "n": n,
+            "U": ((a - a.T) / 2).tolist(), "V": ((b + b.T) / 2).tolist(), "const": 0.1,
+        })
+        src = str(Path(bogodiag.__file__).resolve().parents[1])
+        # OpenBLAS reserves address space per thread; pin the count so the
+        # cap measures the oracle, not the core count of the host
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", CAPPED_CLI, str(1536 * 2**20), "verify", path],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        payload = json.loads(proc.stdout)
+        assert payload["compared"] == 2 ** n
+        assert payload["sector_mismatches"] == 0
+        assert payload["max_abs_deviation"] <= 1e-9
 
 
 class TestMorse:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import random_boson_form, random_fermion_form
@@ -74,7 +76,7 @@ class TestBuildHamiltonian:
     def test_fermion_number_operator(self):
         rep = bd.build_fermion_rep(1)
         f = bd.QuadraticForm(Statistics.FERMION, U=[[0.0]], V=[[1.0]], const=0.0)
-        assert np.allclose(bd.build_hamiltonian(f, rep), np.diag([0.0, 2.0]))
+        assert np.allclose(bd.build_hamiltonian(f, rep).toarray(), np.diag([0.0, 2.0]))
 
     def test_fermion_rotation_form_eigenvalues(self):
         u = 1.0
@@ -137,6 +139,20 @@ class TestBuildHamiltonian:
         sel = np.flatnonzero(safe)
         dev = np.max(np.abs((h1 - h2)[np.ix_(sel, sel)]))
         assert dev <= 1e-10
+
+
+class TestOracleMemory:
+    def test_n10_assembly_and_sector_solve_peak(self):
+        # dense assembly peaked at ~656 MB here; the sparse path needs a few MB
+        f = random_fermion_form(np.random.default_rng(50), 10)
+        tracemalloc.start()
+        try:
+            rep = bd.build_fermion_rep(10)
+            bd.sector_spectra(bd.build_hamiltonian(f, rep), rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestExactSpectrum:
