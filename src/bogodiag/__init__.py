@@ -44,7 +44,6 @@ from .fock import (
     build_standard_hamiltonian,
     exact_spectrum,
     lowest_eigenvalues,
-    parity_sectors,
     sector_spectra,
     truncation_stable_spectrum,
 )
@@ -55,7 +54,6 @@ from .spectral import (
     FermionModeData,
     ModeClass,
     Parity,
-    SpectrumEntry,
     SpectrumResult,
     boson_mode_levels,
     boson_spectrum,
@@ -63,7 +61,7 @@ from .spectral import (
     diagonalize_fermion,
     fermion_invariants,
     fermion_spectrum,
-    smallest_sums,
+    ladder_sums,
 )
 from .morse import (
     TWO_FORM_COEFF,

@@ -56,6 +56,12 @@ def _emit(payload: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _require_positive(**options) -> None:
+    for name, value in options.items():
+        if value < 1:
+            raise ValidationError(f"--{name} must be at least 1, got {value}")
+
+
 def _run(body, out):
     """Execute a command body and map exceptions to the exit-code contract."""
     try:
@@ -138,6 +144,7 @@ def spectrum(form_file, count, out):
     """Exact spectrum: full 2^n list (fermions) or k smallest (bosons)."""
 
     def body():
+        _require_positive(count=count)
         form = forms.form_from_dict(_read_json(form_file))
         std = forms.to_standard(form)
         if form.statistics is forms.Statistics.FERMION:
@@ -155,16 +162,14 @@ def _verify_fermion(form, tol):
     rep = fock.build_fermion_rep(form.n)
     h = fock.build_hamiltonian(form, rep)
     oracle_even, oracle_odd = fock.sector_spectra(h, rep)
-    closed_even = np.sort([e.energy for e in result.entries if e.sector is spectral.Parity.EVEN])
-    closed_odd = np.sort([e.energy for e in result.entries if e.sector is spectral.Parity.ODD])
-    closed_all = np.sort([e.energy for e in result.entries])
+    closed = result.energies  # ascending, so each sector's subset is too
     oracle_all = np.sort(np.concatenate([oracle_even, oracle_odd]))
-    max_dev = float(np.max(np.abs(closed_all - oracle_all)))
-    mismatches = int(np.sum(np.abs(closed_even - oracle_even) > tol))
-    mismatches += int(np.sum(np.abs(closed_odd - oracle_odd) > tol))
+    max_dev = float(np.max(np.abs(closed - oracle_all)))
+    mismatches = int(np.sum(np.abs(closed[result.sectors == 0] - oracle_even) > tol))
+    mismatches += int(np.sum(np.abs(closed[result.sectors == 1] - oracle_odd) > tol))
     payload = {
         "statistics": "fermion",
-        "compared": len(result.entries),
+        "compared": len(closed),
         "max_abs_deviation": max_dev,
         "sector_mismatches": mismatches,
     }
@@ -187,7 +192,7 @@ def _verify_boson(form, cutoff, count, tol):
         }
         return payload, EXIT_OK
     oracle = fock.truncation_stable_spectrum(form, cutoff, count, tol)
-    closed = np.array([e.energy for e in result.entries])
+    closed = result.energies
     m = min(len(closed), oracle.stable_count)
     max_dev = float(np.max(np.abs(closed[:m] - np.array(oracle.values[:m])))) if m else 0.0
     payload = {
@@ -216,6 +221,7 @@ def verify(form_file, cutoff, count, tol, out):
     """Cross-check closed-form spectra against the brute-force oracle."""
 
     def body():
+        _require_positive(cutoff=cutoff, count=count)
         form = forms.form_from_dict(_read_json(form_file))
         violations = forms.validate(form)
         if violations:
@@ -253,6 +259,7 @@ def lemmas(n, seed, trials, out):
     """Operator-identity residuals over random inputs (threshold 1e-12)."""
 
     def body():
+        _require_positive(n=n, trials=trials)
         rep = fock.build_fermion_rep(n)
         rng = np.random.default_rng(seed)
         max_wedge = 0.0

@@ -235,16 +235,6 @@ def lowest_eigenvalues(matrix: Matrix, k: int, dense_limit: int = DENSE_EIG_LIMI
     return np.sort(vals)
 
 
-def parity_sectors(rep: FermionFockRep) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal 0/1 projectors onto even and odd total occupation."""
-    if not isinstance(rep, FermionFockRep):
-        raise ValueError("parity sectors are defined for fermionic representations only")
-    occ = rep.occupations()
-    even = np.diag((occ % 2 == 0).astype(np.int64))
-    odd = np.diag((occ % 2 == 1).astype(np.int64))
-    return even, odd
-
-
 def sector_spectra(hamiltonian: Matrix, rep: FermionFockRep) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of H restricted to the even and odd sectors.
 

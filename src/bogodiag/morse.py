@@ -26,13 +26,7 @@ import numpy as np
 from .errors import DegeneratePoint, ValidationError
 from .fock import FermionFockRep, build_fermion_rep
 from .forms import StandardForm, Statistics
-from .spectral import (
-    Parity,
-    SpectrumEntry,
-    SpectrumResult,
-    diagonalize_fermion,
-    smallest_sums,
-)
+from .spectral import Parity, SpectrumResult, diagonalize_fermion, ladder_sums
 
 #: Relative degeneracy threshold on |det jacobian|.
 DEGENERACY_TOL = 1e-10
@@ -179,31 +173,21 @@ def morse_report(fixture: VectorFieldFixture) -> MorseReport:
 def local_witten_spectrum(lambdas, count: int) -> SpectrumResult:
     """Lowest `count` levels of the localized oscillator, with (m; f) labels.
 
-    Guaranteed: exactly one zero-energy entry, at all m_i = 0 and f_i = 1
-    exactly where lambda_i < 0.
+    Mode i sits on rung 2 m_i + f_i of its ladder.  Guaranteed: exactly one
+    zero-energy entry, at all m_i = 0 and f_i = 1 exactly where
+    lambda_i < 0.  Frequencies with min |lambda| <= DEGENERACY_TOL *
+    max |lambda| raise DegeneratePoint: the near-zero levels they add would
+    break that uniqueness.
     """
     lam = np.asarray(lambdas, dtype=float)
-    if np.any(lam == 0.0):
-        raise DegeneratePoint("zero oscillator frequency (degenerate jacobian)")
-    if count <= 0:
-        return SpectrumResult(entries=(), complete=False, bounded_below=True)
-    ladders = []
-    labels = []
-    for lv in lam:
-        rungs = []
-        for m in range(count):
-            for f in (0, 1):
-                rungs.append((abs(lv) * (2 * m + 1) + 2.0 * lv * f - lv, m, f))
-        rungs.sort()
-        ladders.append([r[0] for r in rungs[:count]])
-        labels.append([(r[1], r[2]) for r in rungs[:count]])
-    entries = []
-    for total, idx in smallest_sums(ladders, count):
-        ms = tuple(labels[i][j][0] for i, j in enumerate(idx))
-        fs = tuple(labels[i][j][1] for i, j in enumerate(idx))
-        sector = Parity.EVEN if sum(fs) % 2 == 0 else Parity.ODD
-        entries.append(SpectrumEntry(energy=total, label=(ms, fs), sector=sector))
-    return SpectrumResult(entries=tuple(entries), complete=False, bounded_below=True)
+    mags = np.abs(lam)
+    if lam.size and mags.min() <= DEGENERACY_TOL * mags.max():
+        raise DegeneratePoint(f"frequency {mags.min():.3e} is degenerate next to {mags.max():.3e}")
+    m, f = np.divmod(np.arange(2 * count), 2)
+    ladders = [abs(lv) * (2 * m + 1) + 2.0 * lv * f - lv for lv in lam]
+    totals, rungs = ladder_sums(ladders, count)
+    return SpectrumResult(energies=totals, rungs=rungs, sectors=(rungs % 2).sum(axis=1) % 2,
+                          label_kind="witten", complete=False, bounded_below=True)
 
 
 def wedge_contraction_identity(omega, rep: Optional[FermionFockRep] = None) -> float:

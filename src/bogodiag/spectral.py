@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -129,49 +129,50 @@ class FermionModeData:
         }
 
 
-@dataclass(frozen=True)
-class SpectrumEntry:
-    """One labeled energy level.
+#: How a row of rungs renders as a label, by SpectrumResult.label_kind:
+#: occupation numbers "(m1,..)", sign words "+-.." (rung 1 is +), or the
+#: local zero-mode pairs "(m1,..;f1,..)" of rungs 2 m + f.
+_LABELS = {
+    "occupations": lambda row: "(" + ",".join(str(r) for r in row) + ")",
+    "signs": lambda row: "".join("-+"[r] for r in row),
+    "witten": lambda row: "(" + ",".join(str(r // 2) for r in row) + ";"
+                          + ",".join(str(r % 2) for r in row) + ")",
+}
 
-    Labels: occupation multi-index (bosons), sign word of -1/+1 entries
-    (fermions), or a pair (oscillator indices, occupations) for the local
-    zero-mode spectra.  `sector` is None for purely bosonic entries.
+
+@dataclass(frozen=True, eq=False)
+class SpectrumResult:
+    """Energy levels in ascending order, held as arrays.
+
+    rungs[j, p] is the rung of mode p in level j; label_kind says what a rung
+    means (a key of _LABELS).  sectors[j] is the occupation parity of level
+    j, 0 even and 1 odd, or None for purely bosonic spectra.
     """
 
-    energy: float
-    label: tuple
-    sector: Optional[Parity] = None
-
-
-@dataclass(frozen=True)
-class SpectrumResult:
-    entries: tuple
+    energies: np.ndarray
+    rungs: np.ndarray
+    sectors: Optional[np.ndarray]
+    label_kind: str
     complete: bool
     bounded_below: bool
 
+    @property
+    def entries(self) -> list:
+        """The levels as JSON records {energy, label[, sector]}."""
+        label = _LABELS[self.label_kind]
+        rows = zip(self.energies.tolist(), self.rungs.tolist())
+        if self.sectors is None:
+            return [{"energy": e, "label": label(r)} for e, r in rows]
+        names = (Parity.EVEN.value, Parity.ODD.value)
+        return [{"energy": e, "label": label(r), "sector": names[s]}
+                for (e, r), s in zip(rows, self.sectors.tolist())]
+
     def to_dict(self) -> dict:
         return {
-            "entries": [
-                {
-                    "energy": e.energy,
-                    "label": _label_str(e),
-                    **({"sector": e.sector.value} if e.sector is not None else {}),
-                }
-                for e in self.entries
-            ],
+            "entries": self.entries,
             "complete": self.complete,
             "bounded_below": self.bounded_below,
         }
-
-
-def _label_str(entry: SpectrumEntry) -> str:
-    label = entry.label
-    if label and isinstance(label[0], tuple):
-        m, f = label
-        return "(" + ",".join(str(v) for v in m) + ";" + ",".join(str(v) for v in f) + ")"
-    if entry.sector is not None:
-        return "".join("+" if w > 0 else "-" for w in label)
-    return "(" + ",".join(str(v) for v in label) + ")"
 
 
 def _cluster_indices(values: np.ndarray, tol: float) -> list:
@@ -317,35 +318,59 @@ def boson_mode_levels(t: float, r: float, count: int) -> list[float]:
     return [float(spacing * (m + 0.5)) for m in range(count)]
 
 
-def smallest_sums(ladders: Sequence[Sequence[float]], k: int) -> list[tuple[float, tuple]]:
-    """Best-first enumeration of the k smallest sums over sorted ladders.
+def ladder_sums(ladders: Sequence[Sequence[float]], k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k smallest sums that pick one rung from every ladder.
 
-    Picks one entry from each ladder; returns (total, index tuple) pairs in
-    ascending order.  Each pop expands one successor per ladder; a visited
-    set keeps the frontier linear in k.
+    Returns (totals, rungs): totals ascending, rungs[j, p] the rung of ladder
+    p (indexed as the caller gave it) in sum j, in the smallest unsigned
+    integer dtype that holds every rung.  Each total adds the picked values
+    in ladder order, starting from 0.0.  Equal totals are ordered
+    lexicographically by rank, a rung's position in its ladder after a
+    stable sort, so ties come out the same whichever path runs: when k
+    covers every combination, all of them are enumerated and stably sorted;
+    otherwise a best-first search pops the k smallest (total, ranks) keys.
     """
     n = len(ladders)
     if k <= 0 or n == 0:
-        return []
-    start = (0,) * n
-    heap = [(float(sum(lad[0] for lad in ladders)), start)]
-    seen = {start}
+        return np.zeros(0), np.zeros((0, n), dtype=np.uint8)
+    orders = [np.argsort(np.asarray(lad, dtype=float), kind="stable") for lad in ladders]
+    ranked = [np.asarray(lad, dtype=float)[order] for lad, order in zip(ladders, orders)]
+    sizes = tuple(len(lad) for lad in ranked)
+    dtype = np.min_scalar_type(max(sizes))
+    if k >= math.prod(sizes):
+        ranks = np.indices(sizes, dtype=dtype).reshape(n, -1)
+        totals = np.zeros(ranks.shape[1])
+        for lad, row in zip(ranked, ranks):
+            totals += lad[row]
+        keep = np.argsort(totals, kind="stable")
+        totals, ranks = totals[keep], ranks[:, keep]
+    else:
+        totals, ranks = _best_first([lad.tolist() for lad in ranked], k)
+    return totals, np.stack([order.astype(dtype)[row] for order, row in zip(orders, ranks)], axis=1)
+
+
+def _best_first(ladders: list, k: int) -> tuple[np.ndarray, np.ndarray]:
+    # The k smallest (total, ranks) keys over sorted ladders, ranks as an
+    # (n, k) array.  Every rank tuple has one parent, itself with the last
+    # nonzero rank lowered by one, so a pop pushes only the successors that
+    # raise a rank at or after the one its parent raised; their keys are
+    # larger, and the heap pops keys in ascending order.
+    n = len(ladders)
+    heap = [(float(sum(lad[0] for lad in ladders)), (0,) * n, 0)]
     out = []
     while heap and len(out) < k:
-        total, idx = heapq.heappop(heap)
+        total, idx, raised = heapq.heappop(heap)
         out.append((total, idx))
-        for i in range(n):
+        for i in range(raised, n):
             if idx[i] + 1 < len(ladders[i]):
                 nxt = idx[:i] + (idx[i] + 1,) + idx[i + 1 :]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    nxt_total = float(sum(lad[j] for lad, j in zip(ladders, nxt)))
-                    heapq.heappush(heap, (nxt_total, nxt))
-    return out
+                nxt_total = float(sum(lad[j] for lad, j in zip(ladders, nxt)))
+                heapq.heappush(heap, (nxt_total, nxt, i))
+    return np.array([t for t, _ in out]), np.array([idx for _, idx in out], dtype=np.intp).T
 
 
 def boson_spectrum(data: BosonModeData, k: int) -> SpectrumResult:
-    """The k smallest total energies sum_i level_i(m_i) + k0 with labels.
+    """The k smallest total energies sum_i level_i(m_i) + k0; rungs m_i.
 
     Requires every mode to be discrete.  When some discrete mode has r > 0
     its ladder decreases without bound; the result then carries
@@ -358,16 +383,11 @@ def boson_spectrum(data: BosonModeData, k: int) -> SpectrumResult:
             + ", ".join(sorted({c.value for c in non_discrete})),
             classes=tuple(m.mode_class for m in data.modes),
         )
-    if any(m.r > 0 for m in data.modes):
-        return SpectrumResult(entries=(), complete=False, bounded_below=False)
-    if k <= 0:
-        return SpectrumResult(entries=(), complete=False, bounded_below=True)
+    bounded = all(m.r < 0 for m in data.modes)
     ladders = [boson_mode_levels(m.t, m.r, k) for m in data.modes]
-    entries = tuple(
-        SpectrumEntry(energy=total + data.k0, label=idx, sector=None)
-        for total, idx in smallest_sums(ladders, k)
-    )
-    return SpectrumResult(entries=entries, complete=False, bounded_below=True)
+    totals, rungs = ladder_sums(ladders, k if bounded else 0)
+    return SpectrumResult(energies=totals + data.k0, rungs=rungs, sectors=None,
+                          label_kind="occupations", complete=False, bounded_below=bounded)
 
 
 def diagonalize_fermion(std: StandardForm) -> FermionModeData:
@@ -376,7 +396,9 @@ def diagonalize_fermion(std: StandardForm) -> FermionModeData:
     C = u diag(sigma) vh gives O_+ = u^t, O_- = vh^t with O_+ C O_- diagonal;
     a negative determinant of either factor is repaired by flipping its last
     row/column and negating the matching (smallest) singular value.  The
-    resulting signs satisfy prod sign(lambda_i) = sign(det C).
+    resulting signs satisfy prod sign(lambda_i) = sign(det C); that sign is
+    flagged ambiguous when sigma_min <= TOL_ZERO * sigma_max, a test that
+    rescaling C leaves unchanged.
     """
     if std.statistics is not Statistics.FERMION:
         raise ValueError("expected a fermionic standard form")
@@ -391,7 +413,7 @@ def diagonalize_fermion(std: StandardForm) -> FermionModeData:
     if np.linalg.det(o_minus) < 0:
         o_minus[:, -1] *= -1.0
         lam[-1] *= -1.0
-    ambiguous = bool(abs(np.linalg.det(c)) <= TOL_ZERO)
+    ambiguous = bool(sigma[-1] <= TOL_ZERO * sigma[0])
     o_plus.setflags(write=False)
     o_minus.setflags(write=False)
     lam.setflags(write=False)
@@ -402,21 +424,17 @@ def diagonalize_fermion(std: StandardForm) -> FermionModeData:
 def fermion_spectrum(data: FermionModeData) -> SpectrumResult:
     """All 2^n energies E_w = sum_p w_p lambda_p + k0 with parity sectors.
 
-    The sign word w marks each transformed mode as occupied (+) or empty (-);
-    the parity sector is the occupation count mod 2.
+    Mode p sits on rung 0 of its ladder (-lambda_p, +lambda_p) when empty
+    (w_p = -1) and on rung 1 when occupied (w_p = +1); the parity sector is
+    the occupation count mod 2.
     """
     n = data.n
     if 2 ** n > FERMION_SPECTRUM_GUARD:
         raise ResourceLimitError(f"2^{n} spectrum entries exceed the enumeration guard")
     lam = np.asarray(data.lambdas, dtype=float)
-    entries = []
-    for word in itertools.product((-1, 1), repeat=n):
-        energy = float(np.dot(word, lam)) + data.k0
-        plus_count = sum(1 for w in word if w > 0)
-        sector = Parity.EVEN if plus_count % 2 == 0 else Parity.ODD
-        entries.append(SpectrumEntry(energy=energy, label=word, sector=sector))
-    entries.sort(key=lambda e: (e.energy, e.label))
-    return SpectrumResult(entries=tuple(entries), complete=True, bounded_below=True)
+    totals, rungs = ladder_sums(np.stack([-lam, lam], axis=1), 2 ** n)
+    return SpectrumResult(energies=totals + data.k0, rungs=rungs, sectors=rungs.sum(axis=1) % 2,
+                          label_kind="signs", complete=True, bounded_below=True)
 
 
 def fermion_invariants(c: np.ndarray) -> tuple[float, tuple]:

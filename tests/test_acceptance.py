@@ -22,7 +22,7 @@ def _report(number, name, ok, detail):
 
 
 def _sector_energies(result, parity):
-    return np.sort([e.energy for e in result.entries if e.sector is parity])
+    return np.sort(result.energies[result.sectors == parity])
 
 
 def _fermion_suite(count=200, n_max=8, seed=42):
@@ -54,8 +54,8 @@ def test_criterion_1_fermion_oracle_equivalence():
         rep = bd.build_fermion_rep(form.n)
         even, odd = bd.sector_spectra(bd.build_hamiltonian(form, rep), rep)
         result = bd.fermion_spectrum(bd.diagonalize_fermion(bd.to_standard(form)))
-        closed_even = _sector_energies(result, Parity.EVEN)
-        closed_odd = _sector_energies(result, Parity.ODD)
+        closed_even = _sector_energies(result, 0)
+        closed_odd = _sector_energies(result, 1)
         if len(closed_even) != len(even) or len(closed_odd) != len(odd):
             mismatches += 1
             continue
@@ -81,7 +81,7 @@ def test_criterion_2_boson_oracle_equivalence():
         cutoff = 60 if n <= 2 else 24
         data = bd.diagonalize_boson(bd.to_standard(form))
         assert all(m.mode_class is ModeClass.DISCRETE for m in data.modes)
-        closed = np.array([e.energy for e in bd.boson_spectrum(data, 10).entries])
+        closed = bd.boson_spectrum(data, 10).energies
         oracle = bd.truncation_stable_spectrum(form, cutoff=cutoff, k=10, tol=1e-6)
         if oracle.stable_count < 10:
             short_prefixes += 1
@@ -103,7 +103,7 @@ def test_criterion_3_isospectrality_under_positive_transforms():
         base = bd.fermion_spectrum(bd.diagonalize_fermion(std))
         b = bd.random_canonical(Statistics.FERMION, form.n, seed=i, positive=True)
         moved = bd.fermion_spectrum(bd.diagonalize_fermion(bd.apply_transform(std, b)))
-        for parity in (Parity.EVEN, Parity.ODD):
+        for parity in (0, 1):
             e0, e1 = _sector_energies(base, parity), _sector_energies(moved, parity)
             if len(e0) != len(e1):
                 sector_changes += 1
@@ -112,10 +112,9 @@ def test_criterion_3_isospectrality_under_positive_transforms():
     worst_b = 0.0
     for i, (n, form) in enumerate(_boson_suite()):
         std = bd.to_standard(form)
-        base = [e.energy for e in bd.boson_spectrum(bd.diagonalize_boson(std), 10).entries]
+        base = bd.boson_spectrum(bd.diagonalize_boson(std), 10).energies
         b = bd.random_canonical(Statistics.BOSON, n, seed=i, positive=True)
-        moved = [e.energy for e in
-                 bd.boson_spectrum(bd.diagonalize_boson(bd.apply_transform(std, b)), 10).entries]
+        moved = bd.boson_spectrum(bd.diagonalize_boson(bd.apply_transform(std, b)), 10).energies
         worst_b = max(worst_b, float(np.max(np.abs(np.array(base) - np.array(moved)))))
     elapsed = time.time() - t0
     _report(3, "isospectrality under positive transforms",
@@ -197,12 +196,12 @@ def test_criterion_7_local_zero_modes():
         data = bd.diagonalize_fermion(
             bd.StandardForm(statistics=Statistics.FERMION, C=jac, k0=0.0))
         result = bd.local_witten_spectrum(data.lambdas, 12)
-        zeros = [e for e in result.entries if abs(e.energy) <= 1e-9]
-        nonzero = [e.energy for e in result.entries if abs(e.energy) > 1e-9]
-        if len(zeros) != 1 or min(nonzero) < 2.0 * np.min(np.abs(data.lambdas)) - 1e-9:
+        zeros = np.abs(result.energies) <= 1e-9
+        nonzero = result.energies[~zeros]
+        if zeros.sum() != 1 or min(nonzero) < 2.0 * np.min(np.abs(data.lambdas)) - 1e-9:
             ok_counts = False
         expected = Parity.EVEN if np.linalg.det(jac) > 0 else Parity.ODD
-        if zeros and zeros[0].sector is not expected:
+        if zeros.any() and result.sectors[zeros][0] != int(expected is Parity.ODD):
             ok_parity = False
         if bd.zero_mode_parity(bd.SingularPoint("p", jac)) is not expected:
             ok_parity = False
@@ -213,11 +212,11 @@ def test_criterion_7_local_zero_modes():
         for trial in range(3):
             lams = np.sign(rng.uniform(-1, 1, n)) * rng.uniform(0.5, 2.0, n)
             result = bd.local_witten_spectrum(lams, 8)
-            zeros = [e for e in result.entries if abs(e.energy) <= 1e-9]
-            expected = Parity.EVEN if np.prod(np.sign(lams)) > 0 else Parity.ODD
-            if len(zeros) != 1 or zeros[0].sector is not expected:
+            zeros = np.abs(result.energies) <= 1e-9
+            expected = 0 if np.prod(np.sign(lams)) > 0 else 1
+            if zeros.sum() != 1 or result.sectors[zeros][0] != expected:
                 ok_parity = False
-            closed = [e.energy for e in result.entries]
+            closed = result.energies
             oracle = np.linalg.eigvalsh(witten_tensor_oracle(lams, 30))[:8]
             worst_oracle = max(worst_oracle, float(np.max(np.abs(np.array(closed) - oracle))))
     elapsed = time.time() - t0

@@ -292,3 +292,19 @@ class TestOutputContract:
         result = runner.invoke(main, ["diagonalize", path, "--out", str(out)])
         assert result.exit_code == 0
         assert json.loads(out.read_text())["k0"] == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("command, option, value", [
+        ("spectrum", "--count", "-5"),
+        ("spectrum", "--count", "0"),
+        ("verify", "--cutoff", "0"),
+        ("verify", "--count", "-1"),
+        ("lemmas", "--n", "0"),
+        ("lemmas", "--trials", "0"),
+    ])
+    def test_out_of_range_option_exits_1(self, runner, tmp_path, command, option, value):
+        args = [command] if command == "lemmas" else [command, boson_n1(tmp_path)]
+        result = runner.invoke(main, [*args, option, value])
+        assert result.exit_code == 1
+        payload = json.loads(result.output)
+        assert payload["error"] == "ValidationError"
+        assert option in payload["detail"]

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bogodiag as bd
-from bogodiag import Parity, Statistics
+from bogodiag import Statistics
 
 
 def check_fermion_normal_form_ordering():
@@ -76,24 +76,22 @@ def check_fermion_shift_and_parity():
     # n = 1: {0 even, 2 odd}
     f1 = bd.QuadraticForm(Statistics.FERMION, U=[[0.0]], V=[[1.0]], const=0.0)
     r1 = bd.fermion_spectrum(bd.diagonalize_fermion(bd.to_standard(f1)))
-    assert [(e.energy, e.sector) for e in r1.entries] == [
-        (pytest.approx(0.0), Parity.EVEN),
-        (pytest.approx(2.0), Parity.ODD),
-    ]
+    assert r1.energies.tolist() == pytest.approx([0.0, 2.0])
+    assert r1.sectors.tolist() == [0, 1]
     # n = 2 rotation form: +-2u even, two zeros odd
     f2 = bd.QuadraticForm(Statistics.FERMION, U=[[0.0, 1.0], [-1.0, 0.0]], V=np.zeros((2, 2)))
     r2 = bd.fermion_spectrum(bd.diagonalize_fermion(bd.to_standard(f2)))
-    assert [e.sector for e in r2.entries] == [Parity.EVEN, Parity.ODD, Parity.ODD, Parity.EVEN]
+    assert r2.sectors.tolist() == [0, 1, 1, 0]
     rep = bd.build_fermion_rep(2)
     even, odd = bd.sector_spectra(bd.build_hamiltonian(f2, rep), rep)
     assert np.allclose(even, [-2.0, 2.0]) and np.allclose(odd, [0.0, 0.0])
     # drift checks: flipping the parity anchor or dropping the shift breaks
     # the n = 1 oracle (even sector {0}, odd sector {2})
-    flipped_even = sorted(e.energy for e in r1.entries if e.sector is Parity.ODD)
+    flipped_even = sorted(r1.energies[r1.sectors == 1])
     assert flipped_even != pytest.approx([0.0])
     k0 = bd.to_standard(f1).k0
     assert k0 != 0.0
-    unshifted = sorted(e.energy - k0 for e in r1.entries)
+    unshifted = sorted(r1.energies - k0)
     assert unshifted != pytest.approx([0.0, 2.0])
 
 

