@@ -12,6 +12,17 @@ their spectra are dense solves of the even and odd parity blocks.  Bosons
 live on a per-mode truncated space of dimension (cutoff+1)^n; the commutator
 [a_i^+, a_j] = delta_ij holds exactly below the top occupation rung.  Basis
 vectors are indexed by occupation numbers, mode 0 most significant.
+
+Bosonic spectra are checked by cutoff doubling.  Every term of a quadratic
+form passes through intermediate states no more occupied than its end
+states, so the cutoff-c Hamiltonian is exactly the principal submatrix of the
+cutoff-2c one on the embedded occupation box (a compression).  By Cauchy
+interlacing the fine eigenvalues lie at or below the coarse ones, and the
+embedded coarse eigenvectors are near-eigenvectors of the fine matrix.  The
+coarse Lanczos solve therefore starts cold, from the uniform vector, and the
+fine solve starts from the embedded sum of the coarse Ritz vectors.  The
+coarse solve stays an independent witness: a fine solve that missed a level
+would disagree with it and shorten the stable prefix, never lengthen it.
 """
 
 from __future__ import annotations
@@ -35,6 +46,10 @@ BOSON_DIM_GUARD = 200_000
 
 #: Above this dimension eigenvalue prefixes switch from dense to Lanczos.
 DENSE_EIG_LIMIT = 1200
+
+#: Largest estimated working set of one eigensolve (2 GiB).  At this limit a
+#: dense solve reaches dimension 8192, the dense limit of exact_spectrum.
+EIGENSOLVE_BYTES_GUARD = 2 ** 31
 
 Matrix = Union[np.ndarray, sp.csr_matrix]
 
@@ -221,18 +236,63 @@ def exact_spectrum(matrix: Matrix, sym_tol: float = 1e-10,
     return np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
 
 
-def lowest_eigenvalues(matrix: Matrix, k: int, dense_limit: int = DENSE_EIG_LIMIT) -> np.ndarray:
-    """The k smallest eigenvalues, by dense solve or deterministic Lanczos."""
+def _lowest_pairs(matrix: Matrix, k: int, dense_limit: int = DENSE_EIG_LIMIT,
+                  v0: Optional[np.ndarray] = None,
+                  vectors: bool = False) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """The k smallest eigenvalues, ascending, with their eigenvectors if asked.
+
+    Small matrices, dense input and requests for (nearly) every eigenvalue
+    take a dense solve; the rest implicitly restarted Lanczos (ARPACK) from
+    `v0`, by default the uniform vector, so results are deterministic.  The
+    working set is estimated first and refused with ResourceLimitError above
+    EIGENSOLVE_BYTES_GUARD, before anything is allocated.
+    """
     dim = matrix.shape[0]
     k = min(k, dim)
     if not sp.issparse(matrix) or dim <= dense_limit or k >= dim - 1:
+        # the matrix, its symmetrized copy, LAPACK's copy and the eigenvectors
+        _check_eigensolve_bytes(4 * 8 * dim * dim, f"dense eigensolve of dimension {dim}")
         dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
-        return np.linalg.eigvalsh((dense + dense.T) / 2.0)[:k]
-    v0 = np.full(dim, 1.0 / np.sqrt(dim))
+        sym = (dense + dense.T) / 2.0
+        if vectors:
+            vals, vecs = np.linalg.eigh(sym)
+            return vals[:k], vecs[:, :k]
+        return np.linalg.eigvalsh(sym)[:k], None
     ncv = min(dim - 1, max(4 * k, 40))
-    vals = spla.eigsh(matrix, k=k, which="SA", v0=v0, ncv=ncv,
-                      maxiter=100 * dim, tol=1e-12, return_eigenvectors=False)
-    return np.sort(vals)
+    # ARPACK's Lanczos basis plus the returned vectors
+    _check_eigensolve_bytes(8 * dim * (ncv + (k if vectors else 0)),
+                            f"Lanczos eigensolve of {k} eigenvalues at dimension {dim}")
+    if v0 is None:
+        v0 = np.full(dim, 1.0 / np.sqrt(dim))
+    out = spla.eigsh(matrix, k=k, which="SA", v0=v0, ncv=ncv,
+                     maxiter=100 * dim, tol=1e-12, return_eigenvectors=vectors)
+    if not vectors:
+        return np.sort(out), None
+    order = np.argsort(out[0])
+    return out[0][order], out[1][:, order]
+
+
+def _check_eigensolve_bytes(estimate: int, what: str) -> None:
+    if estimate > EIGENSOLVE_BYTES_GUARD:
+        raise ResourceLimitError(
+            f"{what} needs about {estimate / 2**30:.1f} GiB, "
+            f"above the guard of {EIGENSOLVE_BYTES_GUARD / 2**30:.1f} GiB"
+        )
+
+
+def lowest_eigenvalues(matrix: Matrix, k: int, dense_limit: int = DENSE_EIG_LIMIT) -> np.ndarray:
+    """The k smallest eigenvalues, by dense solve or deterministic Lanczos.
+
+    Raises ResourceLimitError when the solve would need more than
+    EIGENSOLVE_BYTES_GUARD bytes.
+    """
+    return _lowest_pairs(matrix, k, dense_limit)[0]
+
+
+def _box_embedding(n: int, cutoff: int, fine_cutoff: int) -> np.ndarray:
+    """Fine-basis index of every coarse basis vector (same occupations)."""
+    occupations = np.unravel_index(np.arange((cutoff + 1) ** n), (cutoff + 1,) * n)
+    return np.ravel_multi_index(occupations, (fine_cutoff + 1,) * n)
 
 
 def sector_spectra(hamiltonian: Matrix, rep: FermionFockRep) -> tuple[np.ndarray, np.ndarray]:
@@ -269,6 +329,15 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int, tol: fl
     Eigenvalues are computed at `cutoff` and `2*cutoff`; the returned prefix
     holds where both agree within `tol` (values taken from the finer basis).
     A shorter-than-k prefix carries a warning instead of failing.
+
+    The coarse Hamiltonian is the principal submatrix of the fine one on the
+    embedded occupation box, so the fine eigenvalues interlace below the
+    coarse ones and the embedded coarse eigenvectors nearly solve the fine
+    problem.  The coarse solve starts cold from the uniform vector; the fine
+    Lanczos solve starts from the sum of the coarse Ritz vectors, zero outside
+    the box, and returns no vectors.  A level the warm solve missed would
+    disagree with the cold coarse witness and shorten the prefix, so the
+    check can fail by it but never pass by it.
     """
     if form.statistics is not Statistics.BOSON:
         raise ValueError("truncation control applies to bosonic forms only")
@@ -276,8 +345,13 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int, tol: fl
         return TruncationResult(values=(), requested=0)
     rep_lo = build_boson_rep(form.n, cutoff, dim_guard)
     rep_hi = build_boson_rep(form.n, 2 * cutoff, dim_guard)
-    lo = lowest_eigenvalues(build_hamiltonian(form, rep_lo), k)
-    hi = lowest_eigenvalues(build_hamiltonian(form, rep_hi), k)
+    lo, ritz = _lowest_pairs(build_hamiltonian(form, rep_lo), k, vectors=True)
+    start = ritz.sum(axis=1)
+    del ritz  # the fine assembly is the memory peak; add nothing to it
+    h_hi = build_hamiltonian(form, rep_hi)
+    v0 = np.zeros(rep_hi.dim)
+    v0[_box_embedding(form.n, cutoff, 2 * cutoff)] = start
+    hi, _ = _lowest_pairs(h_hi, k, v0=v0)
     m = min(len(lo), len(hi))
     stable = 0
     while stable < m and abs(lo[stable] - hi[stable]) <= tol:

@@ -188,11 +188,25 @@ class Violation:
     deviation: float
 
 
+def _normal_coefficients(form: QuadraticForm) -> tuple[float, dict]:
+    """The normal-form constant k0 and matrices ((T, R) or C) of a form.
+
+    Huge finite entries may overflow to inf here; the caller checks.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if form.statistics is Statistics.BOSON:
+            k0 = form.const - float(np.trace(form.V))
+            return k0, {"T": (form.U + form.V) / 2.0, "R": (form.U - form.V) / 2.0}
+        c = form.U + form.V
+        return form.const + float(np.trace(c)), {"C": c}
+
+
 def validate(form: QuadraticForm, tol_sym: float = TOL_SYM) -> list[Violation]:
     """Check the structural invariants of a form.
 
     Returns a list of violations (empty means valid), each carrying the
-    maximal deviation of the corresponding check.
+    maximal deviation of the corresponding check.  Finite entries whose
+    normal-form coefficients overflow count as non-finite.
     """
     out = []
     finite = np.isfinite(form.U).all() and np.isfinite(form.V).all() and np.isfinite(form.const)
@@ -210,6 +224,14 @@ def validate(form: QuadraticForm, tol_sym: float = TOL_SYM) -> list[Violation]:
         dev_u = _antisym_deviation(form.U)
         if dev_u > tol_sym:
             out.append(Violation("U_antisymmetric", "U not antisymmetric", dev_u))
+    k0, mats = _normal_coefficients(form)
+    overflowed = [name for name, m in mats.items() if not np.isfinite(m).all()]
+    if not np.isfinite(k0):
+        overflowed.append("k0")
+    if overflowed:
+        out.append(Violation("derived_finite",
+                             f"normal-form {', '.join(overflowed)} not finite (overflow)",
+                             float("inf")))
     return out
 
 
@@ -225,14 +247,8 @@ def to_standard(form: QuadraticForm, tol_sym: float = TOL_SYM) -> StandardForm:
     violations = validate(form, tol_sym)
     if violations:
         raise ValidationError("invalid form: " + "; ".join(v.message for v in violations), violations)
-    if form.statistics is Statistics.BOSON:
-        t = (form.U + form.V) / 2.0
-        r = (form.U - form.V) / 2.0
-        k0 = form.const - float(np.trace(form.V))
-        return StandardForm(statistics=Statistics.BOSON, T=t, R=r, k0=k0)
-    c = form.U + form.V
-    k0 = form.const + float(np.trace(c))
-    return StandardForm(statistics=Statistics.FERMION, C=c, k0=k0)
+    k0, mats = _normal_coefficients(form)
+    return StandardForm(statistics=form.statistics, k0=k0, **mats)
 
 
 def from_standard(std: StandardForm) -> QuadraticForm:
@@ -369,8 +385,14 @@ def _statistics_from_dict(data: dict) -> Statistics:
         raise ValidationError("statistics must be 'boson' or 'fermion'") from exc
 
 
+def _require_object(data, what: str) -> None:
+    if not isinstance(data, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {type(data).__name__}")
+
+
 def form_from_dict(data: dict) -> QuadraticForm:
     """Parse the JSON form schema {statistics, n, U, V, const}."""
+    _require_object(data, "form")
     stats = _statistics_from_dict(data)
     try:
         n = int(data["n"])
@@ -378,12 +400,18 @@ def form_from_dict(data: dict) -> QuadraticForm:
         raise ValidationError("missing or malformed mode count 'n'") from exc
     u = _matrix_from_dict(data, "U", n)
     v = _matrix_from_dict(data, "V", n)
-    const = float(data.get("const", 0.0))
+    try:
+        const = float(data.get("const", 0.0))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError("constant 'const' must be a number") from exc
+    if not np.isfinite(const):
+        raise ValidationError(f"constant 'const' must be finite, got {const}")
     return QuadraticForm(statistics=stats, U=u, V=v, const=const)
 
 
 def transform_from_dict(data: dict) -> BogoliubovTransform:
     """Parse the JSON transform schema {statistics, n, P, Q}."""
+    _require_object(data, "transform")
     stats = _statistics_from_dict(data)
     try:
         n = int(data["n"])

@@ -21,6 +21,17 @@ CAPPED_CLI = (
 )
 
 
+def run_capped_cli(cap_bytes, *args):
+    """Run the CLI in a child whose address space is capped at cap_bytes."""
+    src = str(Path(bogodiag.__file__).resolve().parents[1])
+    # OpenBLAS reserves address space per thread; pin the count so the cap
+    # measures the oracle, not the core count of the host
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", CAPPED_CLI, str(cap_bytes), *args],
+                          capture_output=True, text=True, timeout=300, env=env)
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -208,20 +219,26 @@ class TestVerify:
             "statistics": "fermion", "n": n,
             "U": ((a - a.T) / 2).tolist(), "V": ((b + b.T) / 2).tolist(), "const": 0.1,
         })
-        src = str(Path(bogodiag.__file__).resolve().parents[1])
-        # OpenBLAS reserves address space per thread; pin the count so the
-        # cap measures the oracle, not the core count of the host
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", CAPPED_CLI, str(1536 * 2**20), "verify", path],
-            capture_output=True, text=True, timeout=300, env=env,
-        )
+        proc = run_capped_cli(1536 * 2**20, "verify", path)
         assert proc.returncode == 0, proc.stderr[-2000:]
         payload = json.loads(proc.stdout)
         assert payload["compared"] == 2 ** n
         assert payload["sector_mismatches"] == 0
         assert payload["max_abs_deviation"] <= 1e-9
+
+    def test_oversized_eigensolve_exits_2_under_memory_cap(self, tmp_path):
+        # at n = 3, cutoff 28 (fine dimension 57^3 = 185193, inside the
+        # dimension guard) a count of 30000 asks for a dense solve of the
+        # 24389-dimensional coarse matrix, about 4.8 GB per copy; the refusal
+        # must come before any of it is allocated, so a 1.5 GB cap never trips
+        n = 3
+        path = write_json(tmp_path / "b3.json", {
+            "statistics": "boson", "n": n,
+            "U": np.zeros((n, n)).tolist(), "V": np.diag([1.0, 1.1, 1.2]).tolist(), "const": 0.0,
+        })
+        proc = run_capped_cli(1536 * 2**20, "verify", path, "--cutoff", "28", "--count", "30000")
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert json.loads(proc.stdout)["error"] == "ResourceLimitError"
 
 
 class TestMorse:
@@ -308,3 +325,25 @@ class TestOutputContract:
         payload = json.loads(result.output)
         assert payload["error"] == "ValidationError"
         assert option in payload["detail"]
+
+    @pytest.mark.parametrize("command", ["validate", "diagonalize", "spectrum"])
+    @pytest.mark.parametrize("document", [
+        [{"statistics": "boson", "n": 1, "U": [[0.0]], "V": [[1.0]], "const": 0.0}],
+        {"statistics": "boson", "n": 1, "U": [[0.0]], "V": [[1.0]], "const": "abc"},
+        {"statistics": "boson", "n": 1, "U": [[0.0]], "V": [[1.0]], "const": None},
+    ], ids=["top_level_list", "const_string", "const_null"])
+    def test_malformed_document_exits_1(self, runner, tmp_path, command, document):
+        result = runner.invoke(main, [command, write_json(tmp_path / "bad.json", document)])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["error"] == "ValidationError"
+
+    @pytest.mark.parametrize("command", ["validate", "diagonalize", "spectrum", "verify"])
+    def test_overflowing_normal_form_exits_1(self, runner, tmp_path, command):
+        # finite entries, but T = (U+V)/2 overflows to inf
+        path = write_json(tmp_path / "huge.json", {
+            "statistics": "boson", "n": 1, "U": [[1e308]], "V": [[1e308]], "const": 0.0,
+        })
+        result = runner.invoke(main, [command, path])
+        assert result.exit_code == 1
+        payload = json.loads(result.output)
+        assert [v["check"] for v in payload["violations"]] == ["derived_finite"]

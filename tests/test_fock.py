@@ -2,10 +2,23 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import random_boson_form, random_fermion_form
+import scipy.sparse as sp
+from conftest import bounded_boson_form, random_boson_form, random_fermion_form
 
 import bogodiag as bd
-from bogodiag import Statistics
+from bogodiag import Statistics, fock
+
+
+def box_embedding(n, cutoff, fine_cutoff):
+    """Fine-basis index of each coarse basis vector, digit by digit."""
+    idx = np.arange((cutoff + 1) ** n)
+    out = np.zeros_like(idx)
+    weight = 1
+    for _ in range(n):  # least significant digit (mode n-1) first
+        out += (idx % (cutoff + 1)) * weight
+        idx = idx // (cutoff + 1)
+        weight *= fine_cutoff + 1
+    return out
 
 
 class TestFermionRep:
@@ -210,6 +223,75 @@ class TestTruncationStable:
         f = bd.QuadraticForm(Statistics.FERMION, U=[[0.0]], V=[[1.0]], const=0.0)
         with pytest.raises(ValueError):
             bd.truncation_stable_spectrum(f, cutoff=10, k=1, tol=1e-9)
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("n, cutoff", [(1, 10), (2, 8), (3, 5)])
+    def test_coarse_hamiltonian_is_principal_submatrix(self, n, cutoff):
+        f = random_boson_form(np.random.default_rng(60 + n), n)
+        coarse = bd.build_hamiltonian(f, bd.build_boson_rep(n, cutoff)).toarray()
+        fine = bd.build_hamiltonian(f, bd.build_boson_rep(n, 2 * cutoff))
+        e = box_embedding(n, cutoff, 2 * cutoff)
+        assert np.array_equal(coarse, fine[e][:, e].toarray())
+
+    @pytest.mark.parametrize("n, cutoff", [(2, 20), (3, 8)])
+    def test_interlacing(self, n, cutoff):
+        for seed in range(3):
+            f = random_boson_form(np.random.default_rng(70 + seed), n)
+            coarse, fine = (
+                bd.lowest_eigenvalues(bd.build_hamiltonian(f, bd.build_boson_rep(n, c)), 10)
+                for c in (cutoff, 2 * cutoff)
+            )
+            assert np.all(fine <= coarse + 1e-12)
+
+    @pytest.mark.parametrize("n, cutoff", [(2, 40), (3, 16)])
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_matches_cold_fine_solve(self, n, cutoff, k):
+        f = bounded_boson_form(np.random.default_rng(80 + n), n, seed=n, spread=0.15)
+        out = bd.truncation_stable_spectrum(f, cutoff=cutoff, k=k, tol=1e-6)
+        cold = bd.lowest_eigenvalues(bd.build_hamiltonian(f, bd.build_boson_rep(n, 2 * cutoff)), k)
+        assert out.stable_count == k
+        assert np.max(np.abs(np.array(out.values) - cold)) <= 1e-10
+
+    def test_fine_start_lives_in_the_coarse_box(self, monkeypatch):
+        n, cutoff = 2, 40  # both solves above DENSE_EIG_LIMIT, so both run Lanczos
+        starts = []
+        eigsh = fock.spla.eigsh
+
+        def spy(matrix, **kwargs):
+            starts.append(kwargs["v0"].copy())
+            return eigsh(matrix, **kwargs)
+
+        monkeypatch.setattr(fock.spla, "eigsh", spy)
+        f = bounded_boson_form(np.random.default_rng(90), n, seed=5)
+        bd.truncation_stable_spectrum(f, cutoff=cutoff, k=5, tol=1e-6)
+        coarse, fine = starts
+        assert np.array_equal(coarse, np.full((cutoff + 1) ** n, 1.0 / np.sqrt((cutoff + 1) ** n)))
+        inside = np.zeros((2 * cutoff + 1) ** n, dtype=bool)
+        inside[box_embedding(n, cutoff, 2 * cutoff)] = True
+        assert np.all(fine[~inside] == 0.0)
+        assert np.linalg.norm(fine[inside]) > 0.5
+
+
+class TestEigensolveGuard:
+    @pytest.mark.parametrize("dim, k", [
+        (24389, 24388),  # dense fallback: k >= dim - 1, ~4.4 GiB per copy
+        (185193, 30000),  # Lanczos: a 185193 x 120000 basis
+    ])
+    def test_refused_before_allocation(self, dim, k):
+        matrix = sp.identity(dim, format="csr")
+        tracemalloc.start()
+        try:
+            with pytest.raises(bd.ResourceLimitError):
+                bd.lowest_eigenvalues(matrix, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_admitted_dense_fallback_still_solves(self):
+        vals = bd.lowest_eigenvalues(sp.diags(np.arange(1300.0, 0.0, -1.0), format="csr"), 1299)
+        assert np.array_equal(vals, np.arange(1.0, 1300.0))
 
 
 class TestTransformedModes:

@@ -31,6 +31,17 @@ class TestValidate:
         f = bd.QuadraticForm(Statistics.BOSON, U=np.zeros((1, 1)), V=[[np.inf]])
         assert [v.check for v in bd.validate(f)] == ["finite"]
 
+    @pytest.mark.parametrize("statistics, u, v", [
+        (Statistics.BOSON, [[1e308]], [[1e308]]),  # T = (U+V)/2 overflows
+        (Statistics.BOSON, np.zeros((2, 2)), np.diag([1e308, 1e308])),  # k0 = const - Tr V
+        (Statistics.FERMION, [[0, 1e308], [-1e308, 0]], [[0, 1e308], [1e308, 0]]),  # C = U+V
+    ])
+    def test_derived_overflow_rejected(self, statistics, u, v):
+        f = bd.QuadraticForm(statistics, U=u, V=v)
+        assert [x.check for x in bd.validate(f)] == ["derived_finite"]
+        with pytest.raises(bd.ValidationError):
+            bd.to_standard(f)
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(bd.ValidationError):
             bd.QuadraticForm(Statistics.BOSON, U=np.zeros((2, 2)), V=np.zeros((3, 3)))
@@ -217,7 +228,15 @@ class TestJson:
         {"statistics": "anyon", "n": 1, "U": [[0]], "V": [[0]]},
         {"statistics": "boson", "n": 2, "U": [[0]], "V": [[0, 0], [0, 0]]},
         {"statistics": "boson", "U": [[0]], "V": [[0]]},
+        [{"statistics": "boson", "n": 1, "U": [[0]], "V": [[0]]}],
+        {"statistics": "boson", "n": 1, "U": [[0]], "V": [[0]], "const": "abc"},
+        {"statistics": "boson", "n": 1, "U": [[0]], "V": [[0]], "const": None},
+        {"statistics": "boson", "n": 1, "U": [[0]], "V": [[0]], "const": float("inf")},
     ])
     def test_malformed_rejected(self, payload):
         with pytest.raises(bd.ValidationError):
             bd.form_from_dict(payload)
+
+    def test_non_object_transform_rejected(self):
+        with pytest.raises(bd.ValidationError):
+            bd.transform_from_dict([[1.0], [0.0]])
