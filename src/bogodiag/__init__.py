@@ -33,20 +33,6 @@ from .forms import (
     transform_from_dict,
     validate,
 )
-from .fock import (
-    BosonFockRep,
-    FermionFockRep,
-    TruncationResult,
-    bogoliubov_mode_operators,
-    build_boson_rep,
-    build_fermion_rep,
-    build_hamiltonian,
-    build_standard_hamiltonian,
-    exact_spectrum,
-    lowest_eigenvalues,
-    sector_spectra,
-    truncation_stable_spectrum,
-)
 from .spectral import (
     LEVEL_COEFF,
     BosonMode,
@@ -80,3 +66,35 @@ from .morse import (
 )
 
 __version__ = "0.1.0"
+
+#: Names of the brute-force oracle, re-exported lazily: ``fock`` is the only
+#: module that imports scipy, and of the CLI commands only ``verify`` and
+#: ``lemmas`` use it.
+_FOCK_EXPORTS = (
+    "BosonFockRep",
+    "FermionFockRep",
+    "TruncationResult",
+    "bogoliubov_mode_operators",
+    "build_boson_rep",
+    "build_fermion_rep",
+    "build_hamiltonian",
+    "build_standard_hamiltonian",
+    "exact_spectrum",
+    "lowest_eigenvalues",
+    "sector_spectra",
+    "truncation_stable_spectrum",
+)
+
+
+def __getattr__(name):
+    if name in _FOCK_EXPORTS:
+        from . import fock
+
+        value = getattr(fock, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_FOCK_EXPORTS))

@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 validation or assertion failure, 2 mathematical
 error (non-real spectrum, defective pencil, continuous spectrum, degenerate
 point, resource guard), 3 I/O failure.  All numeric work lives in the
-library; commands only parse files, dispatch and render JSON.
+library; commands only parse files, dispatch and render JSON.  The
+brute-force oracle (``fock``, the only module that needs scipy) is imported
+by ``verify`` and ``lemmas`` when they run, so the other commands start
+without scipy.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import sys
 import click
 import numpy as np
 
-from . import fock, forms, morse, spectral
+from . import forms, morse, spectral
 from .errors import (
     ContinuousSpectrum,
     DefectiveMatrix,
@@ -66,7 +69,9 @@ def _run(body, out):
     """Execute a command body and map exceptions to the exit-code contract."""
     try:
         payload, code = body()
-    except _MATH_ERRORS as exc:
+    except (*_MATH_ERRORS, np.linalg.LinAlgError) as exc:
+        # LinAlgError is a backstop: validation should refuse every input
+        # that LAPACK cannot handle, but a failure still gets a payload
         _emit({"error": type(exc).__name__, "detail": str(exc)}, out)
         sys.exit(EXIT_MATH)
     except ValidationError as exc:
@@ -157,6 +162,8 @@ def spectrum(form_file, count, out):
 
 
 def _verify_fermion(form, tol):
+    from . import fock
+
     std = forms.to_standard(form)
     result = spectral.fermion_spectrum(spectral.diagonalize_fermion(std))
     rep = fock.build_fermion_rep(form.n)
@@ -191,6 +198,8 @@ def _verify_boson(form, cutoff, count, tol):
             "warning": "spectrum is unbounded below; nothing to compare",
         }
         return payload, EXIT_OK
+    from . import fock
+
     oracle = fock.truncation_stable_spectrum(form, cutoff, count, tol)
     closed = result.energies
     m = min(len(closed), oracle.stable_count)
@@ -259,6 +268,8 @@ def lemmas(n, seed, trials, out):
     """Operator-identity residuals over random inputs (threshold 1e-12)."""
 
     def body():
+        from . import fock
+
         _require_positive(n=n, trials=trials)
         rep = fock.build_fermion_rep(n)
         rng = np.random.default_rng(seed)
@@ -266,12 +277,14 @@ def lemmas(n, seed, trials, out):
         max_cross = 0.0
         for trial in range(trials):
             omega = rng.uniform(-1.0, 1.0, size=n)
-            max_wedge = max(max_wedge, morse.wedge_contraction_identity(omega, rep))
             jac = rng.uniform(-1.0, 1.0, size=(n, n))
             if trial % 2 == 1:
                 jac = (jac + jac.T) / 2.0  # exact-form case: no 2-form part
+            # the heavier check first, so that its memory guard refuses a
+            # too-large n before the wedge check allocates anything
             residual, _ = morse.cross_term_identity(jac, rep)
             max_cross = max(max_cross, residual)
+            max_wedge = max(max_wedge, morse.wedge_contraction_identity(omega, rep))
         payload = {
             "n": n,
             "trials": trials,

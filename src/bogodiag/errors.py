@@ -38,7 +38,7 @@ class NonDiscreteMode(BogodiagError):
 
 
 class ResourceLimitError(BogodiagError):
-    """A Fock-space construction would exceed its dimension guard."""
+    """A construction or enumeration would exceed its size or memory guard."""
 
 
 class DegeneratePoint(BogodiagError):

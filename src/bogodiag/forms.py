@@ -206,7 +206,8 @@ def validate(form: QuadraticForm, tol_sym: float = TOL_SYM) -> list[Violation]:
 
     Returns a list of violations (empty means valid), each carrying the
     maximal deviation of the corresponding check.  Finite entries whose
-    normal-form coefficients overflow count as non-finite.
+    normal-form coefficients, or for bosons the pencil R T, overflow count
+    as non-finite.
     """
     out = []
     finite = np.isfinite(form.U).all() and np.isfinite(form.V).all() and np.isfinite(form.const)
@@ -226,6 +227,11 @@ def validate(form: QuadraticForm, tol_sym: float = TOL_SYM) -> list[Violation]:
             out.append(Violation("U_antisymmetric", "U not antisymmetric", dev_u))
     k0, mats = _normal_coefficients(form)
     overflowed = [name for name, m in mats.items() if not np.isfinite(m).all()]
+    if form.statistics is Statistics.BOSON and not overflowed:
+        # the bosonic diagonalization works on the pencil R T
+        with np.errstate(over="ignore", invalid="ignore"):
+            if not np.isfinite(mats["R"] @ mats["T"]).all():
+                overflowed.append("R T")
     if not np.isfinite(k0):
         overflowed.append("k0")
     if overflowed:

@@ -19,14 +19,22 @@ scope here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import DegeneratePoint, ValidationError
-from .fock import FermionFockRep, build_fermion_rep
+from .errors import DegeneratePoint, ResourceLimitError, ValidationError
 from .forms import StandardForm, Statistics
-from .spectral import Parity, SpectrumResult, diagonalize_fermion, ladder_sums
+from .spectral import (
+    FERMION_SPECTRUM_GUARD,
+    Parity,
+    SpectrumResult,
+    diagonalize_fermion,
+    ladder_sums,
+)
+
+if TYPE_CHECKING:
+    from .fock import FermionFockRep
 
 #: Relative degeneracy threshold on |det jacobian|.
 DEGENERACY_TOL = 1e-10
@@ -47,6 +55,8 @@ class SingularPoint:
         jac = np.array(self.jacobian, dtype=float, copy=True)
         if jac.ndim != 2 or jac.shape[0] != jac.shape[1] or jac.shape[0] < 1:
             raise ValidationError(f"jacobian must be square, got shape {jac.shape}")
+        if not np.isfinite(jac).all():
+            raise ValidationError(f"jacobian of point {self.label!r} has non-finite entries")
         jac.setflags(write=False)
         object.__setattr__(self, "jacobian", jac)
 
@@ -177,17 +187,42 @@ def local_witten_spectrum(lambdas, count: int) -> SpectrumResult:
     zero-energy entry, at all m_i = 0 and f_i = 1 exactly where
     lambda_i < 0.  Frequencies with min |lambda| <= DEGENERACY_TOL *
     max |lambda| raise DegeneratePoint: the near-zero levels they add would
-    break that uniqueness.
+    break that uniqueness.  A count above FERMION_SPECTRUM_GUARD raises
+    ResourceLimitError before any ladder is built.
     """
     lam = np.asarray(lambdas, dtype=float)
     mags = np.abs(lam)
     if lam.size and mags.min() <= DEGENERACY_TOL * mags.max():
         raise DegeneratePoint(f"frequency {mags.min():.3e} is degenerate next to {mags.max():.3e}")
+    if count > FERMION_SPECTRUM_GUARD:
+        raise ResourceLimitError(
+            f"count {count} exceeds the enumeration guard of {FERMION_SPECTRUM_GUARD} levels"
+        )
     m, f = np.divmod(np.arange(2 * count), 2)
     ladders = [abs(lv) * (2 * m + 1) + 2.0 * lv * f - lv for lv in lam]
     totals, rungs = ladder_sums(ladders, count)
     return SpectrumResult(energies=totals, rungs=rungs, sectors=(rungs % 2).sum(axis=1) % 2,
                           label_kind="witten", complete=False, bounded_below=True)
+
+
+def _identity_rep(n: int, rep: Optional[FermionFockRep], matrices: int) -> FermionFockRep:
+    """The representation for an identity check that holds about `matrices`
+    dense dim x dim float64 arrays at once.
+
+    Raises ResourceLimitError, before anything is built, when they would
+    exceed fock.EIGENSOLVE_BYTES_GUARD.  Callers pass their measured peak
+    plus one matrix of headroom.
+    """
+    from .fock import EIGENSOLVE_BYTES_GUARD, build_fermion_rep
+
+    dim = rep.dim if rep is not None else 2 ** n
+    estimate = matrices * 8 * dim ** 2
+    if estimate > EIGENSOLVE_BYTES_GUARD:
+        raise ResourceLimitError(
+            f"identity check at n = {n} needs about {estimate / 2**30:.1f} GiB of dense "
+            f"matrices, above the guard of {EIGENSOLVE_BYTES_GUARD / 2**30:.1f} GiB"
+        )
+    return rep if rep is not None else build_fermion_rep(n)
 
 
 def wedge_contraction_identity(omega, rep: Optional[FermionFockRep] = None) -> float:
@@ -196,10 +231,11 @@ def wedge_contraction_identity(omega, rep: Optional[FermionFockRep] = None) -> f
     w is the wedge by the 1-form with coefficients `omega` (built from the
     creation operators) and w* its contraction adjoint.  The anticommutator
     is the scalar <w, w> exactly; the residual is floating-point noise.
+    Measured peak memory: 5 dense dim x dim matrices.
     """
     omega = np.asarray(omega, dtype=float)
     n = omega.shape[0]
-    rep = rep if rep is not None else build_fermion_rep(n)
+    rep = _identity_rep(n, rep, matrices=6)
     wedge = sum(omega[i] * rep.a(i).astype(float) for i in range(n))
     contraction = sum(omega[j] * rep.a_dag(j).astype(float) for j in range(n))
     target = float(omega @ omega) * np.eye(rep.dim)
@@ -216,10 +252,11 @@ def cross_term_identity(omega_jac, rep: Optional[FermionFockRep] = None) -> tupl
     coefficients TWO_FORM_COEFF * (W - W^t).  Returns (residual, const) for
     the best-fit scalar in direct - algebraic = const * identity; const
     equals -Tr W, the scalar left behind by transposing the derivation term.
+    Measured peak memory: 4n + 7 dense dim x dim matrices (7 GiB at n = 12).
     """
     w_jac = np.asarray(omega_jac, dtype=float)
     n = w_jac.shape[0]
-    rep = rep if rep is not None else build_fermion_rep(n)
+    rep = _identity_rep(n, rep, matrices=4 * n + 8)
     a_ops = [rep.a(i).astype(float) for i in range(n)]
     adag_ops = [rep.a_dag(i).astype(float) for i in range(n)]
     xs = [a_ops[i] + adag_ops[i] for i in range(n)]

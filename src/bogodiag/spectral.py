@@ -55,7 +55,8 @@ IMAG_TOL_FACTOR = 1e-8
 #: Scale-relative factor for the residual off-diagonal check.
 DIAG_TOL_FACTOR = 1e-8
 
-#: Guard on the 2^n size of a full fermionic spectrum enumeration.
+#: Guard on the number of levels a spectrum enumerates: 2^n for the full
+#: fermionic list, the requested count for bosonic and Witten ladders.
 FERMION_SPECTRUM_GUARD = 2 ** 20
 
 
@@ -374,7 +375,9 @@ def boson_spectrum(data: BosonModeData, k: int) -> SpectrumResult:
 
     Requires every mode to be discrete.  When some discrete mode has r > 0
     its ladder decreases without bound; the result then carries
-    bounded_below=False and an empty prefix.
+    bounded_below=False and an empty prefix.  A k above
+    FERMION_SPECTRUM_GUARD raises ResourceLimitError before any ladder is
+    built.
     """
     non_discrete = [m.mode_class for m in data.modes if m.mode_class is not ModeClass.DISCRETE]
     if non_discrete:
@@ -382,6 +385,10 @@ def boson_spectrum(data: BosonModeData, k: int) -> SpectrumResult:
             "spectrum is not purely discrete: "
             + ", ".join(sorted({c.value for c in non_discrete})),
             classes=tuple(m.mode_class for m in data.modes),
+        )
+    if k > FERMION_SPECTRUM_GUARD:
+        raise ResourceLimitError(
+            f"count {k} exceeds the enumeration guard of {FERMION_SPECTRUM_GUARD} levels"
         )
     bounded = all(m.r < 0 for m in data.modes)
     ladders = [boson_mode_levels(m.t, m.r, k) for m in data.modes]

@@ -1,6 +1,9 @@
-"""Shared random-input generators for the test suite."""
+"""Shared random-input generators and helpers for the test suite."""
+
+import tracemalloc
 
 import numpy as np
+import pytest
 
 import bogodiag as bd
 
@@ -51,3 +54,14 @@ def random_invertible_jacobian(rng, n, min_det=1e-2):
         jac = rng.uniform(-1.0, 1.0, (n, n))
         if abs(np.linalg.det(jac)) > min_det:
             return jac
+
+
+def refusal_peak(func, *args):
+    """Traced peak bytes of a call that must raise ResourceLimitError."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(bd.ResourceLimitError):
+            func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -9,7 +9,10 @@ import pytest
 from click.testing import CliRunner
 
 import bogodiag
+from bogodiag import spectral
 from bogodiag.cli import main
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 #: Child that caps its own address space, then runs the CLI on argv[2:].
 CAPPED_CLI = (
@@ -21,15 +24,58 @@ CAPPED_CLI = (
 )
 
 
-def run_capped_cli(cap_bytes, *args):
-    """Run the CLI in a child whose address space is capped at cap_bytes."""
+#: Child that runs every command that needs no oracle on the shipped
+#: fixtures, then verify, and prints which of scipy and the oracle module were
+#: loaded after the import, after those commands and after verify.
+COLD_START = """
+import contextlib, io, json, sys
+import bogodiag, bogodiag.cli
+
+def run(*args):
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            bogodiag.cli.main.main(args=list(args), standalone_mode=False)
+        except SystemExit as exc:
+            assert exc.code == 0, (args, exc.code)
+
+def loaded():
+    return sorted(m for m in sys.modules if m in ("scipy", "bogodiag.fock"))
+
+fixtures = sys.argv[1]
+phases = {"import": loaded()}
+for name in ("fermion_pair", "boson_oscillator"):
+    for command in ("validate", "diagonalize", "spectrum"):
+        run(command, f"{fixtures}/{name}.json")
+for name in ("sphere", "torus"):
+    run("morse", f"{fixtures}/{name}.json")
+phases["commands"] = loaded()
+run("verify", f"{fixtures}/fermion_pair.json")
+phases["verify"] = loaded()
+print(json.dumps(phases))
+"""
+
+#: Every name the package re-exports from the oracle module.
+FOCK_EXPORTS = [
+    "BosonFockRep", "FermionFockRep", "TruncationResult", "bogoliubov_mode_operators",
+    "build_boson_rep", "build_fermion_rep", "build_hamiltonian", "build_standard_hamiltonian",
+    "exact_spectrum", "lowest_eigenvalues", "sector_spectra", "truncation_stable_spectrum",
+]
+
+
+def run_child(code, *args):
+    """Run Python code in a fresh child that imports bogodiag from this checkout."""
     src = str(Path(bogodiag.__file__).resolve().parents[1])
-    # OpenBLAS reserves address space per thread; pin the count so the cap
-    # measures the oracle, not the core count of the host
+    # OpenBLAS reserves address space per thread; pin the count so a memory
+    # cap measures the oracle, not the core count of the host
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", CAPPED_CLI, str(cap_bytes), *args],
+    return subprocess.run([sys.executable, "-c", code, *args],
                           capture_output=True, text=True, timeout=300, env=env)
+
+
+def run_capped_cli(cap_bytes, *args):
+    """Run the CLI in a child whose address space is capped at cap_bytes."""
+    return run_child(CAPPED_CLI, str(cap_bytes), *args)
 
 
 @pytest.fixture
@@ -286,6 +332,15 @@ class TestMorse:
         assert result.exit_code == 2
         assert json.loads(result.output)["error"] == "DegeneratePoint"
 
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
+    def test_nonfinite_jacobian_exits_1(self, runner, tmp_path, entry):
+        path = tmp_path / "nonfinite.json"
+        path.write_text('{"n": 1, "chi": 0, "points": [{"label": "a", "jacobian": [[%s]]}]}'
+                        % entry)
+        result = runner.invoke(main, ["morse", str(path)])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["error"] == "ValidationError"
+
 
 class TestLemmas:
     def test_residuals(self, runner):
@@ -294,6 +349,13 @@ class TestLemmas:
         payload = json.loads(result.output)
         assert payload["wedge_contraction_max_residual"] <= 1e-12
         assert payload["cross_term_max_residual"] <= 1e-12
+
+    def test_n12_refused_under_memory_cap(self):
+        # the cross-term check at n = 12 needs about 7 GiB of dense matrices;
+        # it must be refused before the wedge check or anything else allocates
+        proc = run_capped_cli(1536 * 2**20, "lemmas", "--n", "12", "--trials", "1")
+        assert proc.returncode == 2, proc.stderr[-2000:]
+        assert json.loads(proc.stdout)["error"] == "ResourceLimitError"
 
 
 class TestOutputContract:
@@ -347,3 +409,55 @@ class TestOutputContract:
         assert result.exit_code == 1
         payload = json.loads(result.output)
         assert [v["check"] for v in payload["violations"]] == ["derived_finite"]
+
+    @pytest.mark.parametrize("command", ["validate", "diagonalize", "spectrum", "verify"])
+    def test_overflowing_pencil_exits_1(self, runner, tmp_path, command):
+        # finite T and R, but the pencil R T overflows to -inf
+        path = write_json(tmp_path / "pencil.json", {
+            "statistics": "boson", "n": 1, "U": [[0.0]], "V": [[1e300]], "const": 0.0,
+        })
+        result = runner.invoke(main, [command, path])
+        assert result.exit_code == 1
+        payload = json.loads(result.output)
+        assert [v["check"] for v in payload["violations"]] == ["derived_finite"]
+
+    def test_linalg_error_exits_2_with_payload(self, runner, tmp_path, monkeypatch):
+        def fail(std):
+            raise np.linalg.LinAlgError("Array must not contain infs or NaNs")
+
+        monkeypatch.setattr(spectral, "diagonalize_boson", fail)
+        result = runner.invoke(main, ["diagonalize", boson_n1(tmp_path)])
+        assert result.exit_code == 2
+        assert json.loads(result.output) == {
+            "error": "LinAlgError", "detail": "Array must not contain infs or NaNs",
+        }
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    def test_count_above_enumeration_guard_exits_2(self, runner, command):
+        # refused before any ladder is built, so this is safe in-process
+        path = str(FIXTURES / "boson_oscillator.json")
+        result = runner.invoke(main, [command, path, "--count", str(2**20 + 1)])
+        assert result.exit_code == 2
+        assert json.loads(result.output)["error"] == "ResourceLimitError"
+
+
+class TestColdStart:
+    def test_oracle_loaded_only_by_verify(self):
+        proc = run_child(COLD_START, str(FIXTURES))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        phases = json.loads(proc.stdout)
+        assert phases["import"] == []
+        assert phases["commands"] == []
+        assert phases["verify"] == ["bogodiag.fock", "scipy"]
+
+    def test_oracle_reexports_resolve_lazily(self):
+        from bogodiag import BosonFockRep, fock
+
+        assert BosonFockRep is fock.BosonFockRep
+        for name in FOCK_EXPORTS:
+            assert getattr(bogodiag, name) is getattr(fock, name)
+            assert name in dir(bogodiag)
+
+    def test_unknown_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            bogodiag.no_such_name

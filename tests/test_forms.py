@@ -42,6 +42,19 @@ class TestValidate:
         with pytest.raises(bd.ValidationError):
             bd.to_standard(f)
 
+    def test_pencil_overflow_rejected(self):
+        # T and R are finite, but the bosonic pencil R T overflows to -inf
+        f = bd.QuadraticForm(Statistics.BOSON, U=[[0.0]], V=[[1e300]])
+        violations = bd.validate(f)
+        assert [x.check for x in violations] == ["derived_finite"]
+        assert "R T" in violations[0].message
+        with pytest.raises(bd.ValidationError):
+            bd.to_standard(f)
+
+    def test_largest_finite_pencil_admitted(self):
+        f = bd.QuadraticForm(Statistics.BOSON, U=[[0.0]], V=[[1e154]])
+        assert bd.validate(f) == []
+
     def test_shape_mismatch_raises(self):
         with pytest.raises(bd.ValidationError):
             bd.QuadraticForm(Statistics.BOSON, U=np.zeros((2, 2)), V=np.zeros((3, 3)))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import random_invertible_jacobian
+from conftest import random_invertible_jacobian, refusal_peak
 
 import bogodiag as bd
 from bogodiag import Parity
@@ -120,6 +120,10 @@ class TestLocalWittenSpectrum:
         with pytest.raises(bd.DegeneratePoint):
             bd.local_witten_spectrum([1.0, 1e-300], 5)
 
+    @pytest.mark.parametrize("count", [2**20 + 1, 10**8])
+    def test_count_guard_refuses_before_allocation(self, count):
+        assert refusal_peak(bd.local_witten_spectrum, [1.0, -2.0], count) < 2**20
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_uniqueness_and_gap(self, n):
         rng = np.random.default_rng(200 + n)
@@ -178,6 +182,15 @@ class TestOperatorIdentities:
         residual, const = bd.cross_term_identity(np.zeros((2, 2)))
         assert residual == 0.0 and const == 0.0
 
+    def test_cross_term_memory_guard_n12(self):
+        # about 4n + 8 dense 4096^2 float64 matrices, 7 GiB: refused unbuilt
+        jac = np.random.default_rng(12).uniform(-1, 1, (12, 12))
+        assert refusal_peak(bd.cross_term_identity, jac) < 2**20
+        assert refusal_peak(bd.cross_term_identity, jac, bd.build_fermion_rep(12)) < 2**20
+
+    def test_wedge_memory_guard_n13(self):
+        assert refusal_peak(bd.wedge_contraction_identity, np.ones(13)) < 2**20
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_cross_term_random(self, n):
         rng = np.random.default_rng(300 + n)
@@ -213,3 +226,8 @@ class TestMorseReport:
             bd.fixture_from_dict({"n": 2, "chi": 0})
         with pytest.raises(bd.ValidationError):
             bd.fixture_from_dict({"n": 2, "chi": 0, "points": [{"label": "p"}]})
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(bd.ValidationError):
+                bd.fixture_from_dict(
+                    {"n": 1, "chi": 0, "points": [{"label": "p", "jacobian": [[bad]]}]}
+                )

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import bounded_boson_form
+from conftest import bounded_boson_form, refusal_peak
 
 import bogodiag as bd
 from bogodiag import ModeClass, Statistics
@@ -163,6 +163,11 @@ class TestBosonSpectrum:
             bd.boson_spectrum(data, 3)
         assert ModeClass.CONTINUOUS_INVERTED in err.value.classes
         assert ModeClass.CONTINUOUS_FREE in err.value.classes
+
+    @pytest.mark.parametrize("k", [2**20 + 1, 10**8])
+    def test_count_guard_refuses_before_allocation(self, k):
+        data = bd.diagonalize_boson(boson_std([[0.5]], [[-0.5]]))
+        assert refusal_peak(bd.boson_spectrum, data, k) < 2**20
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_oracle_equivalence(self, n):
