@@ -67,9 +67,8 @@ from .morse import (
 
 __version__ = "0.1.0"
 
-#: Names of the brute-force oracle, re-exported lazily: ``fock`` is the only
-#: module that imports scipy, and of the CLI commands only ``verify`` and
-#: ``lemmas`` use it.
+#: Names of the brute-force oracle, re-exported lazily: of the CLI commands
+#: only ``verify`` and ``lemmas`` use ``fock``, the only module that uses scipy.
 _FOCK_EXPORTS = (
     "BosonFockRep",
     "FermionFockRep",

@@ -4,9 +4,9 @@ Exit codes: 0 success, 1 validation or assertion failure, 2 mathematical
 error (non-real spectrum, defective pencil, continuous spectrum, degenerate
 point, resource guard), 3 I/O failure.  All numeric work lives in the
 library; commands only parse files, dispatch and render JSON.  The
-brute-force oracle (``fock``, the only module that needs scipy) is imported
-by ``verify`` and ``lemmas`` when they run, so the other commands start
-without scipy.
+brute-force oracle (``fock``) is imported by ``verify`` and ``lemmas`` when
+they run, so the other commands start without it; the oracle loads scipy
+only for bosonic ``verify``.
 """
 
 from __future__ import annotations
@@ -166,9 +166,7 @@ def _verify_fermion(form, tol):
 
     std = forms.to_standard(form)
     result = spectral.fermion_spectrum(spectral.diagonalize_fermion(std))
-    rep = fock.build_fermion_rep(form.n)
-    h = fock.build_hamiltonian(form, rep)
-    oracle_even, oracle_odd = fock.sector_spectra(h, rep)
+    oracle_even, oracle_odd = fock.sector_spectra(form, fock.build_fermion_rep(form.n))
     closed = result.energies  # ascending, so each sector's subset is too
     oracle_all = np.sort(np.concatenate([oracle_even, oracle_odd]))
     max_dev = float(np.max(np.abs(closed - oracle_all)))

@@ -1,28 +1,25 @@
-"""Brute-force Fock-space oracle: sparse ladder matrices and exact spectra.
+"""Brute-force Fock-space oracle: ladder operators and exact spectra.
 
-The oracle builds the creation operators ``a_i`` and annihilation operators
-``a_i^+`` as explicit matrices, assembles any quadratic form as a sparse
-matrix, and diagonalizes it directly.  It knows nothing about the closed-form
-machinery in :mod:`bogodiag.spectral` and serves as its independent ground
-truth.
+The oracle writes the creation operators ``a_i`` and annihilation operators
+``a_i^+`` down explicitly and diagonalizes quadratic forms built from them.
+It knows nothing about :mod:`bogodiag.spectral` and is its ground truth.
 
-Fermions live on the exact 2^n-dimensional space with a Jordan-Wigner sign
-string built by bit arithmetic (integer matrices, anticommutators exact);
-their spectra are dense solves of the even and odd parity blocks.  Bosons
-live on a per-mode truncated space of dimension (cutoff+1)^n; the commutator
-[a_i^+, a_j] = delta_ij holds exactly below the top occupation rung.  Basis
-vectors are indexed by occupation numbers, mode 0 most significant.
+Basis vectors are indexed by occupation numbers, mode 0 most significant,
+so every ladder operator moves basis vector c to c +/- step_i and is one
+shifted diagonal: a weight vector over c, sqrt(m+1) up and sqrt(m) down,
+times the Jordan-Wigner sign for fermions.  A product L_i R_j is again one
+shifted diagonal, so a pair sum sum_ij c_ij L_i R_j is n vectorised
+products grouped by offset, and a form is H = M + M^t + const.
 
-Bosonic spectra are checked by cutoff doubling.  Every term of a quadratic
-form passes through intermediate states no more occupied than its end
-states, so the cutoff-c Hamiltonian is exactly the principal submatrix of the
-cutoff-2c one on the embedded occupation box (a compression).  By Cauchy
-interlacing the fine eigenvalues lie at or below the coarse ones, and the
-embedded coarse eigenvectors are near-eigenvectors of the fine matrix.  The
-coarse Lanczos solve therefore starts cold, from the uniform vector, and the
-fine solve starts from the embedded sum of the coarse Ritz vectors.  The
-coarse solve stays an independent witness: a fine solve that missed a level
-would disagree with it and shorten the stable prefix, never lengthen it.
+Fermions live on the exact 2^n-dimensional space; their spectra are dense
+solves of the even and odd parity blocks, filled straight from the
+diagonals of M.  Bosons live on a per-mode truncated space of dimension
+(cutoff+1)^n, where [a_i^+, a_j] = delta_ij holds below the top occupation
+rung; their diagonals become one CSR matrix, and spectra are checked by
+cutoff doubling (:func:`truncation_stable_spectrum`).  scipy is imported
+only inside the functions that build or solve CSR matrices, so fermionic
+verification and the operator identities of :mod:`bogodiag.morse` never
+load it.
 """
 
 from __future__ import annotations
@@ -32,8 +29,6 @@ from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ResourceLimitError
 from .forms import BogoliubovTransform, QuadraticForm, StandardForm, Statistics
@@ -51,101 +46,77 @@ DENSE_EIG_LIMIT = 1200
 #: dense solve reaches dimension 8192, the dense limit of exact_spectrum.
 EIGENSOLVE_BYTES_GUARD = 2 ** 31
 
-Matrix = Union[np.ndarray, sp.csr_matrix]
+Matrix = Union[np.ndarray, "scipy.sparse.csr_matrix"]
 
 
-def _occupation_bits(n: int) -> np.ndarray:
-    """Occupation (0 or 1) of every mode in every basis vector, shape (2^n, n)."""
-    return (np.arange(2 ** n)[:, None] >> np.arange(n - 1, -1, -1)) & 1
-
-
-@dataclass(frozen=True)
-class FermionFockRep:
-    """Ladder matrices on the exact fermionic Fock space of n modes."""
-
-    n: int
+class _FockSpace:
+    """Occupation basis of n modes with `base` levels each, mode 0 most significant."""
 
     @property
     def dim(self) -> int:
-        return 2 ** self.n
+        return self.base ** self.n
 
     @cached_property
-    def _ladders(self) -> tuple[list, list]:
-        """Sparse int64 (creation, annihilation) operators of every mode.
+    def _digits(self) -> np.ndarray:
+        """Occupation of every mode in every basis vector, shape (n, dim)."""
+        return np.array(np.unravel_index(np.arange(self.dim), (self.base,) * self.n))
 
-        a_i takes basis vector b with mode i empty to b with mode i filled,
-        signed by (-1)^(occupation of modes 0..i-1): a running XOR parity
-        over the more significant bits.  A row of a_i is empty unless mode i
-        is filled in it, and then holds one entry, so the CSR arrays are
-        written down directly.
-        """
-        bits = _occupation_bits(self.n)
-        below = np.bitwise_xor.accumulate(bits, axis=1) ^ bits
-        idx = np.arange(self.dim)
-        shape = (self.dim, self.dim)
-        creators = []
-        for i in range(self.n):
-            filled = bits[:, i] == 1
-            indptr = np.concatenate(([0], np.cumsum(filled)))
-            sign = 1 - 2 * below[filled, i]
-            cols = idx[filled] ^ (1 << (self.n - 1 - i))
-            creators.append(sp.csr_matrix((sign, cols, indptr), shape=shape))
-        return creators, [m.T.tocsr() for m in creators]
+    @cached_property
+    def _ladders(self) -> tuple[tuple, tuple]:
+        """(creation, annihilation) operators as diagonals (offsets, weights):
+        operator i moves basis vector c to c + offsets[i] with amplitude
+        weights[i, c].  Fermions carry (-1)^(occupation of modes 0..i-1)."""
+        occ = self._digits
+        steps = self.dim // self.base ** np.arange(1, self.n + 1)
+        up, down = np.sqrt(occ + 1.0) * (occ < self.base - 1), np.sqrt(occ)
+        if self.statistics is Statistics.FERMION:
+            sign = 1 - 2 * ((np.cumsum(occ, axis=0) - occ) % 2)
+            up, down = up * sign, down * sign
+        return (steps, up), (-steps, down)
+
+    def occupations(self) -> np.ndarray:
+        """Total occupation of each basis vector (digit sum of its index)."""
+        return self._digits.sum(axis=0)
+
+
+@dataclass(frozen=True)
+class FermionFockRep(_FockSpace):
+    """Ladder matrices on the exact fermionic Fock space of n modes."""
+
+    n: int
+    base = 2
+    statistics = Statistics.FERMION
 
     def a(self, i: int) -> np.ndarray:
-        """Creation operator for mode i, sign strings over lower modes."""
-        return self._ladders[0][i].toarray()
+        """Creation operator for mode i, sign strings over lower modes (int64)."""
+        rows, cols, values = _entries(*(part[i : i + 1] for part in self._ladders[0]))
+        out = np.zeros((self.dim, self.dim), dtype=np.int64)
+        out[rows, cols] = values
+        return out
 
     def a_dag(self, i: int) -> np.ndarray:
         """Annihilation operator for mode i (kills the vacuum)."""
         return self.a(i).T
 
-    def occupations(self) -> np.ndarray:
-        """Total occupation of each basis vector (popcount of its index)."""
-        return _occupation_bits(self.n).sum(axis=1)
-
 
 @dataclass(frozen=True)
-class BosonFockRep:
-    """Sparse ladder matrices on the truncated bosonic Fock space."""
+class BosonFockRep(_FockSpace):
+    """CSR ladder matrices on the truncated bosonic Fock space."""
 
     n: int
     cutoff: int
+    statistics = Statistics.BOSON
 
     @property
-    def dim(self) -> int:
-        return (self.cutoff + 1) ** self.n
+    def base(self) -> int:
+        return self.cutoff + 1
 
-    @cached_property
-    def _ladders(self) -> tuple[list, list]:
-        """Sparse (creation, annihilation) operators of every mode."""
-        d = self.cutoff + 1
-        eye = sp.identity(d, format="csr")
-        step = sp.diags(np.sqrt(np.arange(1.0, d)), -1, format="csr")
-        creators = []
-        for i in range(self.n):
-            out = sp.identity(1, format="csr")
-            for k in range(self.n):
-                out = sp.kron(out, step if k == i else eye, format="csr")
-            creators.append(out)
-        return creators, [m.T.tocsr() for m in creators]
-
-    def a(self, i: int) -> sp.csr_matrix:
+    def a(self, i: int):
         """Creation operator for mode i (matrix elements sqrt(m+1))."""
-        return self._ladders[0][i].copy()
+        return _csr(*(part[i : i + 1] for part in self._ladders[0]), self.dim)
 
-    def a_dag(self, i: int) -> sp.csr_matrix:
-        return self._ladders[1][i].copy()
-
-    def occupations(self) -> np.ndarray:
-        """Total occupation of each basis vector (base cutoff+1 digit sum)."""
-        base = self.cutoff + 1
-        idx = np.arange(self.dim)
-        occ = np.zeros(self.dim, dtype=np.int64)
-        for _ in range(self.n):
-            occ += idx % base
-            idx = idx // base
-        return occ
+    def a_dag(self, i: int):
+        return _csr(*(part[i : i + 1] for part in self._ladders[1]), self.dim)
 
 
 def build_fermion_rep(n: int) -> FermionFockRep:
@@ -169,61 +140,96 @@ def build_boson_rep(n: int, cutoff: int, dim_guard: int = BOSON_DIM_GUARD) -> Bo
     return BosonFockRep(n=n, cutoff=cutoff)
 
 
-def _pairwise_sum_sparse(coeff: np.ndarray, left: list, right: list, dim: int) -> sp.csr_matrix:
-    # sum_ij coeff_ij left_i @ right_j as three sparse products:
-    # [left_0 .. left_n-1] @ kron(coeff, 1) @ [right_0; ..; right_n-1]
-    mixed = sp.kron(coeff, sp.identity(dim), format="csr") @ sp.vstack(right, format="csr")
-    return (sp.hstack(left, format="csr") @ mixed).tocsr()
+def _pair_sum(coeff: np.ndarray, left: tuple, right: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Ungrouped diagonals of sum_ij coeff_ij L_i R_j, one row per (j, i): L_i R_j
+    moves c to c + r_j + l_i with amplitude L_i[c + r_j] R_j[c]."""
+    (l_off, l_w), (r_off, r_w) = left, right
+    dim = l_w.shape[1]
+    weights = np.zeros((len(r_off), len(l_off), dim))
+    for j, s in enumerate(r_off):
+        lo, hi = max(0, -s), min(dim, dim - s)
+        np.multiply(coeff[:, j, None] * l_w[:, lo + s : hi + s], r_w[j, lo:hi],
+                    out=weights[j, :, lo:hi])
+    return (l_off + r_off[:, None]).ravel(), weights.reshape(-1, dim)
 
 
-def build_hamiltonian(form: QuadraticForm, rep) -> sp.csr_matrix:
-    """Assemble the quadratic form as an explicit (symmetric) sparse matrix.
+def _grouped(offsets: np.ndarray, weights: np.ndarray, const: float = 0.0) -> tuple:
+    """Sum the diagonals of equal offset in input order, then `const` on the diagonal."""
+    keys, group = np.unique(np.r_[offsets, 0], return_inverse=True)
+    out = np.zeros((len(keys), weights.shape[1]))
+    for g, row in zip(group, weights):
+        out[g] += row
+    out[np.searchsorted(keys, 0)] += const
+    return keys, out
 
-    Transposing Y = sum U_ij a_i^+ a_j^+ yields the -/+ U_ij a_i a_j block
-    and transposing X = sum V_ij a_i a_j^+ its mirror, so
-    H = Y + Y^t + X + X^t + const is symmetric exactly by construction.
-    The output is CSR for both statistics.
+
+def _half_diagonals(form: QuadraticForm, rep) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonals of M = sum U_ij a_i^+ a_j^+ + V_ij a_i a_j^+.  The form is
+    H = M + M^t + const (transposing the U part yields the -/+ U_ij a_i a_j
+    block), so H is symmetric exactly by construction."""
+    _check_rep(form, rep)
+    creation, annihilation = rep._ladders
+    left = tuple(np.concatenate(parts) for parts in zip(creation, annihilation))
+    return _grouped(*_pair_sum(np.vstack([form.V, form.U]), left, annihilation))
+
+
+def _entries(offsets: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(rows, cols, values) of the nonzero entries of some diagonals."""
+    k, cols = np.nonzero(weights)
+    return cols + offsets[k], cols, weights[k, cols]
+
+
+def _csr(offsets: np.ndarray, weights: np.ndarray, dim: int):
+    import scipy.sparse as sp
+    # scipy's diagonal k holds the entries (c - k, c), indexed by column c
+    return sp.dia_matrix((weights, -offsets), shape=(dim, dim)).tocsr()
+
+
+def _with_transpose(offsets: np.ndarray, weights: np.ndarray) -> tuple:
+    """Diagonals of M, then of M^t: M[c + s, c] = w[c] is M^t[c', c' - s] at c' = c + s."""
+    k, dim = weights.shape
+    both = np.zeros((2 * k, dim))
+    both[:k] = weights
+    for row, s in enumerate(offsets):
+        lo, hi = max(0, -s), min(dim, dim - s)
+        both[k + row, lo + s : hi + s] = weights[row, lo:hi]
+    return np.r_[offsets, -offsets], both
+
+
+def build_hamiltonian(form: QuadraticForm, rep):
+    """Assemble the quadratic form as an explicit symmetric CSR matrix."""
+    # nested calls, so that each stage's input is freed before the next runs
+    return _csr(*_grouped(*_with_transpose(*_half_diagonals(form, rep)), form.const), rep.dim)
+
+
+def build_standard_hamiltonian(std: StandardForm, rep):
+    """Assemble a normal form as a CSR matrix: sum C_ij x_i z_j + k0 (fermions)
+    or sum T_ij x_i x_j + R_ij y_i y_j + k0 (bosons), with x = a + a^+,
+    y = a - a^+ and z = a^+ - a.  A sum of two ladders is one ladder with 2n
+    rows, row p acting on mode p mod n, so its coefficients are tiled.
     """
-    if form.statistics is not _rep_statistics(rep):
+    _check_rep(std, rep)
+    (c_off, c_w), (a_off, a_w) = rep._ladders
+    offsets = np.r_[c_off, a_off]
+    x = (offsets, np.vstack([c_w, a_w]))
+    if std.statistics is Statistics.FERMION:
+        pieces = [_pair_sum(np.tile(std.C, (2, 2)), x, (offsets, np.vstack([-c_w, a_w])))]
+    else:
+        y = (offsets, np.vstack([c_w, -a_w]))
+        pieces = [_pair_sum(np.tile(std.T, (2, 2)), x, x), _pair_sum(np.tile(std.R, (2, 2)), y, y)]
+    return _csr(*_grouped(*(np.concatenate(parts) for parts in zip(*pieces)), std.k0), rep.dim)
+
+
+def _check_rep(form, rep) -> None:
+    if form.statistics is not getattr(rep, "statistics", None):
         raise ValueError("statistics of form and representation differ")
     if form.n != rep.n:
         raise ValueError(f"mode count mismatch: form has {form.n}, rep has {rep.n}")
-    a_ops, adag_ops = rep._ladders
-    y = _pairwise_sum_sparse(form.U, adag_ops, adag_ops, rep.dim)
-    x = _pairwise_sum_sparse(form.V, a_ops, adag_ops, rep.dim)
-    return (y + y.T + x + x.T + form.const * sp.identity(rep.dim, format="csr")).tocsr()
 
 
-def build_standard_hamiltonian(std: StandardForm, rep) -> sp.csr_matrix:
-    """Assemble a normal form as a CSR matrix from its (T, R) or C coefficients."""
-    if std.statistics is not _rep_statistics(rep):
-        raise ValueError("statistics of form and representation differ")
-    if std.n != rep.n:
-        raise ValueError(f"mode count mismatch: form has {std.n}, rep has {rep.n}")
-    a_ops, adag_ops = rep._ladders
-    xs = [a + d for a, d in zip(a_ops, adag_ops)]
-    if std.statistics is Statistics.FERMION:
-        zs = [d - a for a, d in zip(a_ops, adag_ops)]
-        h = _pairwise_sum_sparse(std.C, xs, zs, rep.dim)
-    else:
-        ys = [a - d for a, d in zip(a_ops, adag_ops)]
-        h = _pairwise_sum_sparse(std.T, xs, xs, rep.dim)
-        h = h + _pairwise_sum_sparse(std.R, ys, ys, rep.dim)
-    return (h + std.k0 * sp.identity(rep.dim, format="csr")).tocsr()
-
-
-def _rep_statistics(rep) -> Statistics:
-    if isinstance(rep, FermionFockRep):
-        return Statistics.FERMION
-    if isinstance(rep, BosonFockRep):
-        return Statistics.BOSON
-    raise TypeError(f"not a Fock representation: {type(rep)!r}")
-
-
-def exact_spectrum(matrix: Matrix, sym_tol: float = 1e-10,
-                   dense_limit: int = 8192) -> np.ndarray:
+def exact_spectrum(matrix: Matrix, sym_tol: float = 1e-10, dense_limit: int = 8192) -> np.ndarray:
     """Ascending eigenvalues of a symmetric matrix (dense eigensolve)."""
-    if sp.issparse(matrix):
+    if hasattr(matrix, "toarray"):  # scipy sparse
         if matrix.shape[0] > dense_limit:
             raise ResourceLimitError(
                 f"dimension {matrix.shape[0]} too large for a dense eigensolve; "
@@ -249,10 +255,11 @@ def _lowest_pairs(matrix: Matrix, k: int, dense_limit: int = DENSE_EIG_LIMIT,
     """
     dim = matrix.shape[0]
     k = min(k, dim)
-    if not sp.issparse(matrix) or dim <= dense_limit or k >= dim - 1:
+    sparse = hasattr(matrix, "toarray")
+    if not sparse or dim <= dense_limit or k >= dim - 1:
         # the matrix, its symmetrized copy, LAPACK's copy and the eigenvectors
         _check_eigensolve_bytes(4 * 8 * dim * dim, f"dense eigensolve of dimension {dim}")
-        dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=float)
+        dense = matrix.toarray() if sparse else np.asarray(matrix, dtype=float)
         sym = (dense + dense.T) / 2.0
         if vectors:
             vals, vecs = np.linalg.eigh(sym)
@@ -264,6 +271,7 @@ def _lowest_pairs(matrix: Matrix, k: int, dense_limit: int = DENSE_EIG_LIMIT,
                             f"Lanczos eigensolve of {k} eigenvalues at dimension {dim}")
     if v0 is None:
         v0 = np.full(dim, 1.0 / np.sqrt(dim))
+    import scipy.sparse.linalg as spla
     out = spla.eigsh(matrix, k=k, which="SA", v0=v0, ncv=ncv,
                      maxiter=100 * dim, tol=1e-12, return_eigenvectors=vectors)
     if not vectors:
@@ -281,32 +289,32 @@ def _check_eigensolve_bytes(estimate: int, what: str) -> None:
 
 
 def lowest_eigenvalues(matrix: Matrix, k: int, dense_limit: int = DENSE_EIG_LIMIT) -> np.ndarray:
-    """The k smallest eigenvalues, by dense solve or deterministic Lanczos.
-
-    Raises ResourceLimitError when the solve would need more than
-    EIGENSOLVE_BYTES_GUARD bytes.
-    """
+    """The k smallest eigenvalues, by dense solve or deterministic Lanczos;
+    ResourceLimitError when the solve would need over EIGENSOLVE_BYTES_GUARD."""
     return _lowest_pairs(matrix, k, dense_limit)[0]
 
 
-def _box_embedding(n: int, cutoff: int, fine_cutoff: int) -> np.ndarray:
-    """Fine-basis index of every coarse basis vector (same occupations)."""
-    occupations = np.unravel_index(np.arange((cutoff + 1) ** n), (cutoff + 1,) * n)
-    return np.ravel_multi_index(occupations, (fine_cutoff + 1,) * n)
+def sector_spectra(form: QuadraticForm, rep: FermionFockRep) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of the fermionic form on the even and odd sectors.
 
-
-def sector_spectra(hamiltonian: Matrix, rep: FermionFockRep) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of H restricted to the even and odd sectors.
-
-    H commutes with the occupation parity (every quadratic term changes the
-    particle number by 0 or 2), so restricting is an exact block split: each
-    block of dimension 2^(n-1) is sliced from the sparse H and solved densely.
+    Every quadratic term changes the particle number by 0 or 2, so H splits
+    into two blocks of dimension 2^(n-1); b sits at position b >> 1 of its
+    block.  Each block gets the entries of M, as they are and transposed,
+    plus the constant.
     """
-    parity = rep.occupations() % 2
-    h = sp.csr_matrix(hamiltonian, dtype=float)
-    even, odd = (np.linalg.eigvalsh(h[idx][:, idx].toarray())
-                 for idx in (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)))
-    return even, odd
+    rows, cols, values = _entries(*_half_diagonals(form, rep))
+    parity = rep.occupations()[cols] % 2
+    block = np.empty((rep.dim // 2, rep.dim // 2))
+    spectra = []
+    for p in (0, 1):  # eigvalsh works on a copy, so one buffer serves both
+        mine = parity == p
+        r, c, v = rows[mine] >> 1, cols[mine] >> 1, values[mine]
+        block.fill(0.0)
+        block[r, c] = v
+        block[c, r] += v
+        block.flat[:: len(block) + 1] += form.const
+        spectra.append(np.linalg.eigvalsh(block))
+    return spectra[0], spectra[1]
 
 
 @dataclass(frozen=True)
@@ -327,17 +335,16 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int, tol: fl
     """The k smallest oracle eigenvalues that survive doubling the cutoff.
 
     Eigenvalues are computed at `cutoff` and `2*cutoff`; the returned prefix
-    holds where both agree within `tol` (values taken from the finer basis).
-    A shorter-than-k prefix carries a warning instead of failing.
+    holds where both agree within `tol` (values from the finer basis).  A
+    shorter-than-k prefix carries a warning instead of failing.
 
-    The coarse Hamiltonian is the principal submatrix of the fine one on the
-    embedded occupation box, so the fine eigenvalues interlace below the
-    coarse ones and the embedded coarse eigenvectors nearly solve the fine
-    problem.  The coarse solve starts cold from the uniform vector; the fine
-    Lanczos solve starts from the sum of the coarse Ritz vectors, zero outside
-    the box, and returns no vectors.  A level the warm solve missed would
-    disagree with the cold coarse witness and shorten the prefix, so the
-    check can fail by it but never pass by it.
+    Every term of a form passes through states no more occupied than its end
+    states, so the coarse Hamiltonian is the principal submatrix of the fine
+    one on the embedded occupation box: the fine eigenvalues interlace below
+    the coarse ones.  The coarse solve starts cold from the uniform vector
+    and stays an independent witness; the fine Lanczos solve starts from the
+    embedded sum of the coarse Ritz vectors.  A level it missed would
+    disagree with the witness and shorten the prefix, never lengthen it.
     """
     if form.statistics is not Statistics.BOSON:
         raise ValueError("truncation control applies to bosonic forms only")
@@ -350,7 +357,7 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int, tol: fl
     del ritz  # the fine assembly is the memory peak; add nothing to it
     h_hi = build_hamiltonian(form, rep_hi)
     v0 = np.zeros(rep_hi.dim)
-    v0[_box_embedding(form.n, cutoff, 2 * cutoff)] = start
+    v0[np.ravel_multi_index(tuple(rep_lo._digits), (rep_hi.base,) * form.n)] = start
     hi, _ = _lowest_pairs(h_hi, k, v0=v0)
     m = min(len(lo), len(hi))
     stable = 0
@@ -369,31 +376,23 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int, tol: fl
 def bogoliubov_mode_operators(rep, b: BogoliubovTransform) -> list:
     """Matrices of the transformed modes (b_k, b_k^+) on the original space.
 
-    Realizes the transform semantics of :func:`bogodiag.forms.apply_transform`:
-    building the transformed normal form with these operators reproduces the
-    original operator matrix (exactly for fermions, below the truncation rungs
-    for bosons).
+    Building the transformed normal form of :func:`bogodiag.forms.apply_transform`
+    with them reproduces the original operator matrix (exactly for fermions,
+    below the truncation rungs for bosons).
     """
     n = rep.n
-    if _rep_statistics(rep) is not b.statistics or n != b.n:
+    if getattr(rep, "statistics", None) is not b.statistics or n != b.n:
         raise ValueError("representation and transform are incompatible")
+    # b_k, b_k^+ = (x_k -/+ z_k) / 2 with x_k = sum_i p_ki x_i, z_k = sum_i q_ki z_i
     if b.statistics is Statistics.FERMION:
-        xs = [(rep.a(i) + rep.a_dag(i)).astype(float) for i in range(n)]
-        zs = [(rep.a_dag(i) - rep.a(i)).astype(float) for i in range(n)]
-        op, om = b.o_plus, b.o_minus
-        out = []
-        for kk in range(n):
-            xk = sum(op[kk, i] * xs[i] for i in range(n))
-            zk = sum(om[i, kk] * zs[i] for i in range(n))
-            out.append(((xk - zk) / 2.0, (xk + zk) / 2.0))
-        return out
-    s = b.s
-    s_inv = np.linalg.inv(s)
+        p, q = b.o_plus, b.o_minus.T
+    else:
+        p, q = np.linalg.inv(b.s).T, b.s
     xs = [rep.a(i) + rep.a_dag(i) for i in range(n)]
-    ys = [rep.a(i) - rep.a_dag(i) for i in range(n)]
+    zs = [rep.a_dag(i) - rep.a(i) for i in range(n)]
     out = []
     for kk in range(n):
-        xk = sum(s_inv[i, kk] * xs[i] for i in range(n))
-        yk = sum(s[kk, i] * ys[i] for i in range(n))
-        out.append(((xk + yk) / 2.0, (xk - yk) / 2.0))
+        xk = sum(p[kk, i] * xs[i] for i in range(n))
+        zk = sum(q[kk, i] * zs[i] for i in range(n))
+        out.append(((xk - zk) / 2.0, (xk + zk) / 2.0))
     return out

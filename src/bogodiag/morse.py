@@ -27,6 +27,7 @@ from .errors import DegeneratePoint, ResourceLimitError, ValidationError
 from .forms import StandardForm, Statistics
 from .spectral import (
     FERMION_SPECTRUM_GUARD,
+    FermionModeData,
     Parity,
     SpectrumResult,
     diagonalize_fermion,
@@ -36,7 +37,8 @@ from .spectral import (
 if TYPE_CHECKING:
     from .fock import FermionFockRep
 
-#: Relative degeneracy threshold on |det jacobian|.
+#: Relative degeneracy threshold on sigma_min / sigma_max of a jacobian, and
+#: on min |lambda| / max |lambda| of local frequencies.
 DEGENERACY_TOL = 1e-10
 
 #: Coefficient turning the jacobian's antisymmetric part into the 2-form
@@ -122,17 +124,34 @@ class MorseReport:
         }
 
 
+def _point_modes(point: SingularPoint) -> FermionModeData:
+    """Signed singular values of the jacobian, refused when degenerate.
+
+    The point is degenerate when sigma_min <= DEGENERACY_TOL * sigma_max, a
+    test that rescaling the jacobian leaves unchanged.
+    """
+    std = StandardForm(statistics=Statistics.FERMION, C=point.jacobian, k0=0.0)
+    data = diagonalize_fermion(std)
+    mags = np.abs(data.lambdas)
+    if mags.min() <= DEGENERACY_TOL * mags.max():
+        raise DegeneratePoint(
+            f"point {point.label!r} has singular values {mags.min():.3e} <= "
+            f"{DEGENERACY_TOL:.0e} * {mags.max():.3e}"
+        )
+    return data
+
+
+def _sign(data: FermionModeData) -> int:
+    # prod sign(lambda_i) = sign(det C), see diagonalize_fermion
+    return 1 if int(np.sum(data.lambdas < 0)) % 2 == 0 else -1
+
+
 def point_sign(point: SingularPoint) -> int:
     """Sign of det(jacobian); the only local invariant of the point."""
-    det = float(np.linalg.det(point.jacobian))
-    if abs(det) <= DEGENERACY_TOL * float(np.linalg.norm(point.jacobian)):
-        raise DegeneratePoint(f"point {point.label!r} has |det| = {abs(det):.3e}")
-    return 1 if det > 0 else -1
+    return _sign(_point_modes(point))
 
 
-def poincare_hopf_check(fixture: VectorFieldFixture) -> MorseReport:
-    """Signed point count versus the supplied Euler characteristic."""
-    reports = [PointReport(label=p.label, sign=point_sign(p)) for p in fixture.points]
+def _summary(fixture: VectorFieldFixture, reports: list) -> MorseReport:
     m_plus = sum(1 for r in reports if r.sign > 0)
     m_minus = len(reports) - m_plus
     chi_computed = m_plus - m_minus
@@ -145,39 +164,33 @@ def poincare_hopf_check(fixture: VectorFieldFixture) -> MorseReport:
     )
 
 
+def poincare_hopf_check(fixture: VectorFieldFixture) -> MorseReport:
+    """Signed point count versus the supplied Euler characteristic."""
+    return _summary(fixture, [PointReport(label=p.label, sign=point_sign(p))
+                              for p in fixture.points])
+
+
 def zero_mode_parity(point: SingularPoint) -> Parity:
     """Parity sector of the unique local zero mode: even iff det > 0."""
-    point_sign(point)  # degeneracy guard
-    std = StandardForm(statistics=Statistics.FERMION, C=point.jacobian, k0=0.0)
-    data = diagonalize_fermion(std)
-    negatives = int(np.sum(data.lambdas < 0))
-    return Parity.EVEN if negatives % 2 == 0 else Parity.ODD
+    return Parity.EVEN if point_sign(point) > 0 else Parity.ODD
 
 
 def morse_report(fixture: VectorFieldFixture) -> MorseReport:
-    """Full report: counts, chi check, per-point spectra and parities."""
-    base = poincare_hopf_check(fixture)
-    detailed = []
-    for p, r in zip(fixture.points, base.points):
-        std = StandardForm(statistics=Statistics.FERMION, C=p.jacobian, k0=0.0)
-        data = diagonalize_fermion(std)
-        negatives = int(np.sum(data.lambdas < 0))
-        sector = Parity.EVEN if negatives % 2 == 0 else Parity.ODD
-        detailed.append(
-            PointReport(
-                label=r.label,
-                sign=r.sign,
-                lambdas=tuple(float(v) for v in data.lambdas),
-                zero_mode_sector=sector,
-            )
-        )
-    return MorseReport(
-        m_plus=base.m_plus,
-        m_minus=base.m_minus,
-        chi_computed=base.chi_computed,
-        chi_matches=base.chi_matches,
-        points=tuple(detailed),
-    )
+    """Full report: counts, chi check, per-point spectra and parities.
+
+    One SVD per point gives its sign, its lambdas and its zero-mode sector.
+    """
+    reports = []
+    for p in fixture.points:
+        data = _point_modes(p)
+        sign = _sign(data)
+        reports.append(PointReport(
+            label=p.label,
+            sign=sign,
+            lambdas=tuple(float(v) for v in data.lambdas),
+            zero_mode_sector=Parity.EVEN if sign > 0 else Parity.ODD,
+        ))
+    return _summary(fixture, reports)
 
 
 def local_witten_spectrum(lambdas, count: int) -> SpectrumResult:

@@ -176,6 +176,13 @@ class SpectrumResult:
         }
 
 
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm as max|a| * ||a / max|a|||: finite wherever the entries
+    are, where the plain sum of squares overflows past about 1e154."""
+    peak = float(np.max(np.abs(a)))
+    return peak * float(np.linalg.norm(a / peak)) if peak > 0.0 else 0.0
+
+
 def _cluster_indices(values: np.ndarray, tol: float) -> list:
     """Group indices of a sorted array into runs of nearly equal values."""
     clusters = []
@@ -204,7 +211,7 @@ def diagonalize_boson(std: StandardForm, cond_max: float = COND_MAX) -> BosonMod
     t_mat, r_mat = std.T, std.R
     n = std.n
     pencil = r_mat @ t_mat
-    scale = float(np.linalg.norm(pencil))
+    scale = _norm(pencil)
     eigvals, eigvecs = np.linalg.eig(pencil)
     max_imag = float(np.max(np.abs(eigvals.imag)))
     if max_imag > IMAG_TOL_FACTOR * scale:
@@ -233,7 +240,7 @@ def diagonalize_boson(std: StandardForm, cond_max: float = COND_MAX) -> BosonMod
         eigvecs[:, cl] = cols @ rot
     # inside a zero eigenvalue cluster both t and r can vanish; rotate the
     # leftover R block there as well
-    t_norm = float(np.linalg.norm(t_mat))
+    t_norm = _norm(t_mat)
     zero_t_tol = TOL_ZERO * max(1.0, t_norm)
     for cl in clusters:
         if len(cl) < 2 or abs(eigvals[cl[0]]) > cluster_tol:
@@ -276,7 +283,7 @@ def diagonalize_boson(std: StandardForm, cond_max: float = COND_MAX) -> BosonMod
     t_full = s @ t_mat @ s.T
     s_inv = np.linalg.inv(s)
     r_full = s_inv.T @ r_mat @ s_inv
-    tol_diag = DIAG_TOL_FACTOR * (float(np.linalg.norm(t_mat)) + float(np.linalg.norm(r_mat)))
+    tol_diag = DIAG_TOL_FACTOR * (t_norm + _norm(r_mat))
     off = 0.0
     if n > 1:
         mask = ~np.eye(n, dtype=bool)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,8 @@ CAPPED_CLI = (
 
 
 #: Child that runs every command that needs no oracle on the shipped
-#: fixtures, then verify, and prints which of scipy and the oracle module were
-#: loaded after the import, after those commands and after verify.
+#: fixtures, then fermionic verify and lemmas, then bosonic verify, and prints
+#: which of scipy and the oracle module were loaded after each phase.
 COLD_START = """
 import contextlib, io, json, sys
 import bogodiag, bogodiag.cli
@@ -50,7 +51,10 @@ for name in ("sphere", "torus"):
     run("morse", f"{fixtures}/{name}.json")
 phases["commands"] = loaded()
 run("verify", f"{fixtures}/fermion_pair.json")
-phases["verify"] = loaded()
+run("lemmas", "--n", "3", "--trials", "2")
+phases["fermion_oracle"] = loaded()
+run("verify", f"{fixtures}/boson_oscillator.json")
+phases["boson_oracle"] = loaded()
 print(json.dumps(phases))
 """
 
@@ -153,6 +157,20 @@ class TestDiagonalize:
         result = runner.invoke(main, ["diagonalize", path])
         assert result.exit_code == 2
         assert json.loads(result.output)["error"] == "NonRealSpectrum"
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150])
+    def test_non_real_exits_2_without_warning_at_any_scale(self, runner, tmp_path, scale):
+        path = write_json(tmp_path / "nr.json", {
+            "statistics": "boson", "n": 2,
+            "U": (scale * np.array([[1.0, 1.0], [1.0, -1.0]])).tolist(),
+            "V": (scale * np.array([[1.0, -1.0], [-1.0, -1.0]])).tolist(), "const": 0.0,
+        })
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, ["diagonalize", path])
+        assert result.exit_code == 2
+        assert json.loads(result.output)["error"] == "NonRealSpectrum"
+        assert [str(w.message) for w in caught] == []
 
 
 class TestSpectrum:
@@ -448,7 +466,14 @@ class TestColdStart:
         phases = json.loads(proc.stdout)
         assert phases["import"] == []
         assert phases["commands"] == []
-        assert phases["verify"] == ["bogodiag.fock", "scipy"]
+        assert phases["fermion_oracle"] == ["bogodiag.fock"]
+        assert phases["boson_oracle"] == ["bogodiag.fock", "scipy"]
+
+    def test_oracle_module_imports_no_scipy(self):
+        proc = run_child("import sys, bogodiag.fock\n"
+                         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "[]"
 
     def test_oracle_reexports_resolve_lazily(self):
         from bogodiag import BosonFockRep, fock

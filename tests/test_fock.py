@@ -3,10 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from conftest import bounded_boson_form, random_boson_form, random_fermion_form
 
 import bogodiag as bd
-from bogodiag import Statistics, fock
+from bogodiag import Statistics
 
 
 def box_embedding(n, cutoff, fine_cutoff):
@@ -154,6 +155,88 @@ class TestBuildHamiltonian:
         assert dev <= 1e-10
 
 
+def kron_ladders(n, levels, signed):
+    """Dense (creation, annihilation) matrices of every mode from Kronecker
+    products: a one-mode ladder on mode i, the Jordan-Wigner string
+    diag(1, -1) on modes before i when signed, the identity elsewhere."""
+    step = np.diag(np.sqrt(np.arange(1.0, levels)), -1)
+    string = np.diag([1.0, -1.0]) if signed else np.eye(levels)
+    creators = []
+    for i in range(n):
+        out = np.eye(1)
+        for k in range(n):
+            out = np.kron(out, step if k == i else (string if k < i else np.eye(levels)))
+        creators.append(out)
+    return creators, [c.T for c in creators]
+
+
+def termwise_hamiltonian(form, creators, annihilators):
+    """H = sum U_ij (d_i d_j + transpose) + V_ij (a_i d_j + transpose) + const, term by term."""
+    dim = creators[0].shape[0]
+    h = form.const * np.eye(dim)
+    for i in range(form.n):
+        for j in range(form.n):
+            y = form.U[i, j] * (annihilators[i] @ annihilators[j])
+            x = form.V[i, j] * (creators[i] @ annihilators[j])
+            h += y + y.T + x + x.T
+    return h
+
+
+class TestAssemblyEngine:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_fermion_hamiltonian_matches_termwise_products(self, n):
+        rep = bd.build_fermion_rep(n)
+        creators, annihilators = kron_ladders(n, 2, signed=True)
+        for i in range(n):
+            assert rep.a(i).dtype == rep.a_dag(i).dtype == np.int64
+            assert np.array_equal(rep.a(i), creators[i])
+            assert np.array_equal(rep.a_dag(i), annihilators[i])
+        dense_a = [rep.a(i).astype(float) for i in range(n)]
+        dense_d = [rep.a_dag(i).astype(float) for i in range(n)]
+        for seed in range(3):
+            f = random_fermion_form(np.random.default_rng(100 * n + seed), n)
+            h = bd.build_hamiltonian(f, rep)
+            assert sp.isspmatrix_csr(h)
+            assert np.max(np.abs(h.toarray() - termwise_hamiltonian(f, dense_a, dense_d))) <= 1e-13
+
+    @pytest.mark.parametrize("n, cutoff", [(1, 6), (2, 4), (3, 3)])
+    def test_boson_hamiltonian_matches_termwise_products(self, n, cutoff):
+        rep = bd.build_boson_rep(n, cutoff)
+        creators, annihilators = kron_ladders(n, cutoff + 1, signed=False)
+        for i in range(n):
+            assert np.max(np.abs(rep.a(i).toarray() - creators[i])) <= 1e-15
+            assert np.max(np.abs(rep.a_dag(i).toarray() - annihilators[i])) <= 1e-15
+        dense_a = [rep.a(i).toarray() for i in range(n)]
+        dense_d = [rep.a_dag(i).toarray() for i in range(n)]
+        for seed in range(3):
+            f = random_boson_form(np.random.default_rng(200 * n + seed), n)
+            h = bd.build_hamiltonian(f, rep)
+            assert sp.isspmatrix_csr(h)
+            assert np.max(np.abs(h.toarray() - termwise_hamiltonian(f, dense_a, dense_d))) <= 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_sector_blocks_are_parity_slices(self, n, monkeypatch):
+        blocks = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def spy(matrix, *args, **kwargs):
+            blocks.append(matrix.copy())
+            return eigvalsh(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        f = random_fermion_form(np.random.default_rng(300 + n), n)
+        rep = bd.build_fermion_rep(n)
+        even, odd = bd.sector_spectra(f, rep)
+        monkeypatch.undo()
+        h = bd.build_hamiltonian(f, rep).toarray()
+        parity = rep.occupations() % 2
+        assert len(blocks) == 2
+        for block, values, p in zip(blocks, (even, odd), (0, 1)):
+            idx = np.flatnonzero(parity == p)
+            assert np.array_equal(block, h[np.ix_(idx, idx)])
+            assert np.array_equal(values, np.linalg.eigvalsh(h[np.ix_(idx, idx)]))
+
+
 class TestOracleMemory:
     def test_n10_assembly_and_sector_solve_peak(self):
         # dense assembly peaked at ~656 MB here; the sparse path needs a few MB
@@ -161,7 +244,7 @@ class TestOracleMemory:
         tracemalloc.start()
         try:
             rep = bd.build_fermion_rep(10)
-            bd.sector_spectra(bd.build_hamiltonian(f, rep), rep)
+            bd.sector_spectra(f, rep)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -256,13 +339,13 @@ class TestWarmStart:
     def test_fine_start_lives_in_the_coarse_box(self, monkeypatch):
         n, cutoff = 2, 40  # both solves above DENSE_EIG_LIMIT, so both run Lanczos
         starts = []
-        eigsh = fock.spla.eigsh
+        eigsh = spla.eigsh
 
         def spy(matrix, **kwargs):
             starts.append(kwargs["v0"].copy())
             return eigsh(matrix, **kwargs)
 
-        monkeypatch.setattr(fock.spla, "eigsh", spy)
+        monkeypatch.setattr(spla, "eigsh", spy)
         f = bounded_boson_form(np.random.default_rng(90), n, seed=5)
         bd.truncation_stable_spectrum(f, cutoff=cutoff, k=5, tol=1e-6)
         coarse, fine = starts

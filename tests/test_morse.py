@@ -51,6 +51,18 @@ class TestPointSign:
         with pytest.raises(bd.DegeneratePoint):
             bd.point_sign(bd.SingularPoint("p", [[1.0, 0.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_sign_is_scale_invariant(self, scale):
+        # det(s J) = s^6 det J spans 72 decades here; the decision must not
+        rng = np.random.default_rng(5)
+        jacobians = [np.eye(6), np.diag([1.0, -1.0, 2.0, 3.0, 0.5, 1.0])]
+        jacobians += [random_invertible_jacobian(rng, 6) for _ in range(4)]
+        for jac in jacobians:
+            want = 1 if np.linalg.det(jac) > 0 else -1
+            assert bd.point_sign(bd.SingularPoint("p", scale * jac)) == want
+            assert bd.zero_mode_parity(bd.SingularPoint("p", scale * jac)) is (
+                Parity.EVEN if want > 0 else Parity.ODD)
+
 
 class TestPoincareHopf:
     def test_sphere(self):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from conftest import bounded_boson_form, refusal_peak
@@ -22,6 +24,17 @@ class TestDiagonalizeBoson:
     def test_non_real_pencil(self):
         with pytest.raises(bd.NonRealSpectrum):
             bd.diagonalize_boson(boson_std([[1.0, 0.0], [0.0, -1.0]], [[0.0, 1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150])
+    def test_non_real_pencil_at_any_scale(self, scale):
+        # R T has eigenvalues +-2i s^2; past s ~ 1e77 the sum of squares of
+        # the pencil overflows, which must not turn the test into a defect
+        form = bd.QuadraticForm(Statistics.BOSON, U=scale * np.array([[1.0, 1.0], [1.0, -1.0]]),
+                                V=scale * np.array([[1.0, -1.0], [-1.0, -1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(bd.NonRealSpectrum):
+                bd.diagonalize_boson(bd.to_standard(form))
 
     def test_defective_pencil(self):
         # R T = [[0,1],[0,0]], a nontrivial Jordan cell
