@@ -78,7 +78,6 @@ _FOCK_EXPORTS = (
     "build_fermion_rep",
     "build_hamiltonian",
     "build_standard_hamiltonian",
-    "exact_spectrum",
     "lowest_eigenvalues",
     "sector_spectra",
     "truncation_stable_spectrum",

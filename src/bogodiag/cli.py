@@ -278,8 +278,6 @@ def lemmas(n, seed, trials, out):
             jac = rng.uniform(-1.0, 1.0, size=(n, n))
             if trial % 2 == 1:
                 jac = (jac + jac.T) / 2.0  # exact-form case: no 2-form part
-            # the heavier check first, so that its memory guard refuses a
-            # too-large n before the wedge check allocates anything
             residual, _ = morse.cross_term_identity(jac, rep)
             max_cross = max(max_cross, residual)
             max_wedge = max(max_wedge, morse.wedge_contraction_identity(omega, rep))

@@ -42,8 +42,8 @@ BOSON_DIM_GUARD = 200_000
 #: Above this dimension eigenvalue prefixes switch from dense to Lanczos.
 DENSE_EIG_LIMIT = 1200
 
-#: Largest estimated working set of one eigensolve (2 GiB).  At this limit a
-#: dense solve reaches dimension 8192, the dense limit of exact_spectrum.
+#: Largest estimated working set of one eigensolve (2 GiB): a dense solve
+#: reaches dimension 8192.
 EIGENSOLVE_BYTES_GUARD = 2 ** 31
 
 Matrix = Union[np.ndarray, "scipy.sparse.csr_matrix"]
@@ -146,7 +146,7 @@ def _pair_sum(coeff: np.ndarray, left: tuple, right: tuple) -> tuple[np.ndarray,
     (l_off, l_w), (r_off, r_w) = left, right
     dim = l_w.shape[1]
     weights = np.zeros((len(r_off), len(l_off), dim))
-    for j, s in enumerate(r_off):
+    for j, s in enumerate(r_off.tolist()):
         lo, hi = max(0, -s), min(dim, dim - s)
         np.multiply(coeff[:, j, None] * l_w[:, lo + s : hi + s], r_w[j, lo:hi],
                     out=weights[j, :, lo:hi])
@@ -155,10 +155,11 @@ def _pair_sum(coeff: np.ndarray, left: tuple, right: tuple) -> tuple[np.ndarray,
 
 def _grouped(offsets: np.ndarray, weights: np.ndarray, const: float = 0.0) -> tuple:
     """Sum the diagonals of equal offset in input order, then `const` on the diagonal."""
-    keys, group = np.unique(np.r_[offsets, 0], return_inverse=True)
+    keys, group = np.unique(np.append(offsets, 0), return_inverse=True)
     out = np.zeros((len(keys), weights.shape[1]))
-    for g, row in zip(group, weights):
-        out[g] += row
+    rows = list(out)  # views into out, made once
+    for g, row in zip(group.tolist(), weights):
+        rows[g] += row
     out[np.searchsorted(keys, 0)] += const
     return keys, out
 
@@ -190,10 +191,10 @@ def _with_transpose(offsets: np.ndarray, weights: np.ndarray) -> tuple:
     k, dim = weights.shape
     both = np.zeros((2 * k, dim))
     both[:k] = weights
-    for row, s in enumerate(offsets):
+    for row, s in enumerate(offsets.tolist()):
         lo, hi = max(0, -s), min(dim, dim - s)
         both[k + row, lo + s : hi + s] = weights[row, lo:hi]
-    return np.r_[offsets, -offsets], both
+    return np.concatenate([offsets, -offsets]), both
 
 
 def build_hamiltonian(form: QuadraticForm, rep):
@@ -202,22 +203,26 @@ def build_hamiltonian(form: QuadraticForm, rep):
     return _csr(*_grouped(*_with_transpose(*_half_diagonals(form, rep)), form.const), rep.dim)
 
 
-def build_standard_hamiltonian(std: StandardForm, rep):
-    """Assemble a normal form as a CSR matrix: sum C_ij x_i z_j + k0 (fermions)
-    or sum T_ij x_i x_j + R_ij y_i y_j + k0 (bosons), with x = a + a^+,
+def _standard_diagonals(std: StandardForm, rep) -> tuple[np.ndarray, np.ndarray]:
+    """Ungrouped diagonals of a normal form without k0: sum C_ij x_i z_j
+    (fermions) or sum T_ij x_i x_j + R_ij y_i y_j (bosons), with x = a + a^+,
     y = a - a^+ and z = a^+ - a.  A sum of two ladders is one ladder with 2n
     rows, row p acting on mode p mod n, so its coefficients are tiled.
     """
     _check_rep(std, rep)
     (c_off, c_w), (a_off, a_w) = rep._ladders
-    offsets = np.r_[c_off, a_off]
+    offsets = np.concatenate([c_off, a_off])
     x = (offsets, np.vstack([c_w, a_w]))
     if std.statistics is Statistics.FERMION:
-        pieces = [_pair_sum(np.tile(std.C, (2, 2)), x, (offsets, np.vstack([-c_w, a_w])))]
-    else:
-        y = (offsets, np.vstack([c_w, -a_w]))
-        pieces = [_pair_sum(np.tile(std.T, (2, 2)), x, x), _pair_sum(np.tile(std.R, (2, 2)), y, y)]
-    return _csr(*_grouped(*(np.concatenate(parts) for parts in zip(*pieces)), std.k0), rep.dim)
+        return _pair_sum(np.tile(std.C, (2, 2)), x, (offsets, np.vstack([-c_w, a_w])))
+    y = (offsets, np.vstack([c_w, -a_w]))
+    pieces = [_pair_sum(np.tile(std.T, (2, 2)), x, x), _pair_sum(np.tile(std.R, (2, 2)), y, y)]
+    return tuple(np.concatenate(parts) for parts in zip(*pieces))
+
+
+def build_standard_hamiltonian(std: StandardForm, rep):
+    """Assemble a normal form (see :func:`_standard_diagonals`) as a CSR matrix."""
+    return _csr(*_grouped(*_standard_diagonals(std, rep), std.k0), rep.dim)
 
 
 def _check_rep(form, rep) -> None:
@@ -227,31 +232,17 @@ def _check_rep(form, rep) -> None:
         raise ValueError(f"mode count mismatch: form has {form.n}, rep has {rep.n}")
 
 
-def exact_spectrum(matrix: Matrix, sym_tol: float = 1e-10, dense_limit: int = 8192) -> np.ndarray:
-    """Ascending eigenvalues of a symmetric matrix (dense eigensolve)."""
-    if hasattr(matrix, "toarray"):  # scipy sparse
-        if matrix.shape[0] > dense_limit:
-            raise ResourceLimitError(
-                f"dimension {matrix.shape[0]} too large for a dense eigensolve; "
-                "use truncation_stable_spectrum or lowest_eigenvalues"
-            )
-        matrix = matrix.toarray()
-    dev = float(np.max(np.abs(matrix - matrix.T))) if matrix.size else 0.0
-    if dev > sym_tol:
-        raise ValueError(f"matrix is not symmetric (deviation {dev:.3e})")
-    return np.linalg.eigvalsh((matrix + matrix.T) / 2.0)
-
-
 def _lowest_pairs(matrix: Matrix, k: int, dense_limit: int = DENSE_EIG_LIMIT,
                   v0: Optional[np.ndarray] = None,
                   vectors: bool = False) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The k smallest eigenvalues, ascending, with their eigenvectors if asked.
 
     Small matrices, dense input and requests for (nearly) every eigenvalue
-    take a dense solve; the rest implicitly restarted Lanczos (ARPACK) from
-    `v0`, by default the uniform vector, so results are deterministic.  The
-    working set is estimated first and refused with ResourceLimitError above
-    EIGENSOLVE_BYTES_GUARD, before anything is allocated.
+    take a dense solve, which raises ValueError for a matrix that is not
+    symmetric within 1e-10; the rest implicitly restarted Lanczos (ARPACK)
+    from `v0`, by default the uniform vector, so results are deterministic.
+    The working set is estimated first and refused with ResourceLimitError
+    above EIGENSOLVE_BYTES_GUARD, before anything is allocated.
     """
     dim = matrix.shape[0]
     k = min(k, dim)
@@ -260,7 +251,12 @@ def _lowest_pairs(matrix: Matrix, k: int, dense_limit: int = DENSE_EIG_LIMIT,
         # the matrix, its symmetrized copy, LAPACK's copy and the eigenvectors
         _check_eigensolve_bytes(4 * 8 * dim * dim, f"dense eigensolve of dimension {dim}")
         dense = matrix.toarray() if sparse else np.asarray(matrix, dtype=float)
-        sym = (dense + dense.T) / 2.0
+        sym = np.subtract(dense, dense.T)
+        dev = float(np.abs(sym, out=sym).max(initial=0.0))
+        if dev > 1e-10:
+            raise ValueError(f"matrix is not symmetric (deviation {dev:.3e})")
+        np.add(dense, dense.T, out=sym)
+        sym /= 2.0
         if vectors:
             vals, vecs = np.linalg.eigh(sym)
             return vals[:k], vecs[:, :k]
@@ -289,8 +285,9 @@ def _check_eigensolve_bytes(estimate: int, what: str) -> None:
 
 
 def lowest_eigenvalues(matrix: Matrix, k: int, dense_limit: int = DENSE_EIG_LIMIT) -> np.ndarray:
-    """The k smallest eigenvalues, by dense solve or deterministic Lanczos;
-    ResourceLimitError when the solve would need over EIGENSOLVE_BYTES_GUARD."""
+    """The k smallest eigenvalues, by dense solve or deterministic Lanczos
+    (k = dim gives the whole spectrum); ResourceLimitError when the solve
+    would need over EIGENSOLVE_BYTES_GUARD."""
     return _lowest_pairs(matrix, k, dense_limit)[0]
 
 

@@ -218,24 +218,16 @@ def local_witten_spectrum(lambdas, count: int) -> SpectrumResult:
                           label_kind="witten", complete=False, bounded_below=True)
 
 
-def _identity_rep(n: int, rep: Optional[FermionFockRep], matrices: int) -> FermionFockRep:
-    """The representation for an identity check that holds about `matrices`
-    dense dim x dim float64 arrays at once.
+def _fermion_rep(n: int, rep: Optional[FermionFockRep]) -> FermionFockRep:
+    """`rep`, or the exact representation of n modes (ResourceLimitError
+    from n = 13 on); a representation of other modes raises ValueError."""
+    from .fock import build_fermion_rep
 
-    Raises ResourceLimitError, before anything is built, when they would
-    exceed fock.EIGENSOLVE_BYTES_GUARD.  Callers pass their measured peak
-    plus one matrix of headroom.
-    """
-    from .fock import EIGENSOLVE_BYTES_GUARD, build_fermion_rep
-
-    dim = rep.dim if rep is not None else 2 ** n
-    estimate = matrices * 8 * dim ** 2
-    if estimate > EIGENSOLVE_BYTES_GUARD:
-        raise ResourceLimitError(
-            f"identity check at n = {n} needs about {estimate / 2**30:.1f} GiB of dense "
-            f"matrices, above the guard of {EIGENSOLVE_BYTES_GUARD / 2**30:.1f} GiB"
-        )
-    return rep if rep is not None else build_fermion_rep(n)
+    if rep is None:
+        return build_fermion_rep(n)
+    if getattr(rep, "statistics", None) is not Statistics.FERMION or rep.n != n:
+        raise ValueError(f"an identity check on {n} modes needs a fermionic rep of {n} modes")
+    return rep
 
 
 def wedge_contraction_identity(omega, rep: Optional[FermionFockRep] = None) -> float:
@@ -244,15 +236,18 @@ def wedge_contraction_identity(omega, rep: Optional[FermionFockRep] = None) -> f
     w is the wedge by the 1-form with coefficients `omega` (built from the
     creation operators) and w* its contraction adjoint.  The anticommutator
     is the scalar <w, w> exactly; the residual is floating-point noise.
-    Measured peak memory: 5 dense dim x dim matrices.
+    Both products are pair sums of the oracle's shifted-diagonal ladders, so
+    the check holds 2 n^2 weight vectors of length 2^n and no dense matrix.
     """
+    from .fock import _grouped, _pair_sum
+
     omega = np.asarray(omega, dtype=float)
-    n = omega.shape[0]
-    rep = _identity_rep(n, rep, matrices=6)
-    wedge = sum(omega[i] * rep.a(i).astype(float) for i in range(n))
-    contraction = sum(omega[j] * rep.a_dag(j).astype(float) for j in range(n))
-    target = float(omega @ omega) * np.eye(rep.dim)
-    return float(np.max(np.abs(wedge @ contraction + contraction @ wedge - target)))
+    rep = _fermion_rep(len(omega), rep)
+    creation, annihilation = rep._ladders
+    coeff = np.outer(omega, omega)
+    pieces = [_pair_sum(coeff, creation, annihilation), _pair_sum(coeff, annihilation, creation)]
+    _, diff = _grouped(*(np.concatenate(parts) for parts in zip(*pieces)), -float(omega @ omega))
+    return float(np.max(np.abs(diff)))
 
 
 def cross_term_identity(omega_jac, rep: Optional[FermionFockRep] = None) -> tuple[float, float]:
@@ -265,32 +260,25 @@ def cross_term_identity(omega_jac, rep: Optional[FermionFockRep] = None) -> tupl
     coefficients TWO_FORM_COEFF * (W - W^t).  Returns (residual, const) for
     the best-fit scalar in direct - algebraic = const * identity; const
     equals -Tr W, the scalar left behind by transposing the derivation term.
-    Measured peak memory: 4n + 7 dense dim x dim matrices (7 GiB at n = 12).
+    Both sides are shifted diagonals of the oracle's engine, the direct one
+    from the fermionic branch of build_standard_hamiltonian; at n = 12 the
+    traced peak is about 100 MB.
     """
-    w_jac = np.asarray(omega_jac, dtype=float)
-    n = w_jac.shape[0]
-    rep = _identity_rep(n, rep, matrices=4 * n + 8)
-    a_ops = [rep.a(i).astype(float) for i in range(n)]
-    adag_ops = [rep.a_dag(i).astype(float) for i in range(n)]
-    xs = [a_ops[i] + adag_ops[i] for i in range(n)]
-    zs = [adag_ops[i] - a_ops[i] for i in range(n)]
-    dim = rep.dim
-    direct = np.zeros((dim, dim))
-    deriv = np.zeros((dim, dim))
-    two_form = np.zeros((dim, dim))
-    b_coeff = TWO_FORM_COEFF * (w_jac - w_jac.T)
-    for i in range(n):
-        for j in range(n):
-            if w_jac[i, j] != 0.0:
-                direct += w_jac[i, j] * (xs[i] @ zs[j])
-                deriv += w_jac[i, j] * (a_ops[i] @ adag_ops[j])
-            if b_coeff[i, j] != 0.0:
-                two_form += b_coeff[i, j] * (a_ops[i] @ a_ops[j])
-    algebraic = deriv + deriv.T + two_form + two_form.T
-    diff = direct - algebraic
-    const = float(np.trace(diff)) / dim
-    residual = float(np.max(np.abs(diff - const * np.eye(dim))))
-    return residual, const
+    from .fock import _grouped, _pair_sum, _standard_diagonals, _with_transpose
+
+    std = StandardForm(statistics=Statistics.FERMION, C=omega_jac, k0=0.0)
+    rep = _fermion_rep(std.n, rep)
+    creation, annihilation = rep._ladders
+    w_jac = std.C
+    half = [_pair_sum(w_jac, creation, annihilation),
+            _pair_sum(TWO_FORM_COEFF * (w_jac - w_jac.T), creation, creation)]
+    alg_off, alg_w = _with_transpose(*(np.concatenate(parts) for parts in zip(*half)))
+    d_off, d_w = _standard_diagonals(std, rep)
+    offsets, diff = _grouped(np.concatenate([d_off, alg_off]), np.vstack([d_w, -alg_w]))
+    scalar = diff[np.searchsorted(offsets, 0)]
+    const = float(np.mean(scalar))
+    scalar -= const
+    return float(np.max(np.abs(diff))), const
 
 
 def fixture_from_dict(data: dict) -> VectorFieldFixture:

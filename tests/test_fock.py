@@ -96,13 +96,13 @@ class TestBuildHamiltonian:
         u = 1.0
         rep = bd.build_fermion_rep(2)
         f = bd.QuadraticForm(Statistics.FERMION, U=[[0.0, u], [-u, 0.0]], V=np.zeros((2, 2)))
-        vals = bd.exact_spectrum(bd.build_hamiltonian(f, rep))
+        vals = bd.lowest_eigenvalues(bd.build_hamiltonian(f, rep), rep.dim)
         assert np.allclose(vals, [-2.0, 0.0, 0.0, 2.0], atol=1e-12)
 
     def test_boson_number_ladder_two_cutoffs(self):
         f = bd.QuadraticForm(Statistics.BOSON, U=[[0.0]], V=[[1.0]], const=0.0)
-        v40 = bd.exact_spectrum(bd.build_hamiltonian(f, bd.build_boson_rep(1, 40)))
-        v80 = bd.exact_spectrum(bd.build_hamiltonian(f, bd.build_boson_rep(1, 80)))
+        v40 = bd.lowest_eigenvalues(bd.build_hamiltonian(f, bd.build_boson_rep(1, 40)), 41)
+        v80 = bd.lowest_eigenvalues(bd.build_hamiltonian(f, bd.build_boson_rep(1, 80)), 81)
         assert np.allclose(v40[:10], np.arange(0, 20, 2), atol=1e-10)
         assert np.allclose(v40[:20], v80[:20], atol=1e-9)
 
@@ -253,14 +253,14 @@ class TestOracleMemory:
 
 class TestExactSpectrum:
     def test_diagonal(self):
-        assert np.allclose(bd.exact_spectrum(np.diag([2.0, 0.0])), [0.0, 2.0])
+        assert np.allclose(bd.lowest_eigenvalues(np.diag([2.0, 0.0]), 2), [0.0, 2.0])
 
     def test_identity(self):
-        assert np.allclose(bd.exact_spectrum(np.eye(4)), np.ones(4))
+        assert np.allclose(bd.lowest_eigenvalues(np.eye(4), 4), np.ones(4))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            bd.exact_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            bd.lowest_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]), 2)
 
 
 class TestParitySectors:

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from conftest import random_invertible_jacobian, refusal_peak
 
 import bogodiag as bd
-from bogodiag import Parity
+from bogodiag import Parity, morse
 
 
 def sphere_fixture():
@@ -23,21 +26,32 @@ def torus_fixture():
 
 
 def witten_tensor_oracle(lams, cutoff):
-    """Independent tensor-product matrix for the localized operator."""
+    """Independent tensor-product spectra of the localized operator, one per
+    fermion occupation state f: the eigenvalues of the block of states with
+    fermionic part f.  The fermionic terms are diagonal in the occupation
+    basis, so nothing couples two blocks."""
     lams = np.asarray(lams, dtype=float)
     n = len(lams)
     brep = bd.build_boson_rep(n, cutoff)
     frep = bd.build_fermion_rep(n)
     db, df = brep.dim, frep.dim
-    h = np.zeros((db * df, db * df))
+    h = sp.csr_matrix((db * df, db * df))
     for i in range(n):
-        ab = brep.a(i).toarray()
+        ab = brep.a(i)
         pos = (ab + ab.T) / np.sqrt(2.0)
         deriv = (ab - ab.T) / np.sqrt(2.0)
         oscillator = -deriv @ deriv + lams[i] ** 2 * (pos @ pos)
-        occupation = frep.a(i).astype(float) @ frep.a_dag(i).astype(float)
-        h += np.kron(oscillator, np.eye(df)) + 2.0 * lams[i] * np.kron(np.eye(db), occupation)
-    return h - np.sum(lams) * np.eye(db * df)
+        occupation = sp.csr_matrix(frep.a(i).astype(float) @ frep.a_dag(i).astype(float))
+        h = (h + sp.kron(oscillator, sp.identity(df))
+             + 2.0 * lams[i] * sp.kron(sp.identity(db), occupation))
+    h = (h - np.sum(lams) * sp.identity(db * df)).tocsr()
+    blocks = [h[f::df, f::df] for f in range(df)]
+    assert sum(block.nnz for block in blocks) == h.nnz
+    return [np.linalg.eigvalsh(block.toarray()) for block in blocks]
+
+
+def lowest_oracle_levels(lams, cutoff, count):
+    return np.sort(np.concatenate(witten_tensor_oracle(lams, cutoff)))[:count]
 
 
 class TestPointSign:
@@ -151,19 +165,16 @@ class TestLocalWittenSpectrum:
 
     @pytest.mark.parametrize("lams", [[1.3], [-0.8], [1.0, -2.0], [0.7, 1.9], [-0.5, -1.1]])
     def test_tensor_oracle(self, lams):
-        oracle = np.linalg.eigvalsh(witten_tensor_oracle(lams, 30))
+        oracle = lowest_oracle_levels(lams, 30, 8)
         closed = bd.local_witten_spectrum(lams, 8).energies
-        assert np.max(np.abs(np.array(closed) - oracle[:8])) <= 1e-6
+        assert np.max(np.abs(np.array(closed) - oracle)) <= 1e-6
 
     def test_zero_mode_parity_matches_oracle_sector(self):
-        lams = [1.0, -2.0]
-        oracle = witten_tensor_oracle(lams, 20)
-        frep = bd.build_fermion_rep(2)
-        occ_f = np.kron(np.ones(21 ** 2, dtype=np.int64), frep.occupations())
-        vals, vecs = np.linalg.eigh(oracle)
-        ground = vecs[:, np.argmin(np.abs(vals))]
-        odd_weight = float(np.sum(ground[occ_f % 2 == 1] ** 2))
-        assert odd_weight == pytest.approx(1.0, abs=1e-8)
+        spectra = witten_tensor_oracle([1.0, -2.0], 20)
+        occupations = bd.build_fermion_rep(2).occupations()
+        zero_blocks = [f for f, vals in enumerate(spectra) for v in vals if abs(v) <= 1e-6]
+        assert len(zero_blocks) == 1
+        assert occupations[zero_blocks[0]] % 2 == 1
 
 
 class TestOperatorIdentities:
@@ -194,11 +205,43 @@ class TestOperatorIdentities:
         residual, const = bd.cross_term_identity(np.zeros((2, 2)))
         assert residual == 0.0 and const == 0.0
 
-    def test_cross_term_memory_guard_n12(self):
-        # about 4n + 8 dense 4096^2 float64 matrices, 7 GiB: refused unbuilt
+    def test_cross_term_n12_completes_n13_refused(self):
+        # the shifted-diagonal check at the fermionic guard edge holds a few
+        # stacks of 4096-long weight vectors; one mode more is refused unbuilt
         jac = np.random.default_rng(12).uniform(-1, 1, (12, 12))
-        assert refusal_peak(bd.cross_term_identity, jac) < 2**20
-        assert refusal_peak(bd.cross_term_identity, jac, bd.build_fermion_rep(12)) < 2**20
+        tracemalloc.start()
+        try:
+            residual, const = bd.cross_term_identity(jac)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert residual <= 1e-12
+        assert const == pytest.approx(-np.trace(jac))
+        assert peak < 256 * 2**20
+        jac13 = np.random.default_rng(13).uniform(-1, 1, (13, 13))
+        assert refusal_peak(bd.cross_term_identity, jac13) < 2**20
+
+    def test_rep_of_other_modes_rejected(self):
+        with pytest.raises(ValueError):
+            bd.wedge_contraction_identity([1.0, 2.0, 3.0], bd.build_fermion_rep(2))
+        with pytest.raises(ValueError):
+            bd.cross_term_identity(np.eye(2), bd.build_fermion_rep(3))
+        with pytest.raises(ValueError):
+            bd.wedge_contraction_identity([1.0, 2.0], bd.build_boson_rep(2, 1))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cross_term_detects_wrong_two_form_coefficient(self, monkeypatch, n):
+        jac = np.random.default_rng(400 + n).uniform(-1, 1, (n, n))
+        assert bd.cross_term_identity(jac)[0] <= 1e-12
+        monkeypatch.setattr(morse, "TWO_FORM_COEFF", 1.0)
+        assert bd.cross_term_identity(jac)[0] > 0.1
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_wedge_detects_missing_sign_strings(self, n):
+        # hard-core bosons: the fermionic ladders without Jordan-Wigner signs
+        rep = bd.build_fermion_rep(n)
+        rep.__dict__["_ladders"] = bd.build_boson_rep(n, 1)._ladders
+        assert bd.wedge_contraction_identity(np.ones(n), rep) > 0.1
 
     def test_wedge_memory_guard_n13(self):
         assert refusal_peak(bd.wedge_contraction_identity, np.ones(13)) < 2**20

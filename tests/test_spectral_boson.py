@@ -122,7 +122,7 @@ class TestModeLevels:
         assert levels == pytest.approx([1.0, 3.0, 5.0])
         # shifted by k0 = -1 this is the oracle ladder {0, 2, 4}
         f = bd.QuadraticForm(Statistics.BOSON, U=[[0.0]], V=[[1.0]], const=0.0)
-        oracle = bd.exact_spectrum(bd.build_hamiltonian(f, bd.build_boson_rep(1, 60)))
+        oracle = bd.lowest_eigenvalues(bd.build_hamiltonian(f, bd.build_boson_rep(1, 60)), 61)
         assert np.allclose(np.array(levels) - 1.0, oracle[:3], atol=1e-9)
 
     def test_sign_symmetry(self):
