@@ -11,6 +11,7 @@ only for bosonic ``verify``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 
@@ -50,13 +51,20 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _emit(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+def _emit(payload, out: str | None) -> None:
+    """Write a payload as JSON, indent 2 and sorted keys, to `out` or stdout.
+
+    A SpectrumResult is written chunk by chunk as it renders, so that no
+    more than one chunk of its text is held at a time.
+    """
+    if isinstance(payload, spectral.SpectrumResult):
+        chunks = payload.json_chunks()
     else:
-        sys.stdout.write(text)
+        chunks = [json.dumps(payload, indent=2, sort_keys=True)]
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+        fh.write("\n")
 
 
 def _require_positive(**options) -> None:
@@ -66,32 +74,40 @@ def _require_positive(**options) -> None:
 
 
 def _run(body, out):
-    """Execute a command body and map exceptions to the exit-code contract."""
+    """Execute a command body and map exceptions to the exit-code contract.
+
+    Every error of the body is raised before the first byte is written; an
+    OSError while writing (an unwritable --out, a full disk, a closed pipe)
+    exits 3, like one while reading.
+    """
     try:
         payload, code = body()
     except (*_MATH_ERRORS, np.linalg.LinAlgError) as exc:
         # LinAlgError is a backstop: validation should refuse every input
         # that LAPACK cannot handle, but a failure still gets a payload
-        _emit({"error": type(exc).__name__, "detail": str(exc)}, out)
-        sys.exit(EXIT_MATH)
+        payload, code = {"error": type(exc).__name__, "detail": str(exc)}, EXIT_MATH
     except ValidationError as exc:
-        _emit(
-            {
-                "error": "ValidationError",
-                "detail": str(exc),
-                "violations": [
-                    {"check": v.check, "message": v.message, "deviation": v.deviation}
-                    for v in exc.violations
-                ],
-            },
-            out,
-        )
-        sys.exit(EXIT_INVALID)
+        payload = {
+            "error": "ValidationError",
+            "detail": str(exc),
+            "violations": [
+                {"check": v.check, "message": v.message, "deviation": v.deviation}
+                for v in exc.violations
+            ],
+        }
+        code = EXIT_INVALID
     except (OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"i/o error: {exc}\n")
-        sys.exit(EXIT_IO)
-    _emit(payload, out)
+        _exit_io(exc)
+    try:
+        _emit(payload, out)
+    except OSError as exc:
+        _exit_io(exc)
     sys.exit(code)
+
+
+def _exit_io(exc: Exception) -> None:
+    sys.stderr.write(f"i/o error: {exc}\n")
+    sys.exit(EXIT_IO)
 
 
 @click.group()
@@ -156,7 +172,7 @@ def spectrum(form_file, count, out):
             result = spectral.fermion_spectrum(spectral.diagonalize_fermion(std))
         else:
             result = spectral.boson_spectrum(spectral.diagonalize_boson(std), count)
-        return result.to_dict(), EXIT_OK
+        return result, EXIT_OK
 
     _run(body, out)
 

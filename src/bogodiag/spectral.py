@@ -24,7 +24,6 @@ sector of the original grading).
 from __future__ import annotations
 
 import enum
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -37,8 +36,9 @@ from .errors import (
     NonDiscreteMode,
     NonRealSpectrum,
     ResourceLimitError,
+    ValidationError,
 )
-from .forms import StandardForm, Statistics
+from .forms import StandardForm, Statistics, Violation
 
 #: Oscillator ladder coefficient, calibrated against the exact Fock oracle.
 LEVEL_COEFF = -4.0
@@ -54,6 +54,12 @@ IMAG_TOL_FACTOR = 1e-8
 
 #: Scale-relative factor for the residual off-diagonal check.
 DIAG_TOL_FACTOR = 1e-8
+
+#: ladder_sums enumerates every combination when there are at most this
+#: many.  Sorting all totals grows with their number, the threshold path
+#: starts with a few dozen numpy calls per ladder; near 4096 combinations
+#: both took 0.1-0.4 ms on a 2-vCPU VM, and the threshold path wins above.
+_ENUMERATE_ALL = 4096
 
 #: Guard on the number of levels a spectrum enumerates: 2^n for the full
 #: fermionic list, the requested count for bosonic and Witten ladders.
@@ -130,15 +136,28 @@ class FermionModeData:
         }
 
 
-#: How a row of rungs renders as a label, by SpectrumResult.label_kind:
-#: occupation numbers "(m1,..)", sign words "+-.." (rung 1 is +), or the
-#: local zero-mode pairs "(m1,..;f1,..)" of rungs 2 m + f.
+def _number_labels(groups: list) -> np.ndarray:
+    # labels "(a1,..;b1,..)" of integer groups, each an (m, n) array, as an
+    # (m, width) block of bytes
+    template = b"(" + b";".join([b",".join([b"%d"] * groups[0].shape[1])] * len(groups)) + b")"
+    rows = np.concatenate(groups, axis=1).tolist()
+    labels = np.array([template % tuple(row) for row in rows], dtype=bytes)
+    return labels.view(np.uint8).reshape(len(labels), -1)
+
+
+#: How rows of rungs render as labels, by SpectrumResult.label_kind: an
+#: (m, width) block of label bytes per block of m rows, each label padded
+#: with NUL bytes at its end.  Occupation numbers "(m1,..)", sign words
+#: "+-.." (rung 1 is +), or the local zero-mode pairs "(m1,..;f1,..)" of
+#: rungs 2 m + f.
 _LABELS = {
-    "occupations": lambda row: "(" + ",".join(str(r) for r in row) + ")",
-    "signs": lambda row: "".join("-+"[r] for r in row),
-    "witten": lambda row: "(" + ",".join(str(r // 2) for r in row) + ";"
-                          + ",".join(str(r % 2) for r in row) + ")",
+    "occupations": lambda rungs: _number_labels([rungs]),
+    "signs": lambda rungs: ord("-") - (ord("-") - ord("+")) * rungs,
+    "witten": lambda rungs: _number_labels([rungs // 2, rungs % 2]),
 }
+
+#: Sector names by parity bit.
+_SECTORS = (Parity.EVEN.value, Parity.ODD.value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,7 +166,11 @@ class SpectrumResult:
 
     rungs[j, p] is the rung of mode p in level j; label_kind says what a rung
     means (a key of _LABELS).  sectors[j] is the occupation parity of level
-    j, 0 even and 1 odd, or None for purely bosonic spectra.
+    j, 0 even and 1 odd, or None for purely bosonic spectra.  Energies that
+    overflowed to +-inf raise ValidationError (a derived_finite violation)
+    at construction, so every level renders as a JSON number.  json_chunks
+    renders the JSON text straight from the arrays; entries and to_dict
+    build it as Python objects.
     """
 
     energies: np.ndarray
@@ -157,16 +180,25 @@ class SpectrumResult:
     complete: bool
     bounded_below: bool
 
+    def __post_init__(self):
+        # energies ascend, so an infinity or a NaN sits at one end
+        e = self.energies
+        if len(e) and not (math.isfinite(e[0]) and math.isfinite(e[-1])):
+            message = "spectrum energies not finite (overflow)"
+            raise ValidationError(message, [Violation("derived_finite", message, math.inf)])
+
     @property
     def entries(self) -> list:
         """The levels as JSON records {energy, label[, sector]}."""
-        label = _LABELS[self.label_kind]
-        rows = zip(self.energies.tolist(), self.rungs.tolist())
+        if not len(self.energies):
+            return []
+        block = _LABELS[self.label_kind](self.rungs)
+        labels = [label.decode() for label in block.view(f"S{block.shape[1]}").ravel().tolist()]
+        rows = zip(self.energies.tolist(), labels)
         if self.sectors is None:
-            return [{"energy": e, "label": label(r)} for e, r in rows]
-        names = (Parity.EVEN.value, Parity.ODD.value)
-        return [{"energy": e, "label": label(r), "sector": names[s]}
-                for (e, r), s in zip(rows, self.sectors.tolist())]
+            return [{"energy": e, "label": lab} for e, lab in rows]
+        return [{"energy": e, "label": lab, "sector": _SECTORS[s]}
+                for (e, lab), s in zip(rows, self.sectors.tolist())]
 
     def to_dict(self) -> dict:
         return {
@@ -174,6 +206,42 @@ class SpectrumResult:
             "complete": self.complete,
             "bounded_below": self.bounded_below,
         }
+
+    def json_chunks(self, levels: int = 4096):
+        """Yield the text of json.dumps(self.to_dict(), indent=2,
+        sort_keys=True) in pieces of up to `levels` entries.
+
+        A piece is one %-template: the entries' bytes side by side in a
+        block, labels and sectors NUL-padded to a common width, the NUL
+        bytes then dropped, and "%s" where the energies go.  Energies are
+        finite, so they render as json renders them, by float repr: one repr
+        of the whole slice, split at its separators.
+        """
+        head = '{\n  "bounded_below": %s,\n  "complete": %s,\n  "entries": [' % (
+            str(self.bounded_below).lower(), str(self.complete).lower())
+        count = len(self.energies)
+        if not count:
+            yield head + "]\n}"
+            return
+        if self.sectors is None:
+            texts = [b'    {\n      "energy": %s,\n      "label": "', b'"\n    },\n']
+        else:
+            texts = [b'    {\n      "energy": %s,\n      "label": "', b'",\n      "sector": "',
+                     b'"\n    },\n']
+        texts = [np.frombuffer(text, np.uint8) for text in texts]
+        names = np.array([name.encode() for name in _SECTORS]).view(np.uint8).reshape(2, -1)
+        yield head + "\n"
+        for start in range(0, count, levels):
+            stop = min(start + levels, count)
+            blocks = [_LABELS[self.label_kind](self.rungs[start:stop])]
+            if self.sectors is not None:
+                blocks.append(names[self.sectors[start:stop]])
+            parts = [texts[0], *(part for pair in zip(blocks, texts[1:]) for part in pair)]
+            template = np.concatenate(
+                [np.broadcast_to(part, (stop - start, part.shape[-1])) for part in parts], axis=1)
+            energies = repr(self.energies[start:stop].tolist())[1:-1].encode().split(b", ")
+            text = (template.tobytes().replace(b"\0", b"") % tuple(energies)).decode()
+            yield text if stop < count else text[:-2] + "\n  ]\n}"
 
 
 def _norm(a: np.ndarray) -> float:
@@ -334,47 +402,107 @@ def ladder_sums(ladders: Sequence[Sequence[float]], k: int) -> tuple[np.ndarray,
     integer dtype that holds every rung.  Each total adds the picked values
     in ladder order, starting from 0.0.  Equal totals are ordered
     lexicographically by rank, a rung's position in its ladder after a
-    stable sort, so ties come out the same whichever path runs: when k
-    covers every combination, all of them are enumerated and stably sorted;
-    otherwise a best-first search pops the k smallest (total, ranks) keys.
+    stable sort.
+
+    The combinations are enumerated ladder by ladder in lexicographic rank
+    order and stably sorted by total.  Up to _ENUMERATE_ALL combinations
+    (or k) are enumerated in full.  Otherwise only those with total <= T,
+    the k-th smallest total, which holds every sum among the k smallest:
+    rounding is monotone, so raising a rank never lowers a total, and a
+    prefix is dropped once its partial sum plus the minima of the remaining
+    ladders exceeds T.  _kth_smallest_total finds T.  A T that is not
+    finite (the sums overflow) would admit every combination and raises
+    ValidationError, a derived_finite violation.
     """
     n = len(ladders)
     if k <= 0 or n == 0:
         return np.zeros(0), np.zeros((0, n), dtype=np.uint8)
-    orders = [np.argsort(np.asarray(lad, dtype=float), kind="stable") for lad in ladders]
-    ranked = [np.asarray(lad, dtype=float)[order] for lad, order in zip(ladders, orders)]
-    sizes = tuple(len(lad) for lad in ranked)
+    values = [np.asarray(lad, dtype=float) for lad in ladders]
+    orders = [np.argsort(v, kind="stable") for v in values]
+    ranked = [v[order] for v, order in zip(values, orders)]
+    sizes = [len(lad) for lad in ranked]
+    bounded = math.prod(sizes) > max(k, _ENUMERATE_ALL)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if bounded:
+            bound = _kth_smallest_total(ranked, k)
+            if not math.isfinite(bound):
+                message = f"the {k} smallest sums are not all finite (overflow)"
+                raise ValidationError(message, [Violation("derived_finite", message, math.inf)])
+            # limits[p] bounds the rank-p value of a prefix that can still
+            # reach T; it is compared in floats, with an allowance for the
+            # rounding of values below `scale`, and the totals are then
+            # compared with T exactly
+            scale = abs(bound) + sum(abs(float(lad[0])) for lad in ranked)
+            limits = [bound + 8 * n * np.finfo(float).eps * scale] * n
+            for p in range(n - 2, -1, -1):
+                limits[p] = limits[p + 1] - ranked[p + 1][0]
+        totals = np.zeros(1)
+        links = []
+        for p, lad in enumerate(ranked):
+            if bounded:
+                counts = lad.searchsorted(limits[p] - totals, side="right")
+                parent = np.arange(len(totals)).repeat(counts)
+                rank = np.arange(len(parent)) - (counts.cumsum() - counts)[parent]
+                totals = totals[parent] + lad[rank]
+                links.append((parent, rank))
+            else:
+                totals = np.add.outer(totals, lad).ravel()
     dtype = np.min_scalar_type(max(sizes))
-    if k >= math.prod(sizes):
-        ranks = np.indices(sizes, dtype=dtype).reshape(n, -1)
-        totals = np.zeros(ranks.shape[1])
-        for lad, row in zip(ranked, ranks):
-            totals += lad[row]
-        keep = np.argsort(totals, kind="stable")
-        totals, ranks = totals[keep], ranks[:, keep]
+    if bounded:
+        keep = np.flatnonzero(totals <= bound)
+        keep = keep[_stable_argsort(totals[keep])[:k]]
+        rungs = np.empty((len(keep), n), dtype=dtype)
+        idx = keep
+        for p in range(n - 1, -1, -1):
+            parent, rank = links[p]
+            rungs[:, p], idx = orders[p][rank[idx]], parent[idx]
     else:
-        totals, ranks = _best_first([lad.tolist() for lad in ranked], k)
-    return totals, np.stack([order.astype(dtype)[row] for order, row in zip(orders, ranks)], axis=1)
+        # every combination in lexicographic order, then the kept rows
+        keep = _stable_argsort(totals)[:k]
+        grid = np.empty((len(totals), n), dtype=dtype)
+        cells = grid.reshape(*sizes, n)
+        for p, order in enumerate(orders):
+            cells[..., p] = order.reshape([-1 if q == p else 1 for q in range(n)])
+        rungs = grid.take(keep, axis=0)
+    return totals[keep], rungs
 
 
-def _best_first(ladders: list, k: int) -> tuple[np.ndarray, np.ndarray]:
-    # The k smallest (total, ranks) keys over sorted ladders, ranks as an
-    # (n, k) array.  Every rank tuple has one parent, itself with the last
-    # nonzero rank lowered by one, so a pop pushes only the successors that
-    # raise a rank at or after the one its parent raised; their keys are
-    # larger, and the heap pops keys in ascending order.
-    n = len(ladders)
-    heap = [(float(sum(lad[0] for lad in ladders)), (0,) * n, 0)]
-    out = []
-    while heap and len(out) < k:
-        total, idx, raised = heapq.heappop(heap)
-        out.append((total, idx))
-        for i in range(raised, n):
-            if idx[i] + 1 < len(ladders[i]):
-                nxt = idx[:i] + (idx[i] + 1,) + idx[i + 1 :]
-                nxt_total = float(sum(lad[j] for lad, j in zip(ladders, nxt)))
-                heapq.heappush(heap, (nxt_total, nxt, i))
-    return np.array([t for t, _ in out]), np.array([idx for _, idx in out], dtype=np.intp).T
+def _stable_argsort(values: np.ndarray) -> np.ndarray:
+    # Distinct values have one ascending order, which the faster unstable
+    # sort finds too; ties (or a NaN) take the stable sort.
+    order = values.argsort()
+    ordered = values[order]
+    if not (ordered[1:] > ordered[:-1]).all():
+        order = values.argsort(kind="stable")
+    return order
+
+
+def _kth_smallest_total(ranked: list, k: int) -> float:
+    # A left-to-right merge that keeps the k smallest partial sums, added in
+    # the same order as the totals.  The k smallest sums of two ascending
+    # lists a and b lie in their hyperbolic cross (i + 1)(j + 1) <= k, and
+    # at or below a[ceil(k/m) - 1] + b[m - 1] for every m, the largest of
+    # the ceil(k/m) * m >= k sums a[i] + b[j] with i < ceil(k/m), j < m.
+    # Row caps take the least such bound with an allowance for rounding.
+    best = ranked[0][:k]
+    for lad in ranked[1:]:
+        m = np.arange(1, min(len(lad), k) + 1)
+        cap = k // m
+        rows = -(-k // m)
+        fits = rows <= len(best)
+        if fits.any():
+            bound = (best[rows[fits] - 1] + lad[m[fits] - 1]).min()
+            limit = bound + 8 * np.finfo(float).eps * (abs(bound) + abs(best[0]))
+            cap = np.minimum(cap, best.searchsorted(limit - lad[: len(m)], side="right"))
+        else:
+            cap = np.minimum(cap, len(best))
+        ends = cap.cumsum()
+        rows = np.arange(ends[-1]) - (ends - cap).repeat(cap)
+        sums = best[rows] + lad[: len(m)].repeat(cap)
+        if len(sums) > k:
+            sums = np.partition(sums, k - 1)[:k]
+        best = np.sort(sums)
+    return float(best[k - 1])
 
 
 def boson_spectrum(data: BosonModeData, k: int) -> SpectrumResult:
@@ -400,7 +528,9 @@ def boson_spectrum(data: BosonModeData, k: int) -> SpectrumResult:
     bounded = all(m.r < 0 for m in data.modes)
     ladders = [boson_mode_levels(m.t, m.r, k) for m in data.modes]
     totals, rungs = ladder_sums(ladders, k if bounded else 0)
-    return SpectrumResult(energies=totals + data.k0, rungs=rungs, sectors=None,
+    with np.errstate(over="ignore"):
+        energies = totals + data.k0
+    return SpectrumResult(energies=energies, rungs=rungs, sectors=None,
                           label_kind="occupations", complete=False, bounded_below=bounded)
 
 
@@ -446,9 +576,12 @@ def fermion_spectrum(data: FermionModeData) -> SpectrumResult:
     if 2 ** n > FERMION_SPECTRUM_GUARD:
         raise ResourceLimitError(f"2^{n} spectrum entries exceed the enumeration guard")
     lam = np.asarray(data.lambdas, dtype=float)
-    totals, rungs = ladder_sums(np.stack([-lam, lam], axis=1), 2 ** n)
-    return SpectrumResult(energies=totals + data.k0, rungs=rungs, sectors=rungs.sum(axis=1) % 2,
-                          label_kind="signs", complete=True, bounded_below=True)
+    totals, rungs = ladder_sums(np.multiply.outer(lam, (-1.0, 1.0)), 2 ** n)
+    with np.errstate(over="ignore"):
+        energies = totals + data.k0
+    return SpectrumResult(energies=energies, rungs=rungs,
+                          sectors=rungs.sum(axis=1, dtype=np.uint8) % 2, label_kind="signs",
+                          complete=True, bounded_below=True)
 
 
 def fermion_invariants(c: np.ndarray) -> tuple[float, tuple]:

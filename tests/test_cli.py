@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import subprocess
@@ -394,6 +396,62 @@ class TestOutputContract:
         result = runner.invoke(main, ["diagonalize", path, "--out", str(out)])
         assert result.exit_code == 0
         assert json.loads(out.read_text())["k0"] == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("args", [
+        ["fermion_pair.json"], ["boson_oscillator.json", "--count", "500"],
+    ], ids=["fermion", "boson"])
+    def test_out_file_equals_stdout(self, runner, tmp_path, args):
+        args = ["spectrum", str(FIXTURES / args[0]), *args[1:]]
+        out = tmp_path / "spectrum.json"
+        printed = runner.invoke(main, args)
+        written = runner.invoke(main, [*args, "--out", str(out)])
+        assert printed.exit_code == written.exit_code == 0
+        assert written.output == ""
+        assert out.read_text(encoding="utf-8") == printed.stdout
+
+    @pytest.mark.parametrize("command, out", [
+        ("validate", "missing/dir/x.json"), ("spectrum", "."),
+    ], ids=["missing_dir", "is_a_directory"])
+    def test_unwritable_out_exits_3(self, runner, tmp_path, command, out):
+        result = runner.invoke(main, [command, str(FIXTURES / "fermion_pair.json"),
+                                      "--out", str(tmp_path / out)])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("i/o error: ")
+
+    def test_write_error_mid_stream_exits_3(self, monkeypatch, capsys):
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                if self.tell():
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", FullDisk())
+        with pytest.raises(SystemExit) as info:
+            main.main(args=["spectrum", str(FIXTURES / "fermion_pair.json")], standalone_mode=False)
+        assert info.value.code == 3
+        assert "No space left on device" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["spectrum", "verify"])
+    @pytest.mark.parametrize("u, const", [
+        ([[0.0, 1.5e308, 0.0, 0.0], [-1.5e308, 0.0, 0.0, 0.0],
+          [0.0, 0.0, 0.0, -1.5e308], [0.0, 0.0, 1.5e308, 0.0]], 0.0),
+        ([[0.0, 1.5e308], [-1.5e308, 0.0]], 1.7e308),
+    ], ids=["sum_of_modes", "with_constant"])
+    def test_overflowing_energies_exit_1(self, runner, tmp_path, command, u, const):
+        # valid forms whose exact energies overflow to -inf
+        n = len(u)
+        path = write_json(tmp_path / "ovf.json", {
+            "statistics": "fermion", "n": n, "U": u, "V": np.zeros((n, n)).tolist(), "const": const,
+        })
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [command, path])
+        assert result.exit_code == 1
+        payload = json.loads(result.stdout)
+        assert [v["check"] for v in payload["violations"]] == ["derived_finite"]
+        assert "Infinity" not in payload["detail"] and result.stderr == ""
+        assert [str(w.message) for w in caught] == []
 
     @pytest.mark.parametrize("command, option, value", [
         ("spectrum", "--count", "-5"),
