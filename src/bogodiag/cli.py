@@ -12,7 +12,9 @@ only for bosonic ``verify``.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
+import os
 import sys
 
 import click
@@ -65,6 +67,8 @@ def _emit(payload, out: str | None) -> None:
         for chunk in chunks:
             fh.write(chunk)
         fh.write("\n")
+        # a write error must surface here, not in the flush at exit
+        fh.flush()
 
 
 def _require_positive(**options) -> None:
@@ -101,6 +105,10 @@ def _run(body, out):
     try:
         _emit(payload, out)
     except OSError as exc:
+        if out is None and exc.errno == errno.EPIPE:
+            # stdout still buffers text for a reader that is gone; send it
+            # to the null device, or the flush at exit fails once more
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         _exit_io(exc)
     sys.exit(code)
 

@@ -432,6 +432,22 @@ class TestOutputContract:
         assert info.value.code == 3
         assert "No space left on device" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args", [
+        ["fermion_pair.json"], ["boson_oscillator.json", "--count", "20000"],
+    ], ids=["buffered", "streamed"])
+    def test_closed_pipe_exits_3(self, monkeypatch, args):
+        # the reader is gone before the first byte: a short payload fails in
+        # the final flush, a long one part-way through the stream.  stdout
+        # must be buffered, as it is by default, for the first case to show
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+        code = ("import os, sys\n"
+                "r, w = os.pipe(); os.close(r); os.dup2(w, 1); os.close(w)\n"
+                "from bogodiag.cli import main\n"
+                "main(args=sys.argv[1:])\n")
+        result = run_child(code, "spectrum", str(FIXTURES / args[0]), *args[1:])
+        assert result.returncode == 3
+        assert result.stderr == f"i/o error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+
     @pytest.mark.parametrize("command", ["spectrum", "verify"])
     @pytest.mark.parametrize("u, const", [
         ([[0.0, 1.5e308, 0.0, 0.0], [-1.5e308, 0.0, 0.0, 0.0],

@@ -124,8 +124,8 @@ class TestLadderSums:
         assert [v.check for v in info.value.violations] == ["derived_finite"]
 
 
-def rendered(result, levels=4096):
-    return "".join(result.json_chunks(levels))
+def rendered(result):
+    return "".join(result.json_chunks())
 
 
 def dumped(result):
@@ -165,7 +165,8 @@ class TestJsonChunks:
     def test_chunk_boundaries(self, levels):
         form = random_fermion_form(np.random.default_rng(3), 4)
         result = bd.fermion_spectrum(bd.diagonalize_fermion(bd.to_standard(form)))
-        chunks = list(result.json_chunks(levels))
+        with mock.patch.object(spectral, "_CHUNK_LEVELS", levels):
+            chunks = list(result.json_chunks())
         assert len(chunks) == 2 + (16 - 1) // levels
         assert "".join(chunks) == dumped(result)
 
@@ -181,7 +182,8 @@ class TestJsonChunks:
         result = spectral.SpectrumResult(
             energies=energies, rungs=np.arange(8, dtype=np.uint8)[:, None], sectors=None,
             label_kind="occupations", complete=False, bounded_below=True)
-        assert rendered(result, levels=3) == dumped(result)
+        with mock.patch.object(spectral, "_CHUNK_LEVELS", 3):
+            assert rendered(result) == dumped(result)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_nonfinite_energy_refused(self, value):
