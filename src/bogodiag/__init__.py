@@ -50,6 +50,7 @@ from .spectral import (
     ladder_sums,
 )
 from .morse import (
+    IDENTITY_TOL,
     TWO_FORM_COEFF,
     MorseReport,
     PointReport,
@@ -57,6 +58,7 @@ from .morse import (
     VectorFieldFixture,
     cross_term_identity,
     fixture_from_dict,
+    identity_residuals,
     local_witten_spectrum,
     morse_report,
     point_sign,
@@ -64,6 +66,7 @@ from .morse import (
     wedge_contraction_identity,
     zero_mode_parity,
 )
+from .verify import VerifyReport, verify_form
 
 __version__ = "0.1.0"
 

@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 validation or assertion failure, 2 mathematical
 error (non-real spectrum, defective pencil, continuous spectrum, degenerate
 point, resource guard), 3 I/O failure.  All numeric work lives in the
-library; commands only parse files, dispatch and render JSON.  The
-brute-force oracle (``fock``) is imported by ``verify`` and ``lemmas`` when
-they run, so the other commands start without it; the oracle loads scipy
-only for bosonic ``verify``.
+library; each command parses its file and options, makes one library call
+and renders the result as JSON.  ``verify`` and ``lemmas`` load the
+brute-force oracle (``fock``) when they run, so the other commands start
+without it; the oracle loads scipy only for bosonic ``verify``.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import json
+import math
 import os
 import sys
 
@@ -21,31 +22,13 @@ import click
 import numpy as np
 
 from . import forms, morse, spectral
-from .errors import (
-    ContinuousSpectrum,
-    DefectiveMatrix,
-    DegeneratePoint,
-    NonCanonicalTransform,
-    NonDiscreteMode,
-    NonRealSpectrum,
-    ResourceLimitError,
-    ValidationError,
-)
+from .errors import BogodiagError, ValidationError
+from .verify import verify_form
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_MATH = 2
 EXIT_IO = 3
-
-_MATH_ERRORS = (
-    NonRealSpectrum,
-    DefectiveMatrix,
-    ContinuousSpectrum,
-    NonDiscreteMode,
-    DegeneratePoint,
-    ResourceLimitError,
-    NonCanonicalTransform,
-)
 
 
 def _read_json(path: str) -> dict:
@@ -71,6 +54,14 @@ def _emit(payload, out: str | None) -> None:
         fh.flush()
 
 
+def _violations(violations) -> list:
+    """Violations as JSON objects; JSON has no infinity, so a deviation that
+    is not finite is null."""
+    return [{"check": v.check, "message": v.message,
+             "deviation": v.deviation if math.isfinite(v.deviation) else None}
+            for v in violations]
+
+
 def _require_positive(**options) -> None:
     for name, value in options.items():
         if value < 1:
@@ -86,20 +77,18 @@ def _run(body, out):
     """
     try:
         payload, code = body()
-    except (*_MATH_ERRORS, np.linalg.LinAlgError) as exc:
-        # LinAlgError is a backstop: validation should refuse every input
-        # that LAPACK cannot handle, but a failure still gets a payload
-        payload, code = {"error": type(exc).__name__, "detail": str(exc)}, EXIT_MATH
     except ValidationError as exc:
         payload = {
             "error": "ValidationError",
             "detail": str(exc),
-            "violations": [
-                {"check": v.check, "message": v.message, "deviation": v.deviation}
-                for v in exc.violations
-            ],
+            "violations": _violations(exc.violations),
         }
         code = EXIT_INVALID
+    except (BogodiagError, np.linalg.LinAlgError) as exc:
+        # every other error of the package is mathematical; LinAlgError is a
+        # backstop: validation should refuse every input that LAPACK cannot
+        # handle, but a failure still gets a payload
+        payload, code = {"error": type(exc).__name__, "detail": str(exc)}, EXIT_MATH
     except (OSError, json.JSONDecodeError) as exc:
         _exit_io(exc)
     try:
@@ -134,13 +123,7 @@ def validate(form_file, tol, out):
     def body():
         form = forms.form_from_dict(_read_json(form_file))
         violations = forms.validate(form, tol_sym=tol)
-        payload = {
-            "valid": not violations,
-            "violations": [
-                {"check": v.check, "message": v.message, "deviation": v.deviation}
-                for v in violations
-            ],
-        }
+        payload = {"valid": not violations, "violations": _violations(violations)}
         return payload, EXIT_OK if not violations else EXIT_INVALID
 
     _run(body, out)
@@ -185,60 +168,6 @@ def spectrum(form_file, count, out):
     _run(body, out)
 
 
-def _verify_fermion(form, tol):
-    from . import fock
-
-    std = forms.to_standard(form)
-    result = spectral.fermion_spectrum(spectral.diagonalize_fermion(std))
-    oracle_even, oracle_odd = fock.sector_spectra(form, fock.build_fermion_rep(form.n))
-    closed = result.energies  # ascending, so each sector's subset is too
-    oracle_all = np.sort(np.concatenate([oracle_even, oracle_odd]))
-    max_dev = float(np.max(np.abs(closed - oracle_all)))
-    mismatches = int(np.sum(np.abs(closed[result.sectors == 0] - oracle_even) > tol))
-    mismatches += int(np.sum(np.abs(closed[result.sectors == 1] - oracle_odd) > tol))
-    payload = {
-        "statistics": "fermion",
-        "compared": len(closed),
-        "max_abs_deviation": max_dev,
-        "sector_mismatches": mismatches,
-    }
-    ok = max_dev <= tol and mismatches == 0
-    return payload, EXIT_OK if ok else EXIT_INVALID
-
-
-def _verify_boson(form, cutoff, count, tol):
-    std = forms.to_standard(form)
-    data = spectral.diagonalize_boson(std)
-    result = spectral.boson_spectrum(data, count)
-    if not result.bounded_below:
-        payload = {
-            "statistics": "boson",
-            "bounded_below": False,
-            "compared": 0,
-            "max_abs_deviation": 0.0,
-            "sector_mismatches": 0,
-            "warning": "spectrum is unbounded below; nothing to compare",
-        }
-        return payload, EXIT_OK
-    from . import fock
-
-    oracle = fock.truncation_stable_spectrum(form, cutoff, count, tol)
-    closed = result.energies
-    m = min(len(closed), oracle.stable_count)
-    max_dev = float(np.max(np.abs(closed[:m] - np.array(oracle.values[:m])))) if m else 0.0
-    payload = {
-        "statistics": "boson",
-        "bounded_below": True,
-        "compared": m,
-        "max_abs_deviation": max_dev,
-        "sector_mismatches": 0,
-    }
-    if oracle.warning:
-        payload["warning"] = oracle.warning
-    ok = m == count and max_dev <= tol
-    return payload, EXIT_OK if ok else EXIT_INVALID
-
-
 @main.command()
 @click.argument("form_file")
 @click.option("--cutoff", type=int, default=40, show_default=True,
@@ -254,14 +183,8 @@ def verify(form_file, cutoff, count, tol, out):
     def body():
         _require_positive(cutoff=cutoff, count=count)
         form = forms.form_from_dict(_read_json(form_file))
-        violations = forms.validate(form)
-        if violations:
-            raise ValidationError(
-                "invalid form: " + "; ".join(v.message for v in violations), violations
-            )
-        if form.statistics is forms.Statistics.FERMION:
-            return _verify_fermion(form, tol)
-        return _verify_boson(form, cutoff, count, tol)
+        report = verify_form(form, cutoff, count, tol)
+        return report.to_dict(), EXIT_OK if report.ok else EXIT_INVALID
 
     _run(body, out)
 
@@ -290,28 +213,15 @@ def lemmas(n, seed, trials, out):
     """Operator-identity residuals over random inputs (threshold 1e-12)."""
 
     def body():
-        from . import fock
-
         _require_positive(n=n, trials=trials)
-        rep = fock.build_fermion_rep(n)
-        rng = np.random.default_rng(seed)
-        max_wedge = 0.0
-        max_cross = 0.0
-        for trial in range(trials):
-            omega = rng.uniform(-1.0, 1.0, size=n)
-            jac = rng.uniform(-1.0, 1.0, size=(n, n))
-            if trial % 2 == 1:
-                jac = (jac + jac.T) / 2.0  # exact-form case: no 2-form part
-            residual, _ = morse.cross_term_identity(jac, rep)
-            max_cross = max(max_cross, residual)
-            max_wedge = max(max_wedge, morse.wedge_contraction_identity(omega, rep))
+        max_wedge, max_cross = morse.identity_residuals(n, seed, trials)
         payload = {
             "n": n,
             "trials": trials,
             "wedge_contraction_max_residual": max_wedge,
             "cross_term_max_residual": max_cross,
         }
-        ok = max_wedge <= 1e-12 and max_cross <= 1e-12
+        ok = max_wedge <= morse.IDENTITY_TOL and max_cross <= morse.IDENTITY_TOL
         return payload, EXIT_OK if ok else EXIT_INVALID
 
     _run(body, out)

@@ -36,7 +36,7 @@ from .forms import BogoliubovTransform, QuadraticForm, StandardForm, Statistics
 #: Largest fermionic Fock dimension the oracle will build (2^12).
 FERMION_DIM_GUARD = 4096
 
-#: Default guard on the truncated bosonic Fock dimension (cutoff+1)^n.
+#: Guard on the truncated bosonic Fock dimension (cutoff+1)^n.
 BOSON_DIM_GUARD = 200_000
 
 #: Above this dimension eigenvalue prefixes switch from dense to Lanczos.
@@ -128,14 +128,14 @@ def build_fermion_rep(n: int) -> FermionFockRep:
     return FermionFockRep(n=n)
 
 
-def build_boson_rep(n: int, cutoff: int, dim_guard: int = BOSON_DIM_GUARD) -> BosonFockRep:
-    """Truncated bosonic representation; guarded at (cutoff+1)^n <= dim_guard."""
+def build_boson_rep(n: int, cutoff: int) -> BosonFockRep:
+    """Truncated bosonic representation; guarded at (cutoff+1)^n <= BOSON_DIM_GUARD."""
     if n < 1 or cutoff < 1:
         raise ValueError("n and cutoff must be at least 1")
     dim = (cutoff + 1) ** n
-    if dim > dim_guard:
+    if dim > BOSON_DIM_GUARD:
         raise ResourceLimitError(
-            f"bosonic Fock dimension {dim} = ({cutoff}+1)^{n} exceeds the guard {dim_guard}"
+            f"bosonic Fock dimension {dim} = ({cutoff}+1)^{n} exceeds the guard {BOSON_DIM_GUARD}"
         )
     return BosonFockRep(n=n, cutoff=cutoff)
 
@@ -232,14 +232,13 @@ def _check_rep(form, rep) -> None:
         raise ValueError(f"mode count mismatch: form has {form.n}, rep has {rep.n}")
 
 
-def _lowest_pairs(matrix: Matrix, k: int, dense_limit: int = DENSE_EIG_LIMIT,
-                  v0: Optional[np.ndarray] = None,
+def _lowest_pairs(matrix: Matrix, k: int, v0: Optional[np.ndarray] = None,
                   vectors: bool = False) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """The k smallest eigenvalues, ascending, with their eigenvectors if asked.
 
-    Small matrices, dense input and requests for (nearly) every eigenvalue
-    take a dense solve, which raises ValueError for a matrix that is not
-    symmetric within 1e-10; the rest implicitly restarted Lanczos (ARPACK)
+    Matrices up to DENSE_EIG_LIMIT, dense input and requests for (nearly)
+    every eigenvalue take a dense solve, which raises ValueError for a matrix
+    that is not symmetric within 1e-10; the rest implicitly restarted Lanczos (ARPACK)
     from `v0`, by default the uniform vector, so results are deterministic.
     The working set is estimated first and refused with ResourceLimitError
     above EIGENSOLVE_BYTES_GUARD, before anything is allocated.
@@ -247,7 +246,7 @@ def _lowest_pairs(matrix: Matrix, k: int, dense_limit: int = DENSE_EIG_LIMIT,
     dim = matrix.shape[0]
     k = min(k, dim)
     sparse = hasattr(matrix, "toarray")
-    if not sparse or dim <= dense_limit or k >= dim - 1:
+    if not sparse or dim <= DENSE_EIG_LIMIT or k >= dim - 1:
         # the matrix, its symmetrized copy, LAPACK's copy and the eigenvectors
         _check_eigensolve_bytes(4 * 8 * dim * dim, f"dense eigensolve of dimension {dim}")
         dense = matrix.toarray() if sparse else np.asarray(matrix, dtype=float)
@@ -284,11 +283,11 @@ def _check_eigensolve_bytes(estimate: int, what: str) -> None:
         )
 
 
-def lowest_eigenvalues(matrix: Matrix, k: int, dense_limit: int = DENSE_EIG_LIMIT) -> np.ndarray:
+def lowest_eigenvalues(matrix: Matrix, k: int) -> np.ndarray:
     """The k smallest eigenvalues, by dense solve or deterministic Lanczos
     (k = dim gives the whole spectrum); ResourceLimitError when the solve
     would need over EIGENSOLVE_BYTES_GUARD."""
-    return _lowest_pairs(matrix, k, dense_limit)[0]
+    return _lowest_pairs(matrix, k)[0]
 
 
 def sector_spectra(form: QuadraticForm, rep: FermionFockRep) -> tuple[np.ndarray, np.ndarray]:
@@ -319,7 +318,6 @@ class TruncationResult:
     """Stable eigenvalue prefix from a cutoff-doubling comparison."""
 
     values: tuple
-    requested: int
     warning: Optional[str] = None
 
     @property
@@ -327,8 +325,8 @@ class TruncationResult:
         return len(self.values)
 
 
-def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int, tol: float,
-                               dim_guard: int = BOSON_DIM_GUARD) -> TruncationResult:
+def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
+                               tol: float) -> TruncationResult:
     """The k smallest oracle eigenvalues that survive doubling the cutoff.
 
     Eigenvalues are computed at `cutoff` and `2*cutoff`; the returned prefix
@@ -346,9 +344,9 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int, tol: fl
     if form.statistics is not Statistics.BOSON:
         raise ValueError("truncation control applies to bosonic forms only")
     if k == 0:
-        return TruncationResult(values=(), requested=0)
-    rep_lo = build_boson_rep(form.n, cutoff, dim_guard)
-    rep_hi = build_boson_rep(form.n, 2 * cutoff, dim_guard)
+        return TruncationResult(values=())
+    rep_lo = build_boson_rep(form.n, cutoff)
+    rep_hi = build_boson_rep(form.n, 2 * cutoff)
     lo, ritz = _lowest_pairs(build_hamiltonian(form, rep_lo), k, vectors=True)
     start = ritz.sum(axis=1)
     del ritz  # the fine assembly is the memory peak; add nothing to it
@@ -366,8 +364,7 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int, tol: fl
             f"only {stable} of {k} eigenvalues are stable under cutoff doubling "
             f"({cutoff} vs {2 * cutoff}); the spectrum may be continuous or unbounded below"
         )
-    return TruncationResult(values=tuple(float(v) for v in hi[:stable]),
-                            requested=k, warning=warning)
+    return TruncationResult(values=tuple(float(v) for v in hi[:stable]), warning=warning)
 
 
 def bogoliubov_mode_operators(rep, b: BogoliubovTransform) -> list:

@@ -45,7 +45,7 @@ from .errors import NonCanonicalTransform, ValidationError
 #: Default tolerance for the symmetry checks of U and V.
 TOL_SYM = 1e-9
 
-#: Default tolerance for the canonicality residual of a transform.
+#: Tolerance for the canonicality residual of a transform.
 TOL_CANON = 1e-9
 
 
@@ -241,7 +241,7 @@ def validate(form: QuadraticForm, tol_sym: float = TOL_SYM) -> list[Violation]:
     return out
 
 
-def to_standard(form: QuadraticForm, tol_sym: float = TOL_SYM) -> StandardForm:
+def to_standard(form: QuadraticForm) -> StandardForm:
     """Rewrite a valid quadratic form in its normal form.
 
     Bosons: T = (U+V)/2, R = (U-V)/2, k0 = const - Tr V.
@@ -250,7 +250,7 @@ def to_standard(form: QuadraticForm, tol_sym: float = TOL_SYM) -> StandardForm:
     The k0 values make the normal form equal the defining operator exactly
     on the Fock space (reordering a_i^+ a_j into a_j a_i^+ produces traces).
     """
-    violations = validate(form, tol_sym)
+    violations = validate(form, TOL_SYM)
     if violations:
         raise ValidationError("invalid form: " + "; ".join(v.message for v in violations), violations)
     k0, mats = _normal_coefficients(form)
@@ -270,7 +270,7 @@ def from_standard(std: StandardForm) -> QuadraticForm:
     return QuadraticForm(statistics=Statistics.FERMION, U=u, V=v, const=const)
 
 
-def is_canonical(b: BogoliubovTransform, tol_canon: float = TOL_CANON) -> tuple[bool, float]:
+def is_canonical(b: BogoliubovTransform) -> tuple[bool, float]:
     """Canonicality predicate; returns (verdict, max-norm residual)."""
     eye = np.eye(b.n)
     if b.statistics is Statistics.BOSON:
@@ -281,21 +281,20 @@ def is_canonical(b: BogoliubovTransform, tol_canon: float = TOL_CANON) -> tuple[
             float(np.max(np.abs(op.T @ op - eye))),
             float(np.max(np.abs(om.T @ om - eye))),
         )
-    return dev <= tol_canon, dev
+    return dev <= TOL_CANON, dev
 
 
-def is_positive(b: BogoliubovTransform, tol_canon: float = TOL_CANON) -> bool:
+def is_positive(b: BogoliubovTransform) -> bool:
     """Orientation predicate selecting the isospectral transform class."""
     if b.statistics is Statistics.BOSON:
         return np.linalg.det(b.P + b.Q) > 0 and np.linalg.det(b.P - b.Q) > 0
     return (
-        abs(np.linalg.det(b.o_plus) - 1.0) <= tol_canon
-        and abs(np.linalg.det(b.o_minus) - 1.0) <= tol_canon
+        abs(np.linalg.det(b.o_plus) - 1.0) <= TOL_CANON
+        and abs(np.linalg.det(b.o_minus) - 1.0) <= TOL_CANON
     )
 
 
-def apply_transform(std: StandardForm, b: BogoliubovTransform,
-                    tol_canon: float = TOL_CANON) -> StandardForm:
+def apply_transform(std: StandardForm, b: BogoliubovTransform) -> StandardForm:
     """Transform the normal-form coefficients by a canonical transform.
 
     The constant k0 is unchanged: the transform is a change of operator
@@ -303,7 +302,7 @@ def apply_transform(std: StandardForm, b: BogoliubovTransform,
     """
     if std.statistics is not b.statistics:
         raise NonCanonicalTransform("statistics of form and transform differ")
-    ok, dev = is_canonical(b, tol_canon)
+    ok, dev = is_canonical(b)
     if not ok:
         raise NonCanonicalTransform(f"transform is not canonical (residual {dev:.3e})")
     if std.statistics is Statistics.BOSON:

@@ -45,6 +45,9 @@ DEGENERACY_TOL = 1e-10
 #: wedge coefficients; pinned by the cross-term identity test.
 TWO_FORM_COEFF = -0.5
 
+#: Largest residual the operator identities may show (floating-point noise).
+IDENTITY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SingularPoint:
@@ -279,6 +282,25 @@ def cross_term_identity(omega_jac, rep: Optional[FermionFockRep] = None) -> tupl
     const = float(np.mean(scalar))
     scalar -= const
     return float(np.max(np.abs(diff))), const
+
+
+def identity_residuals(n: int, seed: int, trials: int) -> tuple[float, float]:
+    """Largest (wedge-contraction, cross-term) residuals, each within
+    IDENTITY_TOL when the identities hold, over `trials` 1-forms and
+    jacobians on n modes drawn from [-1, 1]; odd trials symmetrize the
+    jacobian (an exact form, no 2-form part).  ResourceLimitError from n = 13.
+    """
+    rep = _fermion_rep(n, None)
+    rng = np.random.default_rng(seed)
+    max_wedge = max_cross = 0.0
+    for trial in range(trials):
+        omega = rng.uniform(-1.0, 1.0, size=n)
+        jac = rng.uniform(-1.0, 1.0, size=(n, n))
+        if trial % 2 == 1:
+            jac = (jac + jac.T) / 2.0
+        max_cross = max(max_cross, cross_term_identity(jac, rep)[0])
+        max_wedge = max(max_wedge, wedge_contraction_identity(omega, rep))
+    return max_wedge, max_cross
 
 
 def fixture_from_dict(data: dict) -> VectorFieldFixture:

@@ -269,7 +269,7 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list:
     return clusters
 
 
-def diagonalize_boson(std: StandardForm, cond_max: float = COND_MAX) -> BosonModeData:
+def diagonalize_boson(std: StandardForm) -> BosonModeData:
     """Simultaneously diagonalize (T, R) through the pencil M = R T.
 
     Raises NonRealSpectrum when M has genuinely complex eigenvalues and
@@ -293,9 +293,9 @@ def diagonalize_boson(std: StandardForm, cond_max: float = COND_MAX) -> BosonMod
     eigvals = eigvals.real.copy()
     eigvecs = eigvecs.real.copy()
     cond = np.linalg.cond(eigvecs)
-    if not np.isfinite(cond) or cond > cond_max:
+    if not np.isfinite(cond) or cond > COND_MAX:
         raise DefectiveMatrix(
-            f"eigenvector matrix has condition number {cond:.3e} (limit {cond_max:.1e})"
+            f"eigenvector matrix has condition number {cond:.3e} (limit {COND_MAX:.1e})"
         )
     order = np.argsort(eigvals, kind="stable")
     eigvals = eigvals[order]
@@ -387,15 +387,15 @@ def _classify_mode(t: float, r: float) -> ModeClass:
     return ModeClass.CONTINUOUS_INVERTED
 
 
-def boson_mode_levels(t: float, r: float, count: int) -> list[float]:
-    """Ladder of one discrete oscillator mode, bottom `count` rungs.
+def boson_mode_levels(t: float, r: float, count: int) -> np.ndarray:
+    """Ladder of one discrete oscillator mode, bottom `count` rungs, as an array.
 
     Monotone increasing in m exactly when r < 0 (bounded below).
     """
     if abs(r) <= TOL_ZERO or abs(t) <= TOL_ZERO or t * r > 0:
         raise NonDiscreteMode(f"mode (t={t}, r={r}) has no discrete ladder")
     spacing = LEVEL_COEFF * (r / abs(r)) * np.sqrt(-r * t)
-    return [float(spacing * (m + 0.5)) for m in range(count)]
+    return spacing * (np.arange(count) + 0.5)
 
 
 def ladder_sums(ladders: Sequence[Sequence[float]], k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -84,6 +84,14 @@ def run_capped_cli(cap_bytes, *args):
     return run_child(CAPPED_CLI, str(cap_bytes), *args)
 
 
+def strict_json(text):
+    """Parse JSON as RFC 8259 has it: no Infinity, -Infinity or NaN."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -464,7 +472,7 @@ class TestOutputContract:
             warnings.simplefilter("always")
             result = runner.invoke(main, [command, path])
         assert result.exit_code == 1
-        payload = json.loads(result.stdout)
+        payload = strict_json(result.stdout)
         assert [v["check"] for v in payload["violations"]] == ["derived_finite"]
         assert "Infinity" not in payload["detail"] and result.stderr == ""
         assert [str(w.message) for w in caught] == []
@@ -517,6 +525,22 @@ class TestOutputContract:
         assert result.exit_code == 1
         payload = json.loads(result.output)
         assert [v["check"] for v in payload["violations"]] == ["derived_finite"]
+
+    @pytest.mark.parametrize("command", ["validate", "diagonalize", "spectrum", "verify"])
+    @pytest.mark.parametrize("text, checks", [
+        ('{"statistics": "boson", "n": 1, "U": [[1e308]], "V": [[1e308]]}', ["derived_finite"]),
+        ('{"statistics": "boson", "n": 1, "U": [[Infinity]], "V": [[0.0]]}', ["finite"]),
+        ('{"statistics": "fermion", "n": 2, "U": [[0.0, 0.0], [0.0, 0.0]],'
+         ' "V": [[0.0, 1e308], [-1e308, 0.0]]}', ["V_symmetric"]),
+    ], ids=["derived_finite", "finite", "V_symmetric"])
+    def test_infinite_deviation_renders_null(self, runner, tmp_path, command, text, checks):
+        path = tmp_path / "refused.json"
+        path.write_text(text)
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 1
+        violations = strict_json(result.stdout)["violations"]
+        assert [v["check"] for v in violations] == checks
+        assert [v["deviation"] for v in violations] == [None]
 
     def test_linalg_error_exits_2_with_payload(self, runner, tmp_path, monkeypatch):
         def fail(std):

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from conftest import bounded_boson_form, random_boson_form, random_fermion_form
 
 import bogodiag as bd
-from bogodiag import Statistics
+from bogodiag import Statistics, fock
 
 
 def box_embedding(n, cutoff, fine_cutoff):
@@ -80,10 +80,11 @@ class TestBosonRep:
     def test_dimension(self):
         assert bd.build_boson_rep(2, 5).dim == 36
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         with pytest.raises(bd.ResourceLimitError):
             bd.build_boson_rep(3, 60)  # 61^3 > 200000
-        bd.build_boson_rep(3, 60, dim_guard=300_000)
+        monkeypatch.setattr(fock, "BOSON_DIM_GUARD", 300_000)
+        bd.build_boson_rep(3, 60)
 
 
 class TestBuildHamiltonian:

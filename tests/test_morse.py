@@ -255,6 +255,14 @@ class TestOperatorIdentities:
             assert residual <= 1e-12
 
 
+    def test_identity_residuals_n3(self, monkeypatch):
+        wedge, cross = bd.identity_residuals(3, seed=0, trials=6)
+        assert wedge <= bd.IDENTITY_TOL and cross <= bd.IDENTITY_TOL
+        # the trials include jacobians with a 2-form part
+        monkeypatch.setattr(morse, "TWO_FORM_COEFF", 1.0)
+        assert bd.identity_residuals(3, seed=0, trials=6)[1] > 0.1
+
+
 class TestMorseReport:
     def test_full_report(self):
         report = bd.morse_report(torus_fixture())

@@ -14,5 +14,6 @@ def test_readme_has_python_examples():
 
 
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
-def test_python_block_runs(index):
+def test_python_block_runs(index, monkeypatch):
+    monkeypatch.chdir(README.parent)  # the examples read fixtures/ by relative path
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})

@@ -135,6 +135,20 @@ class TestModeLevels:
         (level0,) = bd.boson_mode_levels(2.0, -2.0, 1)
         assert abs(level0) == pytest.approx(abs(bd.LEVEL_COEFF))
 
+    def test_array_bit_identical_to_scalar_rungs(self):
+        # each rung as its own float64 product, the ladder's former list form
+        rng = np.random.default_rng(2000)
+        for _ in range(2000):
+            sign = float(rng.choice([-1.0, 1.0]))
+            t = sign * 10.0 ** rng.uniform(-6.0, 6.0)
+            r = -sign * 10.0 ** rng.uniform(-6.0, 6.0)
+            count = int(rng.integers(1, 300))
+            spacing = bd.LEVEL_COEFF * (r / abs(r)) * np.sqrt(-r * t)
+            expected = np.array([float(spacing * (m + 0.5)) for m in range(count)])
+            levels = bd.boson_mode_levels(t, r, count)
+            assert isinstance(levels, np.ndarray) and levels.dtype == np.float64
+            assert np.array_equal(levels.view(np.uint64), expected.view(np.uint64))
+
     def test_non_discrete_rejected(self):
         for t, r in [(0.5, 0.5), (0.0, 1.0), (1.0, 0.0)]:
             with pytest.raises(bd.NonDiscreteMode):
