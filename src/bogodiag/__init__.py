@@ -62,7 +62,6 @@ from .morse import (
     local_witten_spectrum,
     morse_report,
     point_sign,
-    poincare_hopf_check,
     wedge_contraction_identity,
     zero_mode_parity,
 )

@@ -66,12 +66,10 @@ def _as_square_matrix(m, name: str, n: Optional[int] = None) -> np.ndarray:
     return arr
 
 
-def _sym_deviation(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m - m.T))) if m.size else 0.0
-
-
-def _antisym_deviation(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m + m.T))) if m.size else 0.0
+def _deviation(m: np.ndarray, sign: float) -> float:
+    """max |m - sign * m^t|; finite entries overflow only to inf, never NaN."""
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(m - sign * m.T))) if m.size else 0.0
 
 
 @dataclass(frozen=True)
@@ -214,15 +212,15 @@ def validate(form: QuadraticForm, tol_sym: float = TOL_SYM) -> list[Violation]:
     if not finite:
         out.append(Violation("finite", "non-finite entries", float("inf")))
         return out
-    dev_v = _sym_deviation(form.V)
+    dev_v = _deviation(form.V, 1.0)
     if dev_v > tol_sym:
         out.append(Violation("V_symmetric", "V not symmetric", dev_v))
     if form.statistics is Statistics.BOSON:
-        dev_u = _sym_deviation(form.U)
+        dev_u = _deviation(form.U, 1.0)
         if dev_u > tol_sym:
             out.append(Violation("U_symmetric", "U not symmetric", dev_u))
     else:
-        dev_u = _antisym_deviation(form.U)
+        dev_u = _deviation(form.U, -1.0)
         if dev_u > tol_sym:
             out.append(Violation("U_antisymmetric", "U not antisymmetric", dev_u))
     k0, mats = _normal_coefficients(form)

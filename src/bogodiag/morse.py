@@ -23,23 +23,21 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import DegeneratePoint, ResourceLimitError, ValidationError
+from .errors import DegeneratePoint, ValidationError
 from .forms import StandardForm, Statistics
 from .spectral import (
-    FERMION_SPECTRUM_GUARD,
+    DEGENERACY_TOL,
     FermionModeData,
     Parity,
     SpectrumResult,
+    degenerate,
     diagonalize_fermion,
+    guard_level_count,
     ladder_sums,
 )
 
 if TYPE_CHECKING:
     from .fock import FermionFockRep
-
-#: Relative degeneracy threshold on sigma_min / sigma_max of a jacobian, and
-#: on min |lambda| / max |lambda| of local frequencies.
-DEGENERACY_TOL = 1e-10
 
 #: Coefficient turning the jacobian's antisymmetric part into the 2-form
 #: wedge coefficients; pinned by the cross-term identity test.
@@ -93,8 +91,8 @@ class VectorFieldFixture:
 class PointReport:
     label: str
     sign: int
-    lambdas: Optional[tuple] = None
-    zero_mode_sector: Optional[Parity] = None
+    lambdas: tuple
+    zero_mode_sector: Parity
 
 
 @dataclass(frozen=True)
@@ -111,32 +109,21 @@ class MorseReport:
             "m_minus": self.m_minus,
             "chi_computed": self.chi_computed,
             "chi_matches": self.chi_matches,
-            "points": [
-                {
-                    "label": p.label,
-                    "sign": p.sign,
-                    **({"lambdas": list(p.lambdas)} if p.lambdas is not None else {}),
-                    **(
-                        {"zero_mode_sector": p.zero_mode_sector.value}
-                        if p.zero_mode_sector is not None
-                        else {}
-                    ),
-                }
-                for p in self.points
-            ],
+            "points": [{"label": p.label, "sign": p.sign, "lambdas": list(p.lambdas),
+                        "zero_mode_sector": p.zero_mode_sector.value} for p in self.points],
         }
 
 
 def _point_modes(point: SingularPoint) -> FermionModeData:
     """Signed singular values of the jacobian, refused when degenerate.
 
-    The point is degenerate when sigma_min <= DEGENERACY_TOL * sigma_max, a
-    test that rescaling the jacobian leaves unchanged.
+    The point is degenerate when its sign is ambiguous, the shared test
+    spectral.degenerate(sigma): sigma_min <= DEGENERACY_TOL * sigma_max.
     """
     std = StandardForm(statistics=Statistics.FERMION, C=point.jacobian, k0=0.0)
     data = diagonalize_fermion(std)
-    mags = np.abs(data.lambdas)
-    if mags.min() <= DEGENERACY_TOL * mags.max():
+    if data.sign_ambiguous:
+        mags = np.abs(data.lambdas)
         raise DegeneratePoint(
             f"point {point.label!r} has singular values {mags.min():.3e} <= "
             f"{DEGENERACY_TOL:.0e} * {mags.max():.3e}"
@@ -154,32 +141,14 @@ def point_sign(point: SingularPoint) -> int:
     return _sign(_point_modes(point))
 
 
-def _summary(fixture: VectorFieldFixture, reports: list) -> MorseReport:
-    m_plus = sum(1 for r in reports if r.sign > 0)
-    m_minus = len(reports) - m_plus
-    chi_computed = m_plus - m_minus
-    return MorseReport(
-        m_plus=m_plus,
-        m_minus=m_minus,
-        chi_computed=chi_computed,
-        chi_matches=chi_computed == fixture.chi,
-        points=tuple(reports),
-    )
-
-
-def poincare_hopf_check(fixture: VectorFieldFixture) -> MorseReport:
-    """Signed point count versus the supplied Euler characteristic."""
-    return _summary(fixture, [PointReport(label=p.label, sign=point_sign(p))
-                              for p in fixture.points])
-
-
 def zero_mode_parity(point: SingularPoint) -> Parity:
     """Parity sector of the unique local zero mode: even iff det > 0."""
     return Parity.EVEN if point_sign(point) > 0 else Parity.ODD
 
 
 def morse_report(fixture: VectorFieldFixture) -> MorseReport:
-    """Full report: counts, chi check, per-point spectra and parities.
+    """Signed point count versus the supplied Euler characteristic, with
+    per-point spectra and parities.
 
     One SVD per point gives its sign, its lambdas and its zero-mode sector.
     """
@@ -193,7 +162,11 @@ def morse_report(fixture: VectorFieldFixture) -> MorseReport:
             lambdas=tuple(float(v) for v in data.lambdas),
             zero_mode_sector=Parity.EVEN if sign > 0 else Parity.ODD,
         ))
-    return _summary(fixture, reports)
+    m_plus = sum(1 for r in reports if r.sign > 0)
+    m_minus = len(reports) - m_plus
+    chi = m_plus - m_minus
+    return MorseReport(m_plus=m_plus, m_minus=m_minus, chi_computed=chi,
+                       chi_matches=chi == fixture.chi, points=tuple(reports))
 
 
 def local_witten_spectrum(lambdas, count: int) -> SpectrumResult:
@@ -201,19 +174,17 @@ def local_witten_spectrum(lambdas, count: int) -> SpectrumResult:
 
     Mode i sits on rung 2 m_i + f_i of its ladder.  Guaranteed: exactly one
     zero-energy entry, at all m_i = 0 and f_i = 1 exactly where
-    lambda_i < 0.  Frequencies with min |lambda| <= DEGENERACY_TOL *
-    max |lambda| raise DegeneratePoint: the near-zero levels they add would
-    break that uniqueness.  A count above FERMION_SPECTRUM_GUARD raises
+    lambda_i < 0.  Degenerate frequencies, by the shared test
+    spectral.degenerate (min |lambda| <= DEGENERACY_TOL * max |lambda|),
+    raise DegeneratePoint: the near-zero levels they add would break that
+    uniqueness.  A count above FERMION_SPECTRUM_GUARD raises
     ResourceLimitError before any ladder is built.
     """
     lam = np.asarray(lambdas, dtype=float)
-    mags = np.abs(lam)
-    if lam.size and mags.min() <= DEGENERACY_TOL * mags.max():
+    if lam.size and degenerate(lam):
+        mags = np.abs(lam)
         raise DegeneratePoint(f"frequency {mags.min():.3e} is degenerate next to {mags.max():.3e}")
-    if count > FERMION_SPECTRUM_GUARD:
-        raise ResourceLimitError(
-            f"count {count} exceeds the enumeration guard of {FERMION_SPECTRUM_GUARD} levels"
-        )
+    guard_level_count(count)
     m, f = np.divmod(np.arange(2 * count), 2)
     ladders = [abs(lv) * (2 * m + 1) + 2.0 * lv * f - lv for lv in lam]
     totals, rungs = ladder_sums(ladders, count)

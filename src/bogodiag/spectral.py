@@ -49,6 +49,9 @@ COND_MAX = 1e8
 #: Absolute threshold below which a diagonal entry t_i or r_i counts as zero.
 TOL_ZERO = 1e-10
 
+#: Relative threshold of the rank test in degenerate().
+DEGENERACY_TOL = 1e-10
+
 #: Scale-relative factor for the reality test of the R*T eigenvalues.
 IMAG_TOL_FACTOR = 1e-8
 
@@ -255,6 +258,20 @@ def _norm(a: np.ndarray) -> float:
     return peak * float(np.linalg.norm(a / peak)) if peak > 0.0 else 0.0
 
 
+def degenerate(values) -> bool:
+    """Numerical rank test min |x| <= DEGENERACY_TOL * max |x| on nonempty
+    singular values or frequencies; rescaling them leaves it unchanged."""
+    mags = np.abs(values)
+    return bool(mags.min() <= DEGENERACY_TOL * mags.max())
+
+
+def guard_level_count(count: int) -> None:
+    """ResourceLimitError when count levels exceed FERMION_SPECTRUM_GUARD."""
+    if count > FERMION_SPECTRUM_GUARD:
+        raise ResourceLimitError(
+            f"count {count} exceeds the enumeration guard of {FERMION_SPECTRUM_GUARD} levels")
+
+
 def _cluster_indices(values: np.ndarray, tol: float) -> list:
     """Group indices of a sorted array into runs of nearly equal values."""
     clusters = []
@@ -390,9 +407,10 @@ def _classify_mode(t: float, r: float) -> ModeClass:
 def boson_mode_levels(t: float, r: float, count: int) -> np.ndarray:
     """Ladder of one discrete oscillator mode, bottom `count` rungs, as an array.
 
-    Monotone increasing in m exactly when r < 0 (bounded below).
+    Monotone increasing in m exactly when r < 0 (bounded below); raises
+    NonDiscreteMode unless _classify_mode(t, r) is DISCRETE.
     """
-    if abs(r) <= TOL_ZERO or abs(t) <= TOL_ZERO or t * r > 0:
+    if _classify_mode(t, r) is not ModeClass.DISCRETE:
         raise NonDiscreteMode(f"mode (t={t}, r={r}) has no discrete ladder")
     spacing = LEVEL_COEFF * (r / abs(r)) * np.sqrt(-r * t)
     return spacing * (np.arange(count) + 0.5)
@@ -525,10 +543,7 @@ def boson_spectrum(data: BosonModeData, k: int) -> SpectrumResult:
             + ", ".join(sorted({c.value for c in non_discrete})),
             classes=tuple(m.mode_class for m in data.modes),
         )
-    if k > FERMION_SPECTRUM_GUARD:
-        raise ResourceLimitError(
-            f"count {k} exceeds the enumeration guard of {FERMION_SPECTRUM_GUARD} levels"
-        )
+    guard_level_count(k)
     bounded = all(m.r < 0 for m in data.modes)
     ladders = [boson_mode_levels(m.t, m.r, k) for m in data.modes]
     totals, rungs = ladder_sums(ladders, k if bounded else 0)
@@ -545,8 +560,8 @@ def diagonalize_fermion(std: StandardForm) -> FermionModeData:
     a negative determinant of either factor is repaired by flipping its last
     row/column and negating the matching (smallest) singular value.  The
     resulting signs satisfy prod sign(lambda_i) = sign(det C); that sign is
-    flagged ambiguous when sigma_min <= TOL_ZERO * sigma_max, a test that
-    rescaling C leaves unchanged.
+    flagged ambiguous when degenerate(sigma), sigma_min <= DEGENERACY_TOL *
+    sigma_max.
     """
     if std.statistics is not Statistics.FERMION:
         raise ValueError("expected a fermionic standard form")
@@ -561,7 +576,7 @@ def diagonalize_fermion(std: StandardForm) -> FermionModeData:
     if np.linalg.det(o_minus) < 0:
         o_minus[:, -1] *= -1.0
         lam[-1] *= -1.0
-    ambiguous = bool(sigma[-1] <= TOL_ZERO * sigma[0])
+    ambiguous = degenerate(sigma)
     o_plus.setflags(write=False)
     o_minus.setflags(write=False)
     lam.setflags(write=False)
@@ -577,8 +592,7 @@ def fermion_spectrum(data: FermionModeData) -> SpectrumResult:
     the occupation count mod 2.
     """
     n = data.n
-    if 2 ** n > FERMION_SPECTRUM_GUARD:
-        raise ResourceLimitError(f"2^{n} spectrum entries exceed the enumeration guard")
+    guard_level_count(2 ** n)
     lam = np.asarray(data.lambdas, dtype=float)
     totals, rungs = ladder_sums(np.multiply.outer(lam, (-1.0, 1.0)), 2 ** n)
     with np.errstate(over="ignore"):

@@ -49,8 +49,9 @@ def verify_form(form: QuadraticForm, cutoff: int, count: int, tol: float) -> Ver
 
     std = forms.to_standard(form)
     if form.statistics is Statistics.FERMION:
+        rep = fock.build_fermion_rep(form.n)  # refuses before the 2^n enumeration
         result = spectral.fermion_spectrum(spectral.diagonalize_fermion(std))
-        sectors = fock.sector_spectra(form, fock.build_fermion_rep(form.n))
+        sectors = fock.sector_spectra(form, rep)
         closed = result.energies  # ascending, so each sector's subset is too
         max_dev = float(np.max(np.abs(closed - np.sort(np.concatenate(sectors)))))
         mismatches = sum(int(np.sum(np.abs(closed[result.sectors == p] - oracle) > tol))

@@ -233,8 +233,8 @@ def test_criterion_8_index_fixtures():
         bd.SingularPoint("s1", np.diag([1.0, -1.0])),
         bd.SingularPoint("s2", np.diag([-1.0, 1.0])),
         bd.SingularPoint("max", np.diag([-1.0, -1.0]))))
-    rs = bd.poincare_hopf_check(sphere)
-    rt = bd.poincare_hopf_check(torus)
+    rs = bd.morse_report(sphere)
+    rt = bd.morse_report(torus)
     ok = (rs.m_plus, rs.m_minus, rs.chi_matches) == (2, 0, True) \
         and (rt.m_plus, rt.m_minus, rt.chi_matches) == (2, 2, True)
     _report(8, "index-theorem fixtures",

@@ -217,6 +217,19 @@ class TestSpectrum:
         payload = json.loads(result.output)
         assert payload["bounded_below"] is False and payload["entries"] == []
 
+    def test_fermion_n21_exits_2(self, runner, tmp_path):
+        # 2^21 levels: refused by the enumeration guard before any is built
+        n = 21
+        path = write_json(tmp_path / "f21.json", {
+            "statistics": "fermion", "n": n,
+            "U": np.zeros((n, n)).tolist(), "V": np.eye(n).tolist(), "const": 0.0,
+        })
+        result = runner.invoke(main, ["spectrum", path])
+        assert result.exit_code == 2
+        payload = json.loads(result.output)
+        assert payload["error"] == "ResourceLimitError"
+        assert payload["detail"] == f"count {2**n} exceeds the enumeration guard of {2**20} levels"
+
     def test_continuous_exits_2(self, runner, tmp_path):
         # T = R = 1/2: inverted oscillator
         path = write_json(tmp_path / "inv.json", {
@@ -359,6 +372,15 @@ class TestMorse:
         result = runner.invoke(main, ["morse", path])
         assert result.exit_code == 2
         assert json.loads(result.output)["error"] == "DegeneratePoint"
+
+    @pytest.mark.parametrize("fixture", [
+        {"n": 2, "chi": 0, "points": [{"label": "p", "jacobian": [[1.0, 0.0]]}]},
+        {"n": 3, "chi": 0, "points": [{"label": "p", "jacobian": [[1.0, 0.0], [0.0, 1.0]]}]},
+    ], ids=["non_square", "dimension_mismatch"])
+    def test_malformed_jacobian_exits_1(self, runner, tmp_path, fixture):
+        result = runner.invoke(main, ["morse", write_json(tmp_path / "bad.json", fixture)])
+        assert result.exit_code == 1
+        assert json.loads(result.output)["error"] == "ValidationError"
 
     @pytest.mark.parametrize("entry", ["NaN", "Infinity", "-Infinity"])
     def test_nonfinite_jacobian_exits_1(self, runner, tmp_path, entry):

@@ -85,6 +85,9 @@ class TestBosonRep:
             bd.build_boson_rep(3, 60)  # 61^3 > 200000
         monkeypatch.setattr(fock, "BOSON_DIM_GUARD", 300_000)
         bd.build_boson_rep(3, 60)
+        for n, cutoff in [(0, 5), (1, 0)]:
+            with pytest.raises(ValueError):
+                bd.build_boson_rep(n, cutoff)
 
 
 class TestBuildHamiltonian:

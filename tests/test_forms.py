@@ -27,6 +27,14 @@ class TestValidate:
         checks = {v.check for v in bd.validate(f)}
         assert checks == {"V_symmetric"}
 
+    def test_asymmetric_u_rejected_for_bosons(self):
+        f = bd.QuadraticForm(Statistics.BOSON, U=[[0, 1], [0, 0]], V=np.eye(2))
+        violations = bd.validate(f)
+        assert [v.check for v in violations] == ["U_symmetric"]
+        assert violations[0].deviation == pytest.approx(1.0)
+        with pytest.raises(bd.ValidationError, match="U not symmetric"):
+            bd.to_standard(f)
+
     def test_nonfinite_rejected(self):
         f = bd.QuadraticForm(Statistics.BOSON, U=np.zeros((1, 1)), V=[[np.inf]])
         assert [v.check for v in bd.validate(f)] == ["finite"]
@@ -249,6 +257,17 @@ class TestJson:
     def test_malformed_rejected(self, payload):
         with pytest.raises(bd.ValidationError):
             bd.form_from_dict(payload)
+
+    @pytest.mark.parametrize("payload", [
+        {"statistics": "boson", "P": [[1]], "Q": [[0]]},
+        {"statistics": "boson", "n": "one", "P": [[1]], "Q": [[0]]},
+        {"statistics": "fermion", "n": 1, "Q": [[1]]},
+        {"statistics": "fermion", "n": 1, "P": [["a"]], "Q": [[1]]},
+        {"statistics": "fermion", "n": 2, "P": [[0]], "Q": [[1]]},
+    ], ids=["n_missing", "n_not_integer", "P_missing", "P_not_numeric", "P_wrong_shape"])
+    def test_malformed_transform_rejected(self, payload):
+        with pytest.raises(bd.ValidationError):
+            bd.transform_from_dict(payload)
 
     def test_non_object_transform_rejected(self):
         with pytest.raises(bd.ValidationError):

@@ -78,20 +78,38 @@ class TestPointSign:
                 Parity.EVEN if want > 0 else Parity.ODD)
 
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_degeneracy_boundary_shared(self, scale):
+        # sigma_min / sigma_max at, just above and far above DEGENERACY_TOL:
+        # the point, its sign and its local frequencies share one verdict
+        for ratio, degenerate in [(1e-10, True), (0.0, True), (1.1e-10, False), (0.5, False)]:
+            jac = scale * np.diag([1.0, -ratio, 0.7])
+            data = bd.diagonalize_fermion(bd.StandardForm(bd.Statistics.FERMION, C=jac))
+            assert data.sign_ambiguous is degenerate
+            if degenerate:
+                with pytest.raises(bd.DegeneratePoint, match="has singular values"):
+                    bd.point_sign(bd.SingularPoint("p", jac))
+                with pytest.raises(bd.DegeneratePoint):
+                    bd.local_witten_spectrum(np.diag(jac), 2)
+            else:
+                assert bd.point_sign(bd.SingularPoint("p", jac)) == -1
+                assert len(bd.local_witten_spectrum(np.diag(jac), 2).energies) == 2
+
+
 class TestPoincareHopf:
     def test_sphere(self):
-        report = bd.poincare_hopf_check(sphere_fixture())
+        report = bd.morse_report(sphere_fixture())
         assert (report.m_plus, report.m_minus) == (2, 0)
         assert report.chi_computed == 2 and report.chi_matches
 
     def test_torus(self):
-        report = bd.poincare_hopf_check(torus_fixture())
+        report = bd.morse_report(torus_fixture())
         assert (report.m_plus, report.m_minus) == (2, 2)
         assert report.chi_computed == 0 and report.chi_matches
 
     def test_mismatch(self):
         fixture = bd.VectorFieldFixture(n=2, chi=5, points=(bd.SingularPoint("p", np.eye(2)),))
-        report = bd.poincare_hopf_check(fixture)
+        report = bd.morse_report(fixture)
         assert not report.chi_matches
 
     def test_report_arithmetic(self):
@@ -99,7 +117,7 @@ class TestPoincareHopf:
         points = tuple(
             bd.SingularPoint(f"p{i}", random_invertible_jacobian(rng, 3)) for i in range(7)
         )
-        report = bd.poincare_hopf_check(bd.VectorFieldFixture(n=3, chi=0, points=points))
+        report = bd.morse_report(bd.VectorFieldFixture(n=3, chi=0, points=points))
         assert report.m_plus + report.m_minus == 7
         assert report.chi_computed == report.m_plus - report.m_minus
 

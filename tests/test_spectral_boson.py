@@ -150,7 +150,9 @@ class TestModeLevels:
             assert np.array_equal(levels.view(np.uint64), expected.view(np.uint64))
 
     def test_non_discrete_rejected(self):
-        for t, r in [(0.5, 0.5), (0.0, 1.0), (1.0, 0.0)]:
+        # the boundary |t| or |r| = TOL_ZERO counts as zero, as in _classify_mode
+        for t, r in [(0.5, 0.5), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1e-10, -1.0),
+                     (-1.0, 1e-10), (-0.5, -0.5)]:
             with pytest.raises(bd.NonDiscreteMode):
                 bd.boson_mode_levels(t, r, 2)
 

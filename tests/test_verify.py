@@ -5,7 +5,7 @@ import pytest
 from conftest import bounded_boson_form, random_fermion_form
 
 import bogodiag as bd
-from bogodiag import Statistics
+from bogodiag import Statistics, spectral
 
 
 def test_fermion_pass_n4():
@@ -45,6 +45,17 @@ def test_tolerance_below_deviation_fails(statistics):
     assert measured.ok and measured.max_abs_deviation > 0.0
     report = bd.verify_form(form, cutoff=30, count=5, tol=measured.max_abs_deviation / 2)
     assert report.ok is False
+
+
+def test_fermion_n13_refused_before_enumerating(monkeypatch):
+    def fail(data):
+        raise AssertionError("the 2^n closed-form spectrum was enumerated")
+
+    monkeypatch.setattr(spectral, "fermion_spectrum", fail)
+    n = 13
+    form = bd.QuadraticForm(Statistics.FERMION, U=np.zeros((n, n)), V=np.eye(n))
+    with pytest.raises(bd.ResourceLimitError):
+        bd.verify_form(form, cutoff=40, count=10, tol=1e-9)
 
 
 def test_fermion_n13_refused():
