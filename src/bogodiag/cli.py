@@ -62,10 +62,10 @@ def _violations(violations) -> list:
             for v in violations]
 
 
-def _require_positive(**options) -> None:
+def _require_at_least(low: int, **options) -> None:
     for name, value in options.items():
-        if value < 1:
-            raise ValidationError(f"--{name} must be at least 1, got {value}")
+        if value < low:
+            raise ValidationError(f"--{name} must be at least {low}, got {value}")
 
 
 def _run(body, out):
@@ -156,7 +156,7 @@ def spectrum(form_file, count, out):
     """Exact spectrum: full 2^n list (fermions) or k smallest (bosons)."""
 
     def body():
-        _require_positive(count=count)
+        _require_at_least(1, count=count)
         form = forms.form_from_dict(_read_json(form_file))
         std = forms.to_standard(form)
         if form.statistics is forms.Statistics.FERMION:
@@ -181,7 +181,7 @@ def verify(form_file, cutoff, count, tol, out):
     """Cross-check closed-form spectra against the brute-force oracle."""
 
     def body():
-        _require_positive(cutoff=cutoff, count=count)
+        _require_at_least(1, cutoff=cutoff, count=count)
         form = forms.form_from_dict(_read_json(form_file))
         report = verify_form(form, cutoff, count, tol)
         return report.to_dict(), EXIT_OK if report.ok else EXIT_INVALID
@@ -213,7 +213,8 @@ def lemmas(n, seed, trials, out):
     """Operator-identity residuals over random inputs (threshold 1e-12)."""
 
     def body():
-        _require_positive(n=n, trials=trials)
+        _require_at_least(1, n=n, trials=trials)
+        _require_at_least(0, seed=seed)
         max_wedge, max_cross = morse.identity_residuals(n, seed, trials)
         payload = {
             "n": n,

@@ -9,7 +9,10 @@ so every ladder operator moves basis vector c to c +/- step_i and is one
 shifted diagonal: a weight vector over c, sqrt(m+1) up and sqrt(m) down,
 times the Jordan-Wigner sign for fermions.  A product L_i R_j is again one
 shifted diagonal, so a pair sum sum_ij c_ij L_i R_j is n vectorised
-products grouped by offset, and a form is H = M + M^t + const.
+products grouped by offset, and a form is H = M + M^t + const.  The
+diagonal helpers take optional leading batch axes on coefficients and
+weights, so a stack of forms on one representation is one pass of the same
+per-diagonal loops (the operator identities of :mod:`bogodiag.morse`).
 
 Fermions live on the exact 2^n-dimensional space; their spectra are dense
 solves of the even and odd parity blocks, filled straight from the
@@ -142,25 +145,39 @@ def build_boson_rep(n: int, cutoff: int) -> BosonFockRep:
 
 def _pair_sum(coeff: np.ndarray, left: tuple, right: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Ungrouped diagonals of sum_ij coeff_ij L_i R_j, one row per (j, i): L_i R_j
-    moves c to c + r_j + l_i with amplitude L_i[c + r_j] R_j[c]."""
+    moves c to c + r_j + l_i with amplitude L_i[c + r_j] R_j[c].
+
+    `coeff` has shape (..., n_l, n_r); its leading batch axes lead the
+    weights, of shape (..., n_r * n_l, dim), and one pass serves the stack.
+    """
     (l_off, l_w), (r_off, r_w) = left, right
     dim = l_w.shape[1]
-    weights = np.zeros((len(r_off), len(l_off), dim))
+    batch = coeff.shape[:-2]
+    weights = np.zeros((*batch, len(r_off), len(l_off), dim))
     for j, s in enumerate(r_off.tolist()):
         lo, hi = max(0, -s), min(dim, dim - s)
-        np.multiply(coeff[:, j, None] * l_w[:, lo + s : hi + s], r_w[j, lo:hi],
-                    out=weights[j, :, lo:hi])
-    return (l_off + r_off[:, None]).ravel(), weights.reshape(-1, dim)
+        np.multiply(coeff[..., :, j, None] * l_w[:, lo + s : hi + s], r_w[j, lo:hi],
+                    out=weights[..., j, :, lo:hi])
+    return (l_off + r_off[:, None]).ravel(), weights.reshape(*batch, -1, dim)
 
 
-def _grouped(offsets: np.ndarray, weights: np.ndarray, const: float = 0.0) -> tuple:
-    """Sum the diagonals of equal offset in input order, then `const` on the diagonal."""
+def _concat(*diagonals: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """One set of diagonals from several (offsets, weights), rows in order."""
+    offsets, weights = zip(*diagonals)
+    return np.concatenate(offsets), np.concatenate(weights, axis=-2)
+
+
+def _grouped(offsets: np.ndarray, weights: np.ndarray,
+             const: Union[float, np.ndarray] = 0.0) -> tuple:
+    """Sum the diagonals of equal offset in input order, then `const` on the
+    diagonal.  Weights of shape (..., rows, dim) give (..., len(keys), dim),
+    and `const` is a scalar or one value per stack entry, of shape (...)."""
     keys, group = np.unique(np.append(offsets, 0), return_inverse=True)
-    out = np.zeros((len(keys), weights.shape[1]))
-    rows = list(out)  # views into out, made once
-    for g, row in zip(group.tolist(), weights):
+    out = np.zeros((*weights.shape[:-2], len(keys), weights.shape[-1]))
+    rows = list(np.moveaxis(out, -2, 0))  # views into out, made once
+    for g, row in zip(group.tolist(), np.moveaxis(weights, -2, 0)):
         rows[g] += row
-    out[np.searchsorted(keys, 0)] += const
+    out[..., np.searchsorted(keys, 0), :] += np.asarray(const)[..., None]
     return keys, out
 
 
@@ -170,8 +187,8 @@ def _half_diagonals(form: QuadraticForm, rep) -> tuple[np.ndarray, np.ndarray]:
     block), so H is symmetric exactly by construction."""
     _check_rep(form, rep)
     creation, annihilation = rep._ladders
-    left = tuple(np.concatenate(parts) for parts in zip(creation, annihilation))
-    return _grouped(*_pair_sum(np.vstack([form.V, form.U]), left, annihilation))
+    return _grouped(*_pair_sum(np.vstack([form.V, form.U]), _concat(creation, annihilation),
+                               annihilation))
 
 
 def _entries(offsets: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -187,13 +204,14 @@ def _csr(offsets: np.ndarray, weights: np.ndarray, dim: int):
 
 
 def _with_transpose(offsets: np.ndarray, weights: np.ndarray) -> tuple:
-    """Diagonals of M, then of M^t: M[c + s, c] = w[c] is M^t[c', c' - s] at c' = c + s."""
-    k, dim = weights.shape
-    both = np.zeros((2 * k, dim))
-    both[:k] = weights
+    """Diagonals of M, then of M^t: M[c + s, c] = w[c] is M^t[c', c' - s] at
+    c' = c + s.  Weights of shape (..., k, dim) give (..., 2k, dim)."""
+    k, dim = weights.shape[-2:]
+    both = np.zeros((*weights.shape[:-2], 2 * k, dim))
+    both[..., :k, :] = weights
     for row, s in enumerate(offsets.tolist()):
         lo, hi = max(0, -s), min(dim, dim - s)
-        both[k + row, lo + s : hi + s] = weights[row, lo:hi]
+        both[..., k + row, lo + s : hi + s] = weights[..., row, lo:hi]
     return np.concatenate([offsets, -offsets]), both
 
 
@@ -203,21 +221,30 @@ def build_hamiltonian(form: QuadraticForm, rep):
     return _csr(*_grouped(*_with_transpose(*_half_diagonals(form, rep)), form.const), rep.dim)
 
 
-def _standard_diagonals(std: StandardForm, rep) -> tuple[np.ndarray, np.ndarray]:
-    """Ungrouped diagonals of a normal form without k0: sum C_ij x_i z_j
-    (fermions) or sum T_ij x_i x_j + R_ij y_i y_j (bosons), with x = a + a^+,
-    y = a - a^+ and z = a^+ - a.  A sum of two ladders is one ladder with 2n
-    rows, row p acting on mode p mod n, so its coefficients are tiled.
-    """
-    _check_rep(std, rep)
+def _quadratures(rep) -> tuple[tuple, tuple]:
+    """x = a + a^+ and y = a - a^+ as ladders of 2n rows, row p acting on
+    mode p mod n (a sum of two ladders is one ladder of their rows)."""
     (c_off, c_w), (a_off, a_w) = rep._ladders
     offsets = np.concatenate([c_off, a_off])
-    x = (offsets, np.vstack([c_w, a_w]))
+    return (offsets, np.vstack([c_w, a_w])), (offsets, np.vstack([c_w, -a_w]))
+
+
+def _xz_diagonals(c: np.ndarray, rep) -> tuple[np.ndarray, np.ndarray]:
+    """Ungrouped diagonals of sum_ij c_ij x_i z_j with z = a^+ - a = -y, for
+    coefficients of shape (..., n, n) (tiled over the 2n ladder rows)."""
+    x, (offsets, y_w) = _quadratures(rep)
+    return _pair_sum(np.tile(c, (2, 2)), x, (offsets, -y_w))
+
+
+def _standard_diagonals(std: StandardForm, rep) -> tuple[np.ndarray, np.ndarray]:
+    """Ungrouped diagonals of a normal form without k0: sum C_ij x_i z_j
+    (fermions, :func:`_xz_diagonals`) or sum T_ij x_i x_j + R_ij y_i y_j
+    (bosons)."""
+    _check_rep(std, rep)
     if std.statistics is Statistics.FERMION:
-        return _pair_sum(np.tile(std.C, (2, 2)), x, (offsets, np.vstack([-c_w, a_w])))
-    y = (offsets, np.vstack([c_w, -a_w]))
-    pieces = [_pair_sum(np.tile(std.T, (2, 2)), x, x), _pair_sum(np.tile(std.R, (2, 2)), y, y)]
-    return tuple(np.concatenate(parts) for parts in zip(*pieces))
+        return _xz_diagonals(std.C, rep)
+    x, y = _quadratures(rep)
+    return _concat(_pair_sum(np.tile(std.T, (2, 2)), x, x), _pair_sum(np.tile(std.R, (2, 2)), y, y))
 
 
 def build_standard_hamiltonian(std: StandardForm, rep):

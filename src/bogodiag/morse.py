@@ -204,6 +204,39 @@ def _fermion_rep(n: int, rep: Optional[FermionFockRep]) -> FermionFockRep:
     return rep
 
 
+def _require_finite(values: np.ndarray, name: str) -> None:
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{name} has non-finite entries")
+
+
+def _wedge_residuals(omega: np.ndarray, rep: FermionFockRep) -> np.ndarray:
+    """Wedge-contraction residual of each 1-form of a stack of shape (T, n)."""
+    from .fock import _concat, _grouped, _pair_sum
+
+    creation, annihilation = rep._ladders
+    coeff = omega[:, :, None] * omega[:, None, :]
+    # one dot product per trial: a batched reduction may round differently
+    norms = np.array([w @ w for w in omega])
+    _, diff = _grouped(*_concat(_pair_sum(coeff, creation, annihilation),
+                                _pair_sum(coeff, annihilation, creation)), -norms)
+    return np.abs(diff).max(axis=(-2, -1))
+
+
+def _cross_residuals(jac: np.ndarray, rep: FermionFockRep) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-term (residual, const) of each jacobian of a stack of shape (T, n, n)."""
+    from .fock import _concat, _grouped, _pair_sum, _with_transpose, _xz_diagonals
+
+    creation, annihilation = rep._ladders
+    two_form = TWO_FORM_COEFF * (jac - jac.swapaxes(-1, -2))
+    alg_off, alg_w = _with_transpose(*_concat(_pair_sum(jac, creation, annihilation),
+                                              _pair_sum(two_form, creation, creation)))
+    offsets, diff = _grouped(*_concat(_xz_diagonals(jac, rep), (alg_off, -alg_w)))
+    scalar = diff[..., np.searchsorted(offsets, 0), :]
+    const = scalar.mean(axis=-1)
+    scalar -= const[:, None]
+    return np.abs(diff).max(axis=(-2, -1)), const
+
+
 def wedge_contraction_identity(omega, rep: Optional[FermionFockRep] = None) -> float:
     """Residual of (w w* + w* w) - <w, w> on the exterior algebra.
 
@@ -212,16 +245,14 @@ def wedge_contraction_identity(omega, rep: Optional[FermionFockRep] = None) -> f
     is the scalar <w, w> exactly; the residual is floating-point noise.
     Both products are pair sums of the oracle's shifted-diagonal ladders, so
     the check holds 2 n^2 weight vectors of length 2^n and no dense matrix.
+    An `omega` that is not a finite vector raises ValidationError.
     """
-    from .fock import _grouped, _pair_sum
-
     omega = np.asarray(omega, dtype=float)
+    if omega.ndim != 1:
+        raise ValidationError(f"omega must be a vector, got shape {omega.shape}")
+    _require_finite(omega, "omega")
     rep = _fermion_rep(len(omega), rep)
-    creation, annihilation = rep._ladders
-    coeff = np.outer(omega, omega)
-    pieces = [_pair_sum(coeff, creation, annihilation), _pair_sum(coeff, annihilation, creation)]
-    _, diff = _grouped(*(np.concatenate(parts) for parts in zip(*pieces)), -float(omega @ omega))
-    return float(np.max(np.abs(diff)))
+    return float(_wedge_residuals(omega[None], rep)[0])
 
 
 def cross_term_identity(omega_jac, rep: Optional[FermionFockRep] = None) -> tuple[float, float]:
@@ -236,23 +267,24 @@ def cross_term_identity(omega_jac, rep: Optional[FermionFockRep] = None) -> tupl
     equals -Tr W, the scalar left behind by transposing the derivation term.
     Both sides are shifted diagonals of the oracle's engine, the direct one
     from the fermionic branch of build_standard_hamiltonian; at n = 12 the
-    traced peak is about 100 MB.
+    traced peak is about 90 MB.  A jacobian that is not a finite square
+    matrix raises ValidationError.
     """
-    from .fock import _grouped, _pair_sum, _standard_diagonals, _with_transpose
+    jac = StandardForm(statistics=Statistics.FERMION, C=omega_jac, k0=0.0).C
+    _require_finite(jac, "jacobian")
+    rep = _fermion_rep(len(jac), rep)
+    residual, const = _cross_residuals(jac[None], rep)
+    return float(residual[0]), float(const[0])
 
-    std = StandardForm(statistics=Statistics.FERMION, C=omega_jac, k0=0.0)
-    rep = _fermion_rep(std.n, rep)
-    creation, annihilation = rep._ladders
-    w_jac = std.C
-    half = [_pair_sum(w_jac, creation, annihilation),
-            _pair_sum(TWO_FORM_COEFF * (w_jac - w_jac.T), creation, creation)]
-    alg_off, alg_w = _with_transpose(*(np.concatenate(parts) for parts in zip(*half)))
-    d_off, d_w = _standard_diagonals(std, rep)
-    offsets, diff = _grouped(np.concatenate([d_off, alg_off]), np.vstack([d_w, -alg_w]))
-    scalar = diff[np.searchsorted(offsets, 0)]
-    const = float(np.mean(scalar))
-    scalar -= const
-    return float(np.max(np.abs(diff))), const
+
+def _trials_per_chunk(n: int) -> int:
+    """Trials evaluated in one stacked pass on n modes: their weights, about
+    8 n^2 2^n elements a trial, hold no more than one trial at the guard
+    edge n = 12, so n = 12 takes one trial at a time."""
+    from .fock import FERMION_DIM_GUARD
+
+    edge = FERMION_DIM_GUARD.bit_length() - 1
+    return max(1, (edge ** 2 * FERMION_DIM_GUARD) // (n ** 2 * 2 ** n))
 
 
 def identity_residuals(n: int, seed: int, trials: int) -> tuple[float, float]:
@@ -260,17 +292,22 @@ def identity_residuals(n: int, seed: int, trials: int) -> tuple[float, float]:
     IDENTITY_TOL when the identities hold, over `trials` 1-forms and
     jacobians on n modes drawn from [-1, 1]; odd trials symmetrize the
     jacobian (an exact form, no 2-form part).  ResourceLimitError from n = 13.
+
+    Trials run in chunks of :func:`_trials_per_chunk`, each drawn in one call
+    and checked in one stacked pass; the draws, and so the residuals, are
+    those of drawing the 1-form and then the jacobian one trial at a time.
     """
     rep = _fermion_rep(n, None)
     rng = np.random.default_rng(seed)
+    chunk = _trials_per_chunk(n)
     max_wedge = max_cross = 0.0
-    for trial in range(trials):
-        omega = rng.uniform(-1.0, 1.0, size=n)
-        jac = rng.uniform(-1.0, 1.0, size=(n, n))
-        if trial % 2 == 1:
-            jac = (jac + jac.T) / 2.0
-        max_cross = max(max_cross, cross_term_identity(jac, rep)[0])
-        max_wedge = max(max_wedge, wedge_contraction_identity(omega, rep))
+    for start in range(0, trials, chunk):
+        draws = rng.uniform(-1.0, 1.0, size=(min(chunk, trials - start), n + n * n))
+        omega, jac = draws[:, :n], draws[:, n:].reshape(-1, n, n)
+        odd = (start + np.arange(len(draws))) % 2 == 1
+        jac[odd] = (jac[odd] + jac[odd].swapaxes(-1, -2)) / 2.0
+        max_cross = max(max_cross, float(_cross_residuals(jac, rep)[0].max()))
+        max_wedge = max(max_wedge, float(_wedge_residuals(omega, rep).max()))
     return max_wedge, max_cross
 
 

@@ -400,6 +400,23 @@ class TestLemmas:
         assert payload["wedge_contraction_max_residual"] <= 1e-12
         assert payload["cross_term_max_residual"] <= 1e-12
 
+    @pytest.mark.parametrize("n, trials, cross, wedge", [
+        (4, 10, "4.440892098500626e-16", "4.440892098500626e-16"),
+        (4, 100, "6.106226635438361e-16", "4.440892098500626e-16"),
+        (12, 2, "2.6645352591003757e-15", "2.6645352591003757e-15"),
+    ])
+    def test_pinned_output(self, runner, n, trials, cross, wedge):
+        result = runner.invoke(main, ["lemmas", "--n", str(n), "--trials", str(trials)])
+        assert result.exit_code == 0
+        assert result.stdout == (
+            "{\n"
+            f'  "cross_term_max_residual": {cross},\n'
+            f'  "n": {n},\n'
+            f'  "trials": {trials},\n'
+            f'  "wedge_contraction_max_residual": {wedge}\n'
+            "}\n"
+        )
+
     def test_n12_completes_n13_refused_under_memory_cap(self):
         # the guard edge n = 12 fits in a 1.5 GB address space; n = 13 is
         # refused by the fermionic dimension guard before anything is built
@@ -506,6 +523,7 @@ class TestOutputContract:
         ("verify", "--count", "-1"),
         ("lemmas", "--n", "0"),
         ("lemmas", "--trials", "0"),
+        ("lemmas", "--seed", "-1"),
     ])
     def test_out_of_range_option_exits_1(self, runner, tmp_path, command, option, value):
         args = [command] if command == "lemmas" else [command, boson_n1(tmp_path)]

@@ -280,6 +280,55 @@ class TestOperatorIdentities:
         monkeypatch.setattr(morse, "TWO_FORM_COEFF", 1.0)
         assert bd.identity_residuals(3, seed=0, trials=6)[1] > 0.1
 
+    @pytest.mark.parametrize("omega", [[[1.0, 2.0]], [np.nan, 1.0], [1.0, np.inf]],
+                             ids=["matrix", "nan", "inf"])
+    def test_wedge_rejects_bad_omega(self, omega):
+        with pytest.raises(bd.ValidationError, match="omega"):
+            bd.wedge_contraction_identity(omega)
+
+    @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+    def test_cross_rejects_nonfinite_jacobian(self, entry):
+        with pytest.raises(bd.ValidationError, match="jacobian"):
+            bd.cross_term_identity([[1.0, entry], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("seed", [0, 17])
+    @pytest.mark.parametrize("trials", [1, 2, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_identity_residuals_equal_per_trial_replay(self, n, seed, trials):
+        # the reference draws and checks one trial at a time, the 1-form first
+        rng = np.random.default_rng(seed)
+        rep = bd.build_fermion_rep(n)
+        wedge = cross = 0.0
+        for trial in range(trials):
+            omega = rng.uniform(-1.0, 1.0, size=n)
+            jac = rng.uniform(-1.0, 1.0, size=(n, n))
+            if trial % 2 == 1:
+                jac = (jac + jac.T) / 2.0
+            wedge = max(wedge, bd.wedge_contraction_identity(omega, rep))
+            cross = max(cross, bd.cross_term_identity(jac, rep)[0])
+        assert bd.identity_residuals(n, seed, trials) == (wedge, cross)
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @pytest.mark.parametrize("n, trials", [(2, 7), (4, 10)])
+    def test_identity_residuals_chunk_boundaries(self, monkeypatch, n, trials, chunk):
+        whole = bd.identity_residuals(n, 5, trials)
+        assert morse._trials_per_chunk(n) >= trials
+        monkeypatch.setattr(morse, "_trials_per_chunk", lambda n: chunk)
+        assert bd.identity_residuals(n, 5, trials) == whole
+
+    def test_identity_residuals_n12_memory_n13_refused(self):
+        # n = 12 runs one trial per chunk, so its peak is a single trial's
+        assert morse._trials_per_chunk(12) == 1
+        tracemalloc.start()
+        try:
+            wedge, cross = bd.identity_residuals(12, 0, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert wedge <= bd.IDENTITY_TOL and cross <= bd.IDENTITY_TOL
+        assert peak < 256 * 2**20
+        assert refusal_peak(bd.identity_residuals, 13, 0, 1) < 2**20
+
 
 class TestMorseReport:
     def test_full_report(self):
