@@ -265,10 +265,14 @@ def _lowest_pairs(matrix: Matrix, k: int, v0: Optional[np.ndarray] = None,
 
     Matrices up to DENSE_EIG_LIMIT, dense input and requests for (nearly)
     every eigenvalue take a dense solve, which raises ValueError for a matrix
-    that is not symmetric within 1e-10; the rest implicitly restarted Lanczos (ARPACK)
-    from `v0`, by default the uniform vector, so results are deterministic.
-    The working set is estimated first and refused with ResourceLimitError
-    above EIGENSOLVE_BYTES_GUARD, before anything is allocated.
+    that is not symmetric within 1e-10; the rest implicitly restarted Lanczos
+    (ARPACK) on H + sigma*I, sigma the largest absolute row sum (a bound on
+    ||H||_2), so that ARPACK's stopping rule tol*|Ritz value| is relative to
+    ||H|| even where an eigenvalue of H is 0.  Its basis holds
+    max(2k + 4, 20) vectors, and it starts from `v0`, by default a
+    fixed-seed Gaussian vector, so results are deterministic.  The working
+    set is estimated first and refused with ResourceLimitError above
+    EIGENSOLVE_BYTES_GUARD, before anything is allocated.
     """
     dim = matrix.shape[0]
     k = min(k, dim)
@@ -287,19 +291,38 @@ def _lowest_pairs(matrix: Matrix, k: int, v0: Optional[np.ndarray] = None,
             vals, vecs = np.linalg.eigh(sym)
             return vals[:k], vecs[:, :k]
         return np.linalg.eigvalsh(sym)[:k], None
-    ncv = min(dim - 1, max(4 * k, 40))
-    # ARPACK's Lanczos basis plus the returned vectors
-    _check_eigensolve_bytes(8 * dim * (ncv + (k if vectors else 0)),
+    ncv = min(dim - 1, max(2 * k + 4, 20))
+    # the start vector, then what scipy's ARPACK allocates: the Lanczos
+    # basis, the dim x ncv array of its extraction step (made even when no
+    # vectors are returned), 3 work vectors, the residual and the returned
+    # vectors
+    _check_eigensolve_bytes(8 * dim * (2 * ncv + 5 + (k if vectors else 0)),
                             f"Lanczos eigensolve of {k} eigenvalues at dimension {dim}")
     if v0 is None:
-        v0 = np.full(dim, 1.0 / np.sqrt(dim))
+        # a Gaussian start overlaps every symmetry sector of a form; a uniform
+        # one misses, for one, the states antisymmetric under a mode swap
+        v0 = np.random.default_rng(0).standard_normal(dim)
     import scipy.sparse.linalg as spla
-    out = spla.eigsh(matrix, k=k, which="SA", v0=v0, ncv=ncv,
+    matrix = matrix.tocsr()
+    sigma = _row_sum_bound(matrix)
+    shifted = spla.LinearOperator(matrix.shape, dtype=float,
+                                  matvec=lambda x: matrix @ x + sigma * x)
+    out = spla.eigsh(shifted, k=k, which="SA", v0=v0, ncv=ncv,
                      maxiter=100 * dim, tol=1e-12, return_eigenvectors=vectors)
     if not vectors:
-        return np.sort(out), None
+        return np.sort(out) - sigma, None
     order = np.argsort(out[0])
-    return out[0][order], out[1][:, order]
+    return out[0][order] - sigma, out[1][:, order]
+
+
+def _row_sum_bound(matrix) -> float:
+    """max_i sum_j |H_ij| of a CSR matrix, an upper bound on ||H||_2, from its
+    arrays: rows are reduced from their first entry, and empty rows skipped."""
+    starts, ends = matrix.indptr[:-1], matrix.indptr[1:]
+    filled = starts[starts < ends]
+    if not len(filled):
+        return 0.0
+    return float(np.add.reduceat(np.abs(matrix.data), filled).max())
 
 
 def _check_eigensolve_bytes(estimate: int, what: str) -> None:
@@ -311,9 +334,10 @@ def _check_eigensolve_bytes(estimate: int, what: str) -> None:
 
 
 def lowest_eigenvalues(matrix: Matrix, k: int) -> np.ndarray:
-    """The k smallest eigenvalues, by dense solve or deterministic Lanczos
-    (k = dim gives the whole spectrum); ResourceLimitError when the solve
-    would need over EIGENSOLVE_BYTES_GUARD."""
+    """The k smallest eigenvalues, by dense solve or by shifted Lanczos from
+    a fixed-seed Gaussian start, so deterministic (k = dim gives the whole
+    spectrum); ResourceLimitError when the solve would need over
+    EIGENSOLVE_BYTES_GUARD."""
     return _lowest_pairs(matrix, k)[0]
 
 
@@ -363,10 +387,11 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
     Every term of a form passes through states no more occupied than its end
     states, so the coarse Hamiltonian is the principal submatrix of the fine
     one on the embedded occupation box: the fine eigenvalues interlace below
-    the coarse ones.  The coarse solve starts cold from the uniform vector
-    and stays an independent witness; the fine Lanczos solve starts from the
-    embedded sum of the coarse Ritz vectors.  A level it missed would
-    disagree with the witness and shorten the prefix, never lengthen it.
+    the coarse ones.  The coarse solve starts cold from the fixed-seed
+    Gaussian vector of :func:`_lowest_pairs` and stays an independent
+    witness; the fine Lanczos solve starts from the embedded sum of the
+    coarse Ritz vectors.  A level it missed would disagree with the witness
+    and shorten the prefix, never lengthen it.
     """
     if form.statistics is not Statistics.BOSON:
         raise ValueError("truncation control applies to bosonic forms only")

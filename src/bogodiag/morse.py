@@ -204,9 +204,19 @@ def _fermion_rep(n: int, rep: Optional[FermionFockRep]) -> FermionFockRep:
     return rep
 
 
-def _require_finite(values: np.ndarray, name: str) -> None:
-    if not np.isfinite(values).all():
+def _finite_array(values, name: str, ndim: int) -> np.ndarray:
+    """`values` as a non-empty finite float vector (ndim 1) or square matrix
+    (ndim 2); anything else raises ValidationError naming `name`."""
+    shape = "vector" if ndim == 1 else "square matrix"
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a numeric {shape}: {exc}") from None
+    if array.ndim != ndim or len(array) < 1 or array.shape != array.shape[:1] * ndim:
+        raise ValidationError(f"{name} must be a non-empty {shape}, got shape {array.shape}")
+    if not np.isfinite(array).all():
         raise ValidationError(f"{name} has non-finite entries")
+    return array
 
 
 def _wedge_residuals(omega: np.ndarray, rep: FermionFockRep) -> np.ndarray:
@@ -245,12 +255,9 @@ def wedge_contraction_identity(omega, rep: Optional[FermionFockRep] = None) -> f
     is the scalar <w, w> exactly; the residual is floating-point noise.
     Both products are pair sums of the oracle's shifted-diagonal ladders, so
     the check holds 2 n^2 weight vectors of length 2^n and no dense matrix.
-    An `omega` that is not a finite vector raises ValidationError.
+    An `omega` that is not a non-empty finite vector raises ValidationError.
     """
-    omega = np.asarray(omega, dtype=float)
-    if omega.ndim != 1:
-        raise ValidationError(f"omega must be a vector, got shape {omega.shape}")
-    _require_finite(omega, "omega")
+    omega = _finite_array(omega, "omega", ndim=1)
     rep = _fermion_rep(len(omega), rep)
     return float(_wedge_residuals(omega[None], rep)[0])
 
@@ -267,11 +274,10 @@ def cross_term_identity(omega_jac, rep: Optional[FermionFockRep] = None) -> tupl
     equals -Tr W, the scalar left behind by transposing the derivation term.
     Both sides are shifted diagonals of the oracle's engine, the direct one
     from the fermionic branch of build_standard_hamiltonian; at n = 12 the
-    traced peak is about 90 MB.  A jacobian that is not a finite square
-    matrix raises ValidationError.
+    traced peak is about 90 MB.  A jacobian that is not a non-empty
+    finite square matrix raises ValidationError.
     """
-    jac = StandardForm(statistics=Statistics.FERMION, C=omega_jac, k0=0.0).C
-    _require_finite(jac, "jacobian")
+    jac = _finite_array(omega_jac, "jacobian", ndim=2)
     rep = _fermion_rep(len(jac), rep)
     residual, const = _cross_residuals(jac[None], rep)
     return float(residual[0]), float(const[0])

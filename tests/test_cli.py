@@ -275,6 +275,22 @@ class TestVerify:
         assert result.exit_code == 0
         assert json.loads(result.output)["max_abs_deviation"] <= 1e-6
 
+    @pytest.mark.parametrize("v, const", [
+        ([[1.0, 0.0], [0.0, 1.3]], 0.0),  # ground energy exactly 0
+        ([[1.0, 0.5], [0.5, 1.0]], 0.0),  # symmetric under the mode swap
+        ([[1.0, 0.5], [0.5, 1.0]], 1.0),
+    ], ids=["zero-ground", "swap-symmetric", "swap-symmetric-const"])
+    def test_boson_lanczos_keeps_every_level(self, runner, tmp_path, v, const):
+        # at cutoff 40 both solves (dimensions 1681 and 6561) run Lanczos
+        path = write_json(tmp_path / "b2.json", {
+            "statistics": "boson", "n": 2, "U": np.zeros((2, 2)).tolist(), "V": v, "const": const,
+        })
+        result = runner.invoke(main, ["verify", path, "--cutoff", "40", "--count", "10",
+                                      "--tol", "1e-6"])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["compared"] == 10 and payload["max_abs_deviation"] <= 1e-6
+
     def test_unbounded_boson_warns(self, runner, tmp_path):
         path = write_json(tmp_path / "ub.json", {
             "statistics": "boson", "n": 1, "U": [[0.0]], "V": [[-1.0]], "const": 0.0,

@@ -286,6 +286,16 @@ class TestOperatorIdentities:
         with pytest.raises(bd.ValidationError, match="omega"):
             bd.wedge_contraction_identity(omega)
 
+    @pytest.mark.parametrize("check, values, name", [
+        (bd.wedge_contraction_identity, [], "omega"),
+        (bd.wedge_contraction_identity, [[1.0], [2.0, 3.0]], "omega"),
+        (bd.cross_term_identity, [[1.0], [2.0, 3.0]], "jacobian"),
+        (bd.cross_term_identity, [[]], "jacobian"),
+    ], ids=["empty-omega", "ragged-omega", "ragged-jacobian", "non-square-jacobian"])
+    def test_malformed_input_names_the_argument(self, check, values, name):
+        with pytest.raises(bd.ValidationError, match=name):
+            check(values)
+
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     def test_cross_rejects_nonfinite_jacobian(self, entry):
         with pytest.raises(bd.ValidationError, match="jacobian"):
