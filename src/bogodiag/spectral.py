@@ -43,16 +43,13 @@ from .forms import StandardForm, Statistics, Violation
 #: Oscillator ladder coefficient, calibrated against the exact Fock oracle.
 LEVEL_COEFF = -4.0
 
-#: Condition-number boundary between "usable" and "defective" eigenbases.
-COND_MAX = 1e8
-
 #: Absolute threshold below which a diagonal entry t_i or r_i counts as zero.
 TOL_ZERO = 1e-10
 
 #: Relative threshold of the rank test in degenerate().
 DEGENERACY_TOL = 1e-10
 
-#: Scale-relative factor for the reality test of the R*T eigenvalues.
+#: Times ||R|| ||T||, the rounding scale of R*T in diagonalize_boson.
 IMAG_TOL_FACTOR = 1e-8
 
 #: Scale-relative factor for the residual off-diagonal check.
@@ -289,58 +286,58 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list:
 def diagonalize_boson(std: StandardForm) -> BosonModeData:
     """Simultaneously diagonalize (T, R) through the pencil M = R T.
 
-    Raises NonRealSpectrum when M has genuinely complex eigenvalues and
-    DefectiveMatrix when a real eigenvalue has a numerically deficient
-    eigenspace.  Degenerate eigenvalues are refined by orthogonal rotations
-    that diagonalize the restriction of T (and, in the doubly-degenerate
-    zero block, of R) inside each eigenspace.
+    Each decision compares with tau = IMAG_TOL_FACTOR * ||R|| ||T||, the size
+    of the rounding in M (||M|| is not: it is rounding itself when M cancels
+    to zero).  NonRealSpectrum: an imaginary part above tau.  Eigenvalues
+    within tau form clusters; a cluster of m at mean mu is defective
+    (DefectiveMatrix) when the m-th smallest singular value of M - mu I
+    exceeds tau, else its m right singular vectors are its basis.  Rotations
+    inside each cluster diagonalize the restriction of T, then the dual
+    block of R where that restriction vanishes.
     """
     if std.statistics is not Statistics.BOSON:
         raise ValueError("expected a bosonic standard form")
     t_mat, r_mat = std.T, std.R
     n = std.n
     pencil = r_mat @ t_mat
-    scale = _norm(pencil)
+    t_norm, r_norm = _norm(t_mat), _norm(r_mat)
+    tau = IMAG_TOL_FACTOR * r_norm * t_norm
     eigvals, eigvecs = np.linalg.eig(pencil)
     max_imag = float(np.max(np.abs(eigvals.imag)))
-    if max_imag > IMAG_TOL_FACTOR * scale:
+    if max_imag > tau:
         raise NonRealSpectrum(
             f"R*T has complex eigenvalues (max imaginary part {max_imag:.3e})"
         )
-    eigvals = eigvals.real.copy()
-    eigvecs = eigvecs.real.copy()
-    cond = np.linalg.cond(eigvecs)
-    if not np.isfinite(cond) or cond > COND_MAX:
-        raise DefectiveMatrix(
-            f"eigenvector matrix has condition number {cond:.3e} (limit {COND_MAX:.1e})"
-        )
-    order = np.argsort(eigvals, kind="stable")
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
+    order = np.argsort(eigvals.real, kind="stable")
+    eigvals = eigvals.real[order]
+    eigvecs = eigvecs.real[:, order]
 
-    cluster_tol = IMAG_TOL_FACTOR * max(1.0, scale)
-    clusters = _cluster_indices(eigvals, cluster_tol)
+    clusters = [cl for cl in _cluster_indices(eigvals, tau) if len(cl) > 1]
     for cl in clusters:
-        if len(cl) < 2:
-            continue
-        cols = eigvecs[:, cl]
-        restriction = cols.T @ t_mat @ cols
-        _, rot = np.linalg.eigh((restriction + restriction.T) / 2.0)
-        eigvecs[:, cl] = cols @ rot
-    # inside a zero eigenvalue cluster both t and r can vanish; rotate the
-    # leftover R block there as well
-    t_norm = _norm(t_mat)
+        m = len(cl)
+        mu = float(np.mean(eigvals[cl]))
+        _, sing, vh = np.linalg.svd(pencil - mu * np.eye(n))
+        if sing[n - m] > tau:
+            raise DefectiveMatrix(
+                f"eigenvalue {mu:.6g} of R*T has multiplicity {m}, but R*T - mu I has "
+                f"singular value {sing[n - m]:.3e} above the limit {tau:.3e}"
+            )
+        eigvecs[:, cl] = vh[n - m:].T
+    # R is read in the dual basis, the rows of the inverse.  Inside a cluster
+    # R_c T_c = mu I, so a diagonal T_c leaves R_c to rotate only where t = 0
+    inv = np.linalg.inv(eigvecs) if clusters else None
     zero_t_tol = TOL_ZERO * max(1.0, t_norm)
     for cl in clusters:
-        if len(cl) < 2 or abs(eigvals[cl[0]]) > cluster_tol:
+        cols = eigvecs[:, cl]
+        restriction = cols.T @ t_mat @ cols
+        t_vals, rot = np.linalg.eigh((restriction + restriction.T) / 2.0)
+        eigvecs[:, cl] = cols @ rot
+        zero = np.abs(t_vals) <= zero_t_tol
+        if np.count_nonzero(zero) < 2:
             continue
-        t_vals = [float(eigvecs[:, j] @ t_mat @ eigvecs[:, j]) for j in cl]
-        sub = [j for j, tv in zip(cl, t_vals) if abs(tv) <= zero_t_tol]
-        if len(sub) < 2:
-            continue
-        inv = np.linalg.inv(eigvecs)
-        r_primed = inv @ r_mat @ inv.T
-        block = r_primed[np.ix_(sub, sub)]
+        sub = np.asarray(cl)[zero]
+        dual = rot[:, zero].T @ inv[cl]
+        block = dual @ r_mat @ dual.T
         _, rot = np.linalg.eigh((block + block.T) / 2.0)
         eigvecs[:, sub] = eigvecs[:, sub] @ rot
 
@@ -372,7 +369,7 @@ def diagonalize_boson(std: StandardForm) -> BosonModeData:
     t_full = s @ t_mat @ s.T
     s_inv = np.linalg.inv(s)
     r_full = s_inv.T @ r_mat @ s_inv
-    tol_diag = DIAG_TOL_FACTOR * (t_norm + _norm(r_mat))
+    tol_diag = DIAG_TOL_FACTOR * (t_norm + r_norm)
     off = 0.0
     if n > 1:
         mask = ~np.eye(n, dtype=bool)

@@ -182,6 +182,32 @@ class TestDiagonalize:
         assert json.loads(result.output)["error"] == "NonRealSpectrum"
         assert [str(w.message) for w in caught] == []
 
+    def test_repeated_inverted_modes(self, runner, tmp_path):
+        # two inverted modes of equal t*r: refused as defective by the old
+        # eigenvector condition-number test
+        path = write_json(tmp_path / "inv2.json", {
+            "statistics": "boson", "n": 3, "U": [[-2, 0, -2], [0, -4, -2], [-2, -2, -6]],
+            "V": [[4, 2, 2], [2, 4, 4], [2, 4, 0]], "const": 0,
+        })
+        result = runner.invoke(main, ["diagonalize", path])
+        assert result.exit_code == 0
+        modes = json.loads(result.output)["modes"]
+        assert [m["class"] for m in modes] == ["ContinuousInverted", "ContinuousInverted",
+                                               "Discrete"]
+        assert [m["t"] * m["r"] for m in modes] == pytest.approx([1.0, 1.0, -4.0], abs=1e-9)
+
+    def test_zero_pencil_with_overflowing_rounding_scale(self, runner, tmp_path):
+        # R T = 0 while ||R|| ||T|| overflows to inf; pytest fails on any
+        # RuntimeWarning
+        path = write_json(tmp_path / "big.json", {
+            "statistics": "boson", "n": 2, "U": [[1e200, 0], [0, 1e200]],
+            "V": [[1e200, 0], [0, -1e200]], "const": 0,
+        })
+        result = runner.invoke(main, ["diagonalize", path])
+        assert result.exit_code == 0
+        classes = [m["class"] for m in json.loads(result.output)["modes"]]
+        assert sorted(classes) == ["ContinuousFree", "ContinuousQuadratic"]
+
 
 class TestSpectrum:
     def test_fermion_n1(self, runner, tmp_path):
@@ -197,6 +223,17 @@ class TestSpectrum:
         entries = json.loads(result.output)["entries"]
         assert [e["energy"] for e in entries] == pytest.approx([0.0, 2.0, 4.0])
         assert [e["label"] for e in entries] == ["(0)", "(1)", "(2)"]
+
+    def test_boson_repeated_frequency(self, runner, tmp_path):
+        # frequencies 1, 2, 2 and k0 = -22: levels -12, -8 and -4 three times
+        path = write_json(tmp_path / "rep.json", {
+            "statistics": "boson", "n": 3, "U": [[0, -6, 0], [-6, 0, 6], [0, 6, 0]],
+            "V": [[6, 0, -2], [0, 10, 0], [-2, 0, 6]], "const": 0,
+        })
+        result = runner.invoke(main, ["spectrum", path, "--count", "5"])
+        assert result.exit_code == 0
+        energies = [e["energy"] for e in json.loads(result.output)["entries"]]
+        assert energies == pytest.approx([-12.0, -8.0, -4.0, -4.0, -4.0], abs=1e-9)
 
     def test_fermion_rotation_sectors(self, runner, tmp_path):
         path = write_json(tmp_path / "rot.json", {

@@ -13,6 +13,60 @@ def boson_std(t, r, k0=0.0):
                            T=np.asarray(t, dtype=float), R=np.asarray(r, dtype=float), k0=k0)
 
 
+def squeezed_transform(rng, n, spread):
+    """O diag(e^u) O' with O, O' orthogonal and u uniform in [-spread, spread]."""
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return q1 @ np.diag(np.exp(rng.uniform(-spread, spread, n))) @ q2
+
+
+def pair_from_modes(s, t, r):
+    """(T, R) = (S diag(t) S^t, S^-t diag(r) S^-1), symmetrized."""
+    s_inv = np.linalg.inv(s)
+    t_mat = s @ np.diag(t) @ s.T
+    r_mat = s_inv.T @ np.diag(r) @ s_inv
+    return (t_mat + t_mat.T) / 2.0, (r_mat + r_mat.T) / 2.0
+
+
+def repeated_frequency_forms(count):
+    """(T, R, products t*r, largest squared frequency) of n = 2..5 pairs.
+
+    Frequencies come from {1, 2, 3} on odd trials, so repeats are common;
+    every third trial flips random mode signs (inverted modes), and every
+    fifth sets t_0 = 0 and r_1 = 0, two zero modes of the pencil.
+    """
+    rng = np.random.default_rng(0)
+    forms = []
+    for trial in range(count):
+        n = int(rng.integers(2, 6))
+        s = squeezed_transform(rng, n, 0.5)
+        w = rng.choice([1.0, 2.0, 3.0], n) if trial % 2 else rng.uniform(0.5, 3.0, n)
+        split = np.exp(rng.uniform(-0.5, 0.5, n))
+        t, r = w * split, -w / split
+        if trial % 3 == 0:
+            r = r * rng.choice([-1.0, 1.0], n)
+        if trial % 5 == 0:
+            t[0] = r[1] = 0.0
+        forms.append((*pair_from_modes(s, t, r), np.sort(t * r), float(np.max(w)) ** 2))
+    return forms
+
+
+def zero_pencil_forms(count):
+    """T = S diag(1, 0, 0) S^t and R = S^-t diag(0, 1, -2) S^-1: R T = 0
+    although neither vanishes."""
+    rng = np.random.default_rng(7)
+    return [pair_from_modes(squeezed_transform(rng, 3, 1.0), [1.0, 0.0, 0.0], [0.0, 1.0, -2.0])
+            for _ in range(count)]
+
+
+def off_diagonal(data, t, r):
+    """Largest off-diagonal entry of S T S^t and S^-t R S^-1."""
+    s_inv = np.linalg.inv(data.S)
+    off = ~np.eye(data.n, dtype=bool)
+    return max(np.max(np.abs((data.S @ t @ data.S.T)[off])),
+               np.max(np.abs((s_inv.T @ r @ s_inv)[off])))
+
+
 class TestDiagonalizeBoson:
     def test_already_diagonal(self):
         data = bd.diagonalize_boson(boson_std([[0.5]], [[-0.5]]))
@@ -37,8 +91,10 @@ class TestDiagonalizeBoson:
                 bd.diagonalize_boson(bd.to_standard(form))
 
     def test_defective_pencil(self):
-        # R T = [[0,1],[0,0]], a nontrivial Jordan cell
-        with pytest.raises(bd.DefectiveMatrix):
+        # R T = [[0,1],[0,0]], a nontrivial Jordan cell: eigenvalue 0 twice,
+        # singular values 1 and 0, limit 1e-8 * ||R|| ||T|| = 1e-8 sqrt(2)
+        with pytest.raises(bd.DefectiveMatrix,
+                           match="singular value 1.000e[+]00 above the limit 1.414e-08"):
             bd.diagonalize_boson(boson_std([[0.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]))
 
     def test_sheared_pair(self):
@@ -101,19 +157,55 @@ class TestDiagonalizeBoson:
             b = rng.uniform(-1, 1, (3, 3))
             t = (a + a.T) / 2
             r = (b + b.T) / 2
-            pencil = r @ t
-            max_imag = np.max(np.abs(np.linalg.eigvals(pencil).imag))
-            threshold = 1e-8 * np.linalg.norm(pencil)
+            max_imag = np.max(np.abs(np.linalg.eigvals(r @ t).imag))
+            threshold = 1e-8 * np.linalg.norm(r) * np.linalg.norm(t)
             try:
                 bd.diagonalize_boson(boson_std(t, r))
                 raised = False
             except bd.NonRealSpectrum:
                 raised = True
-            except bd.DefectiveMatrix:
-                continue
             assert raised == (max_imag > threshold)
             raised_both[int(raised)] += 1
         assert min(raised_both) > 0  # both branches exercised
+
+
+@pytest.fixture(scope="module")
+def repeated_forms():
+    # the first 1000 of the 2000-form probe keep three scales under 3 s
+    return repeated_frequency_forms(1000)
+
+
+@pytest.fixture(scope="module")
+def zero_pencils():
+    return zero_pencil_forms(500)
+
+
+class TestRepeatedEigenvalues:
+    """A cluster of equal R T eigenvalues is refused only when it fails the
+    rank test, at any scale of the input."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_repeated_frequencies_diagonalize(self, repeated_forms, scale):
+        for t, r, products, top in repeated_forms:
+            t, r = scale * t, scale * r
+            data = bd.diagonalize_boson(boson_std(t, r))
+            tol = bd.spectral.DIAG_TOL_FACTOR * (np.linalg.norm(t) + np.linalg.norm(r))
+            assert off_diagonal(data, t, r) <= tol
+            got = np.sort([m.t * m.r for m in data.modes])
+            assert np.max(np.abs(got - scale ** 2 * products)) <= 1e-12 * scale ** 2 * top
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_zero_pencil_of_nonzero_pair(self, zero_pencils, scale):
+        # the imaginary parts are rounding of size ||R|| ||T||, while ||R T||
+        # is rounding too
+        for t, r in zero_pencils:
+            data = bd.diagonalize_boson(boson_std(scale * t, scale * r))
+            if scale <= 1.0:
+                # at 1e6 the absolute TOL_ZERO of _classify_mode misreads
+                # rounding in t as nonzero
+                assert sorted(m.mode_class.value for m in data.modes) == [
+                    "ContinuousFree", "ContinuousFree", "ContinuousQuadratic"]
+                assert off_diagonal(data, scale * t, scale * r) <= 1e-8 * scale
 
 
 class TestModeLevels:
