@@ -270,30 +270,26 @@ def guard_level_count(count: int) -> None:
 
 
 def _cluster_indices(values: np.ndarray, tol: float) -> list:
-    """Group indices of a sorted array into runs of nearly equal values."""
-    clusters = []
-    current = [0]
-    for i in range(1, len(values)):
-        if values[i] - values[current[-1]] <= tol:
-            current.append(i)
-        else:
-            clusters.append(current)
-            current = [i]
-    clusters.append(current)
-    return clusters
+    """Index arrays of the runs of a sorted array whose steps are at most tol."""
+    cuts = np.flatnonzero(np.diff(values) > tol) + 1
+    return np.split(np.arange(len(values)), cuts)
 
 
 def diagonalize_boson(std: StandardForm) -> BosonModeData:
     """Simultaneously diagonalize (T, R) through the pencil M = R T.
 
-    Each decision compares with tau = IMAG_TOL_FACTOR * ||R|| ||T||, the size
-    of the rounding in M (||M|| is not: it is rounding itself when M cancels
-    to zero).  NonRealSpectrum: an imaginary part above tau.  Eigenvalues
-    within tau form clusters; a cluster of m at mean mu is defective
-    (DefectiveMatrix) when the m-th smallest singular value of M - mu I
-    exceeds tau, else its m right singular vectors are its basis.  Rotations
-    inside each cluster diagonalize the restriction of T, then the dual
-    block of R where that restriction vanishes.
+    tau = IMAG_TOL_FACTOR * ||R|| ||T|| is the size of the rounding in M,
+    which ||M|| is not where M cancels to zero; tau is inf where the product
+    overflows, and the residual check then decides alone.  NonRealSpectrum:
+    an imaginary part above tau.  Eigenvalues within tau form clusters; a
+    cluster of m at mean mu passes the rank test when the m-th smallest
+    singular value of M - mu I is at most tau, and its right singular
+    vectors become its basis.  On sheared forms tau can merge eigenvalues
+    that eig resolves, so a cluster that fails is split on the finer scale
+    IMAG_TOL_FACTOR * ||M||: NonRealSpectrum on an imaginary part above it,
+    DefectiveMatrix when it does not split.  Rotations inside each cluster
+    diagonalize the restriction of T, then the dual block of R where that
+    restriction vanishes.
     """
     if std.statistics is not Statistics.BOSON:
         raise ValueError("expected a bosonic standard form")
@@ -306,23 +302,37 @@ def diagonalize_boson(std: StandardForm) -> BosonModeData:
     max_imag = float(np.max(np.abs(eigvals.imag)))
     if max_imag > tau:
         raise NonRealSpectrum(
-            f"R*T has complex eigenvalues (max imaginary part {max_imag:.3e})"
+            f"R*T has complex eigenvalues (imaginary part {max_imag:.3e} above the limit {tau:.3e})"
         )
     order = np.argsort(eigvals.real, kind="stable")
+    imag = np.abs(eigvals.imag[order])
     eigvals = eigvals.real[order]
     eigvecs = eigvecs.real[:, order]
 
-    clusters = [cl for cl in _cluster_indices(eigvals, tau) if len(cl) > 1]
-    for cl in clusters:
+    fine_tol = IMAG_TOL_FACTOR * _norm(pencil)
+    pending = _cluster_indices(eigvals, tau)
+    clusters = []
+    while pending:
+        cl = pending.pop()
         m = len(cl)
+        if m < 2:
+            continue
         mu = float(np.mean(eigvals[cl]))
         _, sing, vh = np.linalg.svd(pencil - mu * np.eye(n))
-        if sing[n - m] > tau:
+        if sing[n - m] <= tau:
+            eigvecs[:, cl] = vh[n - m:].T
+            clusters.append(cl)
+            continue
+        if np.max(imag[cl]) > fine_tol:
+            raise NonRealSpectrum(f"R*T has complex eigenvalues (imaginary part "
+                                  f"{np.max(imag[cl]):.3e} above the limit {fine_tol:.3e})")
+        parts = _cluster_indices(eigvals[cl], fine_tol)
+        if len(parts) == 1:
             raise DefectiveMatrix(
                 f"eigenvalue {mu:.6g} of R*T has multiplicity {m}, but R*T - mu I has "
                 f"singular value {sing[n - m]:.3e} above the limit {tau:.3e}"
             )
-        eigvecs[:, cl] = vh[n - m:].T
+        pending += [cl[part] for part in parts]
     # R is read in the dual basis, the rows of the inverse.  Inside a cluster
     # R_c T_c = mu I, so a diagonal T_c leaves R_c to rotate only where t = 0
     inv = np.linalg.inv(eigvecs) if clusters else None
@@ -335,7 +345,7 @@ def diagonalize_boson(std: StandardForm) -> BosonModeData:
         zero = np.abs(t_vals) <= zero_t_tol
         if np.count_nonzero(zero) < 2:
             continue
-        sub = np.asarray(cl)[zero]
+        sub = cl[zero]
         dual = rot[:, zero].T @ inv[cl]
         block = dual @ r_mat @ dual.T
         _, rot = np.linalg.eigh((block + block.T) / 2.0)
@@ -359,10 +369,7 @@ def diagonalize_boson(std: StandardForm) -> BosonModeData:
     mode_order = np.argsort(-t_diag * r_diag, kind="stable")
     s = s[mode_order]
     # deterministic sign: largest-magnitude entry of each row positive
-    for i in range(n):
-        j = int(np.argmax(np.abs(s[i])))
-        if s[i, j] < 0:
-            s[i] *= -1.0
+    s *= np.where(s[np.arange(n), np.argmax(np.abs(s), axis=1)] < 0, -1.0, 1.0)[:, None]
     if np.linalg.det(s) < 0:
         s[-1] *= -1.0
 
@@ -370,19 +377,14 @@ def diagonalize_boson(std: StandardForm) -> BosonModeData:
     s_inv = np.linalg.inv(s)
     r_full = s_inv.T @ r_mat @ s_inv
     tol_diag = DIAG_TOL_FACTOR * (t_norm + r_norm)
-    off = 0.0
-    if n > 1:
-        mask = ~np.eye(n, dtype=bool)
-        off = max(float(np.max(np.abs(t_full[mask]))), float(np.max(np.abs(r_full[mask]))))
+    mask = ~np.eye(n, dtype=bool)
+    off = max(float(np.max(np.abs(a[mask]), initial=0.0)) for a in (t_full, r_full))
     if off > tol_diag:
         raise DefectiveMatrix(
             f"residual off-diagonal {off:.3e} exceeds tolerance {tol_diag:.3e}"
         )
-    modes = tuple(
-        BosonMode(t=float(t_full[i, i]), r=float(r_full[i, i]),
-                  mode_class=_classify_mode(float(t_full[i, i]), float(r_full[i, i])))
-        for i in range(n)
-    )
+    modes = tuple(BosonMode(t=t, r=r, mode_class=_classify_mode(t, r))
+                  for t, r in zip(np.diag(t_full).tolist(), np.diag(r_full).tolist()))
     s.setflags(write=False)
     return BosonModeData(S=s, modes=modes, k0=std.k0)
 

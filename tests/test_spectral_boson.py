@@ -28,8 +28,9 @@ def pair_from_modes(s, t, r):
     return (t_mat + t_mat.T) / 2.0, (r_mat + r_mat.T) / 2.0
 
 
-def repeated_frequency_forms(count):
-    """(T, R, products t*r, largest squared frequency) of n = 2..5 pairs.
+def repeated_frequency_forms(count, spread=0.5):
+    """(T, R, products t*r, largest squared frequency) of n = 2..5 pairs,
+    S squeezed up to e^+-spread.
 
     Frequencies come from {1, 2, 3} on odd trials, so repeats are common;
     every third trial flips random mode signs (inverted modes), and every
@@ -39,7 +40,7 @@ def repeated_frequency_forms(count):
     forms = []
     for trial in range(count):
         n = int(rng.integers(2, 6))
-        s = squeezed_transform(rng, n, 0.5)
+        s = squeezed_transform(rng, n, spread)
         w = rng.choice([1.0, 2.0, 3.0], n) if trial % 2 else rng.uniform(0.5, 3.0, n)
         split = np.exp(rng.uniform(-0.5, 0.5, n))
         t, r = w * split, -w / split
@@ -176,6 +177,11 @@ def repeated_forms():
 
 
 @pytest.fixture(scope="module")
+def squeezed_forms():
+    return repeated_frequency_forms(300, spread=3.0)
+
+
+@pytest.fixture(scope="module")
 def zero_pencils():
     return zero_pencil_forms(500)
 
@@ -193,6 +199,48 @@ class TestRepeatedEigenvalues:
             assert off_diagonal(data, t, r) <= tol
             got = np.sort([m.t * m.r for m in data.modes])
             assert np.max(np.abs(got - scale ** 2 * products)) <= 1e-12 * scale ** 2 * top
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_strongly_squeezed_repeated_frequencies(self, squeezed_forms, scale):
+        # S up to e^+-3 spreads ||R|| ||T|| far above the eigenvalues of R T,
+        # so t*r is only as accurate as the rounding of R T
+        for t, r, products, _ in squeezed_forms:
+            t, r = scale * t, scale * r
+            data = bd.diagonalize_boson(boson_std(t, r))
+            tol = bd.spectral.DIAG_TOL_FACTOR * (np.linalg.norm(t) + np.linalg.norm(r))
+            assert off_diagonal(data, t, r) <= tol
+            got = np.sort([m.t * m.r for m in data.modes])
+            bound = 1e-14 * np.linalg.norm(t) * np.linalg.norm(r)
+            assert np.max(np.abs(got - scale ** 2 * products)) <= bound
+
+    @pytest.mark.parametrize("k, gap", [(100.0, 0.5), (10.0, 1e-4)])
+    def test_sheared_close_frequencies(self, k, gap):
+        # the shear S = [[1, k], [0, 1]] puts tau ~ 1e-8 k^4 above the gap
+        # between the eigenvalues -1 and -1 - gap of R T, which eig resolves:
+        # their cluster fails the rank test and splits on the scale of R T
+        t, r = pair_from_modes(np.array([[1.0, k], [0.0, 1.0]]), [1.0, 1.0], [-1.0, -1.0 - gap])
+        data = bd.diagonalize_boson(boson_std(t, r))
+        assert sorted(m.t * m.r for m in data.modes) == pytest.approx([-1.0 - gap, -1.0],
+                                                                      rel=0, abs=1e-9)
+
+    def test_sheared_complex_pair(self):
+        # R T = S^-t [[-1, b], [-b, -1]] S^t with b = 1e-5 below tau ~ 1e-4:
+        # the pair fails the rank test, and b exceeds the scale of R T
+        s = np.array([[1.0, 10.0], [0.0, 1.0]])
+        s_inv = np.linalg.inv(s)
+        t = s @ np.diag([1.0, -1.0]) @ s.T
+        r = s_inv.T @ np.array([[-1.0, -1e-5], [-1e-5, 1.0]]) @ s_inv
+        with pytest.raises(bd.NonRealSpectrum, match="imaginary part 1.000e-05 above the limit"):
+            bd.diagonalize_boson(boson_std(t, (r + r.T) / 2.0))
+
+    def test_overflowing_rounding_scale(self):
+        # ||R|| ||T|| = 1e320 overflows to tau = inf, which every decision
+        # passes; R T = diag(0, -1e230) stays finite and the residual check
+        # holds S to a diagonal pair
+        data = bd.diagonalize_boson(boson_std(np.diag([1e200, 1e110]), np.diag([0.0, -1e120])))
+        assert [m.mode_class for m in data.modes] == [ModeClass.CONTINUOUS_QUADRATIC,
+                                                      ModeClass.DISCRETE]
+        assert data.modes[1].t * data.modes[1].r == pytest.approx(-1e230)
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_zero_pencil_of_nonzero_pair(self, zero_pencils, scale):
