@@ -272,7 +272,8 @@ def _lowest_pairs(matrix: Matrix, k: int, v0: Optional[np.ndarray] = None,
     max(2k + 4, 20) vectors, and it starts from `v0`, by default a
     fixed-seed Gaussian vector, so results are deterministic.  The working
     set is estimated first and refused with ResourceLimitError above
-    EIGENSOLVE_BYTES_GUARD, before anything is allocated.
+    EIGENSOLVE_BYTES_GUARD, before anything is allocated; a Lanczos solve
+    that uses up its budget of 100 * dim iterations raises it too.
     """
     dim = matrix.shape[0]
     k = min(k, dim)
@@ -307,8 +308,12 @@ def _lowest_pairs(matrix: Matrix, k: int, v0: Optional[np.ndarray] = None,
     sigma = _row_sum_bound(matrix)
     shifted = spla.LinearOperator(matrix.shape, dtype=float,
                                   matvec=lambda x: matrix @ x + sigma * x)
-    out = spla.eigsh(shifted, k=k, which="SA", v0=v0, ncv=ncv,
-                     maxiter=100 * dim, tol=1e-12, return_eigenvectors=vectors)
+    try:
+        out = spla.eigsh(shifted, k=k, which="SA", v0=v0, ncv=ncv,
+                         maxiter=100 * dim, tol=1e-12, return_eigenvectors=vectors)
+    except spla.ArpackNoConvergence:
+        raise ResourceLimitError(f"Lanczos eigensolve of {k} eigenvalues at dimension {dim} "
+                                 f"did not converge in {100 * dim} iterations") from None
     if not vectors:
         return np.sort(out) - sigma, None
     order = np.argsort(out[0])

@@ -399,7 +399,7 @@ def form_from_dict(data: dict) -> QuadraticForm:
     stats = _statistics_from_dict(data)
     try:
         n = int(data["n"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("missing or malformed mode count 'n'") from exc
     u = _matrix_from_dict(data, "U", n)
     v = _matrix_from_dict(data, "V", n)
@@ -418,7 +418,7 @@ def transform_from_dict(data: dict) -> BogoliubovTransform:
     stats = _statistics_from_dict(data)
     try:
         n = int(data["n"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("missing or malformed mode count 'n'") from exc
     p = _matrix_from_dict(data, "P", n)
     q = _matrix_from_dict(data, "Q", n)

@@ -323,8 +323,10 @@ def fixture_from_dict(data: dict) -> VectorFieldFixture:
         n = int(data["n"])
         chi = int(data["chi"])
         raw_points = data["points"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError("fixture requires integer 'n', 'chi' and a 'points' list") from exc
+    if not isinstance(raw_points, list):
+        raise ValidationError("fixture requires integer 'n', 'chi' and a 'points' list")
     points = []
     for entry in raw_points:
         try:

@@ -43,13 +43,10 @@ from .forms import StandardForm, Statistics, Violation
 #: Oscillator ladder coefficient, calibrated against the exact Fock oracle.
 LEVEL_COEFF = -4.0
 
-#: Absolute threshold below which a diagonal entry t_i or r_i counts as zero.
-TOL_ZERO = 1e-10
-
 #: Relative threshold of the rank test in degenerate().
 DEGENERACY_TOL = 1e-10
 
-#: Times ||R|| ||T||, the rounding scale of R*T in diagonalize_boson.
+#: Rounding factor of diagonalize_boson: times ||R|| ||T|| for R*T, see _is_zero.
 IMAG_TOL_FACTOR = 1e-8
 
 #: Scale-relative factor for the residual off-diagonal check.
@@ -275,6 +272,17 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list:
     return np.split(np.arange(len(values)), cuts)
 
 
+def _is_zero(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """|v^t M v| <= IMAG_TOL_FACTOR * |v|^t |M| |v| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 3.1) per column v of vecs, once entries
+    at or below IMAG_TOL_FACTOR * max|v| are dropped, which off an exact null
+    vector of M would make both sides rounding.  Scaling M or v moves both."""
+    vecs = np.where(np.abs(vecs) > IMAG_TOL_FACTOR * np.abs(vecs).max(axis=0), vecs, 0.0)
+    values = np.einsum("ji,jk,ki->i", vecs, mat, vecs)
+    mags = np.abs(vecs)
+    return np.abs(values) <= IMAG_TOL_FACTOR * np.einsum("ji,jk,ki->i", mags, np.abs(mat), mags)
+
+
 def diagonalize_boson(std: StandardForm) -> BosonModeData:
     """Simultaneously diagonalize (T, R) through the pencil M = R T.
 
@@ -288,8 +296,8 @@ def diagonalize_boson(std: StandardForm) -> BosonModeData:
     that eig resolves, so a cluster that fails is split on the finer scale
     IMAG_TOL_FACTOR * ||M||: NonRealSpectrum on an imaginary part above it,
     DefectiveMatrix when it does not split.  Rotations inside each cluster
-    diagonalize the restriction of T, then the dual block of R where that
-    restriction vanishes.
+    diagonalize the restriction of T, then the dual block of R where
+    _is_zero finds it zero; once per mode of S, it finds t_i or r_i zero.
     """
     if std.statistics is not Statistics.BOSON:
         raise ValueError("expected a bosonic standard form")
@@ -336,13 +344,12 @@ def diagonalize_boson(std: StandardForm) -> BosonModeData:
     # R is read in the dual basis, the rows of the inverse.  Inside a cluster
     # R_c T_c = mu I, so a diagonal T_c leaves R_c to rotate only where t = 0
     inv = np.linalg.inv(eigvecs) if clusters else None
-    zero_t_tol = TOL_ZERO * max(1.0, t_norm)
     for cl in clusters:
         cols = eigvecs[:, cl]
         restriction = cols.T @ t_mat @ cols
-        t_vals, rot = np.linalg.eigh((restriction + restriction.T) / 2.0)
+        _, rot = np.linalg.eigh((restriction + restriction.T) / 2.0)
         eigvecs[:, cl] = cols @ rot
-        zero = np.abs(t_vals) <= zero_t_tol
+        zero = _is_zero(t_mat, eigvecs[:, cl])
         if np.count_nonzero(zero) < 2:
             continue
         sub = cl[zero]
@@ -355,15 +362,14 @@ def diagonalize_boson(std: StandardForm) -> BosonModeData:
     t_diag = np.einsum("ij,jk,ik->i", s, t_mat, s)
     s_inv = np.linalg.inv(s)
     r_diag = np.einsum("ji,jk,ki->i", s_inv, r_mat, s_inv)
+    # one zero test per mode, unchanged by balancing: t -> a^2 t, r -> r / a^2
+    t_zero, r_zero = _is_zero(t_mat, s.T), _is_zero(r_mat, s_inv)
 
     # per-mode scaling freedom: balance |t_i| = |r_i| where possible,
     # otherwise normalize the mode row of S
     for i in range(n):
-        if abs(t_diag[i]) > TOL_ZERO and abs(r_diag[i]) > TOL_ZERO:
-            alpha = (abs(r_diag[i]) / abs(t_diag[i])) ** 0.25
-        else:
-            alpha = 1.0 / float(np.linalg.norm(s[i]))
-        s[i] *= alpha
+        s[i] *= (1.0 / float(np.linalg.norm(s[i])) if t_zero[i] or r_zero[i]
+                 else (abs(r_diag[i]) / abs(t_diag[i])) ** 0.25)
     # mode order: descending product t_i r_i, so discrete modes come out
     # sorted by ascending frequency sqrt(-t_i r_i)
     mode_order = np.argsort(-t_diag * r_diag, kind="stable")
@@ -383,22 +389,21 @@ def diagonalize_boson(std: StandardForm) -> BosonModeData:
         raise DefectiveMatrix(
             f"residual off-diagonal {off:.3e} exceeds tolerance {tol_diag:.3e}"
         )
-    modes = tuple(BosonMode(t=t, r=r, mode_class=_classify_mode(t, r))
-                  for t, r in zip(np.diag(t_full).tolist(), np.diag(r_full).tolist()))
+    modes = tuple(BosonMode(t=t, r=r, mode_class=_classify_mode(t, r, tz, rz))
+                  for t, r, tz, rz in zip(np.diag(t_full).tolist(), np.diag(r_full).tolist(),
+                                          t_zero[mode_order], r_zero[mode_order]))
     s.setflags(write=False)
     return BosonModeData(S=s, modes=modes, k0=std.k0)
 
 
-def _classify_mode(t: float, r: float) -> ModeClass:
-    t_zero = abs(t) <= TOL_ZERO
-    r_zero = abs(r) <= TOL_ZERO
+def _classify_mode(t: float, r: float, t_zero: bool, r_zero: bool) -> ModeClass:
     if t_zero and r_zero:
         return ModeClass.CONSTANT
     if r_zero:
         return ModeClass.CONTINUOUS_QUADRATIC
     if t_zero:
         return ModeClass.CONTINUOUS_FREE
-    if t * r < 0:
+    if (t < 0) != (r < 0):
         return ModeClass.DISCRETE
     return ModeClass.CONTINUOUS_INVERTED
 
@@ -406,10 +411,10 @@ def _classify_mode(t: float, r: float) -> ModeClass:
 def boson_mode_levels(t: float, r: float, count: int) -> np.ndarray:
     """Ladder of one discrete oscillator mode, bottom `count` rungs, as an array.
 
-    Monotone increasing in m exactly when r < 0 (bounded below); raises
-    NonDiscreteMode unless _classify_mode(t, r) is DISCRETE.
+    Monotone increasing in m exactly when r < 0 (bounded below); a bare pair
+    has no rounding scale, so NonDiscreteMode unless exactly t r < 0.
     """
-    if _classify_mode(t, r) is not ModeClass.DISCRETE:
+    if _classify_mode(t, r, t == 0.0, r == 0.0) is not ModeClass.DISCRETE:
         raise NonDiscreteMode(f"mode (t={t}, r={r}) has no discrete ladder")
     spacing = LEVEL_COEFF * (r / abs(r)) * np.sqrt(-r * t)
     return spacing * (np.arange(count) + 0.5)

@@ -224,6 +224,17 @@ class TestSpectrum:
         assert [e["energy"] for e in entries] == pytest.approx([0.0, 2.0, 4.0])
         assert [e["label"] for e in entries] == ["(0)", "(1)", "(2)"]
 
+    def test_boson_count_at_tiny_scale(self, runner, tmp_path):
+        # the oscillator of test_boson_count scaled by 1e-12: whether t or r
+        # is zero is measured against its own rounding, not in absolute units
+        path = write_json(tmp_path / "tiny.json", {
+            "statistics": "boson", "n": 1, "U": [[0.0]], "V": [[1e-12]],
+        })
+        result = runner.invoke(main, ["spectrum", path, "--count", "3"])
+        assert result.exit_code == 0
+        energies = [e["energy"] for e in json.loads(result.output)["entries"]]
+        assert energies == pytest.approx([0.0, 2e-12, 4e-12], rel=1e-12, abs=1e-24)
+
     def test_boson_repeated_frequency(self, runner, tmp_path):
         # frequencies 1, 2, 2 and k0 = -22: levels -12, -8 and -4 three times
         path = write_json(tmp_path / "rep.json", {
@@ -327,6 +338,25 @@ class TestVerify:
         assert result.exit_code == 0, result.output
         payload = json.loads(result.output)
         assert payload["compared"] == 10 and payload["max_abs_deviation"] <= 1e-6
+
+    def test_lanczos_no_convergence_exits_2(self, runner, tmp_path, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        def fail(*args, **kwargs):
+            raise spla.ArpackNoConvergence("ARPACK error -1: No convergence", [], [])
+
+        monkeypatch.setattr(spla, "eigsh", fail)
+        path = write_json(tmp_path / "b2.json", {
+            "statistics": "boson", "n": 2, "U": [[0.0, 0.0], [0.0, 0.0]],
+            "V": [[1.0, 0.0], [0.0, 1.3]], "const": 0.0,
+        })
+        result = runner.invoke(main, ["verify", path, "--cutoff", "40", "--count", "10"])
+        assert result.exit_code == 2
+        assert json.loads(result.output) == {
+            "error": "ResourceLimitError",
+            "detail": "Lanczos eigensolve of 10 eigenvalues at dimension 1681 did not converge "
+                      "in 168100 iterations",
+        }
 
     def test_unbounded_boson_warns(self, runner, tmp_path):
         path = write_json(tmp_path / "ub.json", {
@@ -596,6 +626,24 @@ class TestOutputContract:
         result = runner.invoke(main, [command, write_json(tmp_path / "bad.json", document)])
         assert result.exit_code == 1
         assert json.loads(result.output)["error"] == "ValidationError"
+
+    @pytest.mark.parametrize("command, text", [
+        ("morse", '{"n": 2, "chi": 0, "points": 5}'),
+        ("morse", '{"n": 2, "chi": 0, "points": null}'),
+        ("morse", '{"n": 2, "chi": 0, "points": true}'),
+        ("morse", '{"n": 1e999, "chi": 0, "points": []}'),
+        ("morse", '{"n": 2, "chi": Infinity, "points": []}'),
+        ("validate", '{"statistics": "boson", "n": 1e999, "U": [[0]], "V": [[1]]}'),
+        ("spectrum", '{"statistics": "boson", "n": Infinity, "U": [[0]], "V": [[1]]}'),
+        ("diagonalize", '{"statistics": "fermion", "n": -Infinity, "U": [[0]], "V": [[1]]}'),
+    ], ids=["points_number", "points_null", "points_bool", "fixture_n_overflow",
+            "fixture_chi_infinite", "form_n_overflow", "form_n_infinite", "form_n_minus_infinite"])
+    def test_unparseable_count_exits_1(self, runner, tmp_path, command, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 1
+        assert strict_json(result.stdout)["error"] == "ValidationError"
 
     @pytest.mark.parametrize("command", ["validate", "diagonalize", "spectrum", "verify"])
     def test_overflowing_normal_form_exits_1(self, runner, tmp_path, command):

@@ -264,7 +264,9 @@ class TestJson:
         {"statistics": "fermion", "n": 1, "Q": [[1]]},
         {"statistics": "fermion", "n": 1, "P": [["a"]], "Q": [[1]]},
         {"statistics": "fermion", "n": 2, "P": [[0]], "Q": [[1]]},
-    ], ids=["n_missing", "n_not_integer", "P_missing", "P_not_numeric", "P_wrong_shape"])
+        {"statistics": "boson", "n": float("inf"), "P": [[1]], "Q": [[0]]},
+    ], ids=["n_missing", "n_not_integer", "P_missing", "P_not_numeric", "P_wrong_shape",
+            "n_infinite"])
     def test_malformed_transform_rejected(self, payload):
         with pytest.raises(bd.ValidationError):
             bd.transform_from_dict(payload)

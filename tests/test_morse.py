@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import random_invertible_jacobian, refusal_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bogodiag as bd
 from bogodiag import Parity, morse
@@ -77,6 +79,27 @@ class TestPointSign:
             assert bd.zero_mode_parity(bd.SingularPoint("p", scale * jac)) is (
                 Parity.EVEN if want > 0 else Parity.ODD)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), u=st.floats(-6.0, 6.0))
+    def test_decisions_unchanged_by_rescaling(self, seed, n, u):
+        # singular values spread over e^+-3, the last one pushed down by up to
+        # 14 decades on odd seeds, so both sides of DEGENERACY_TOL come up
+        rng = np.random.default_rng(seed)
+        q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        sigma = np.exp(rng.uniform(-3.0, 3.0, n))
+        sigma[-1] *= 10.0 ** -rng.uniform(0.0, 14.0 * (seed % 2))
+        jac = q1 @ np.diag(sigma) @ q2
+
+        def decisions(c):
+            ambiguous = bd.diagonalize_fermion(
+                bd.StandardForm(bd.Statistics.FERMION, C=c)).sign_ambiguous
+            try:
+                return ambiguous, bd.point_sign(bd.SingularPoint("p", c))
+            except bd.DegeneratePoint:
+                return ambiguous, None
+
+        assert decisions(10.0 ** u * jac) == decisions(jac)
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_degeneracy_boundary_shared(self, scale):

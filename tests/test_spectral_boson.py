@@ -3,6 +3,8 @@ import warnings
 import numpy as np
 import pytest
 from conftest import bounded_boson_form, refusal_peak
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bogodiag as bd
 from bogodiag import ModeClass, Statistics
@@ -58,6 +60,15 @@ def zero_pencil_forms(count):
     rng = np.random.default_rng(7)
     return [pair_from_modes(squeezed_transform(rng, 3, 1.0), [1.0, 0.0, 0.0], [0.0, 1.0, -2.0])
             for _ in range(count)]
+
+
+def mode_class(t, r):
+    """Class of a mode (t, r) with exact zeros."""
+    if t == 0.0:
+        return ModeClass.CONSTANT if r == 0.0 else ModeClass.CONTINUOUS_FREE
+    if r == 0.0:
+        return ModeClass.CONTINUOUS_QUADRATIC
+    return ModeClass.DISCRETE if t * r < 0.0 else ModeClass.CONTINUOUS_INVERTED
 
 
 def off_diagonal(data, t, r):
@@ -248,12 +259,36 @@ class TestRepeatedEigenvalues:
         # is rounding too
         for t, r in zero_pencils:
             data = bd.diagonalize_boson(boson_std(scale * t, scale * r))
-            if scale <= 1.0:
-                # at 1e6 the absolute TOL_ZERO of _classify_mode misreads
-                # rounding in t as nonzero
-                assert sorted(m.mode_class.value for m in data.modes) == [
-                    "ContinuousFree", "ContinuousFree", "ContinuousQuadratic"]
-                assert off_diagonal(data, scale * t, scale * r) <= 1e-8 * scale
+            assert sorted(m.mode_class.value for m in data.modes) == [
+                "ContinuousFree", "ContinuousFree", "ContinuousQuadratic"]
+            assert off_diagonal(data, scale * t, scale * r) <= 1e-8 * scale
+
+
+class TestScaleInvariantClasses:
+    """Whether t_i or r_i is zero is decided against the rounding of its own
+    quadratic form, so classes hold at every scale of the input."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), spread=st.floats(0.0, 2.5),
+           pattern=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=5, max_size=5),
+           aligned=st.booleans(), u=st.floats(-6.0, 6.0))
+    def test_classes_of_mode_built_forms(self, seed, n, spread, pattern, aligned, u):
+        # pattern[i] says whether t_i and r_i are nonzero; the values come
+        # from the seed, so no draw can shrink to a structural zero
+        rng = np.random.default_rng(seed)
+        nonzero = np.array(pattern[:n]).T
+        t, r = nonzero * rng.choice([-1.0, 1.0], (2, n)) * np.exp(rng.uniform(-2.0, 2.0, (2, n)))
+        s = squeezed_transform(rng, n, spread)
+        if aligned:
+            # modes with a zero keep a coordinate axis each, so T and R have
+            # exact zero rows, and only the others mix
+            mixed = nonzero.all(axis=0)
+            s = np.eye(n)
+            s[np.ix_(mixed, mixed)] = squeezed_transform(rng, int(mixed.sum()), spread)
+        t_mat, r_mat = pair_from_modes(s, t, r)
+        data = bd.diagonalize_boson(boson_std(10.0 ** u * t_mat, 10.0 ** u * r_mat))
+        assert sorted(m.mode_class.value for m in data.modes) == sorted(
+            mode_class(ti, ri).value for ti, ri in zip(t, r))
 
 
 class TestModeLevels:
@@ -290,11 +325,13 @@ class TestModeLevels:
             assert np.array_equal(levels.view(np.uint64), expected.view(np.uint64))
 
     def test_non_discrete_rejected(self):
-        # the boundary |t| or |r| = TOL_ZERO counts as zero, as in _classify_mode
-        for t, r in [(0.5, 0.5), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (1e-10, -1.0),
-                     (-1.0, 1e-10), (-0.5, -0.5)]:
+        for t, r in [(0.5, 0.5), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (-0.5, -0.5)]:
             with pytest.raises(bd.NonDiscreteMode):
                 bd.boson_mode_levels(t, r, 2)
+        # a bare pair has no rounding scale: only exact zeros count
+        for t, r in [(1e-10, -1.0), (-1.0, 1e-10)]:
+            spacing = bd.LEVEL_COEFF * np.sign(r) * 1e-5
+            assert bd.boson_mode_levels(t, r, 2) == pytest.approx([spacing / 2, 1.5 * spacing])
 
 
 class TestBosonSpectrum:
