@@ -46,7 +46,8 @@ LEVEL_COEFF = -4.0
 #: Relative threshold of the rank test in degenerate().
 DEGENERACY_TOL = 1e-10
 
-#: Rounding factor of diagonalize_boson: times ||R|| ||T|| for R*T, see _is_zero.
+#: Rounding factor of diagonalize_boson: times ||R|| ||T|| for R*T, times a
+#: bound for a quadratic form, and eps / IMAG_TOL_FACTOR for a vector (_is_zero).
 IMAG_TOL_FACTOR = 1e-8
 
 #: Scale-relative factor for the residual off-diagonal check.
@@ -273,13 +274,14 @@ def _cluster_indices(values: np.ndarray, tol: float) -> list:
 
 
 def _is_zero(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """|v^t M v| <= IMAG_TOL_FACTOR * |v|^t |M| |v| (Higham, Accuracy and
-    Stability of Numerical Algorithms, 3.1) per column v of vecs, once entries
-    at or below IMAG_TOL_FACTOR * max|v| are dropped, which off an exact null
-    vector of M would make both sides rounding.  Scaling M or v moves both."""
-    vecs = np.where(np.abs(vecs) > IMAG_TOL_FACTOR * np.abs(vecs).max(axis=0), vecs, 0.0)
+    """|v^t M v| <= IMAG_TOL_FACTOR * w^t |M| w per column v of vecs: the
+    rounding bound of the form (Higham, Accuracy and Stability of Numerical
+    Algorithms, 3.1) at w = |v| + eta ||v|| where v is nonzero.  Eigenvalues of
+    R*T closer than IMAG_TOL_FACTOR ||R*T|| are clustered, so eta = eps /
+    IMAG_TOL_FACTOR bounds an eigenvector's rounding; exact zeros are structure."""
+    eta = np.finfo(float).eps / IMAG_TOL_FACTOR
+    mags = np.abs(vecs) + eta * np.linalg.norm(vecs, axis=0) * (vecs != 0.0)
     values = np.einsum("ji,jk,ki->i", vecs, mat, vecs)
-    mags = np.abs(vecs)
     return np.abs(values) <= IMAG_TOL_FACTOR * np.einsum("ji,jk,ki->i", mags, np.abs(mat), mags)
 
 
@@ -368,8 +370,11 @@ def diagonalize_boson(std: StandardForm) -> BosonModeData:
     # per-mode scaling freedom: balance |t_i| = |r_i| where possible,
     # otherwise normalize the mode row of S
     for i in range(n):
-        s[i] *= (1.0 / float(np.linalg.norm(s[i])) if t_zero[i] or r_zero[i]
-                 else (abs(r_diag[i]) / abs(t_diag[i])) ** 0.25)
+        if t_zero[i] or r_zero[i]:
+            alpha = 1.0 / float(np.linalg.norm(s[i]))
+        else:
+            alpha = (abs(r_diag[i]) / abs(t_diag[i])) ** 0.25
+        s[i] *= alpha
     # mode order: descending product t_i r_i, so discrete modes come out
     # sorted by ascending frequency sqrt(-t_i r_i)
     mode_order = np.argsort(-t_diag * r_diag, kind="stable")

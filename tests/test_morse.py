@@ -79,7 +79,7 @@ class TestPointSign:
             assert bd.zero_mode_parity(bd.SingularPoint("p", scale * jac)) is (
                 Parity.EVEN if want > 0 else Parity.ODD)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), u=st.floats(-6.0, 6.0))
     def test_decisions_unchanged_by_rescaling(self, seed, n, u):
         # singular values spread over e^+-3, the last one pushed down by up to

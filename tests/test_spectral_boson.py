@@ -268,7 +268,7 @@ class TestScaleInvariantClasses:
     """Whether t_i or r_i is zero is decided against the rounding of its own
     quadratic form, so classes hold at every scale of the input."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5), spread=st.floats(0.0, 2.5),
            pattern=st.lists(st.tuples(st.booleans(), st.booleans()), min_size=5, max_size=5),
            aligned=st.booleans(), u=st.floats(-6.0, 6.0))
@@ -290,6 +290,41 @@ class TestScaleInvariantClasses:
         assert sorted(m.mode_class.value for m in data.modes) == sorted(
             mode_class(ti, ri).value for ti, ri in zip(t, r))
 
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_null_vector_with_small_entries(self, scale, reverse):
+        # T = w w^t with w = (-a, 1) and R = diag(1, -1): the null vector
+        # (1, a) of T is a mode with t = 0, next to a Discrete one.  Its small
+        # entry is no rounding, and its rounding is no entry.
+        r = np.diag([1.0, -1.0])
+        for a in [0.0, *np.logspace(-15.0, -6.0, 19), -1e-9]:
+            t = np.outer([-a, 1.0], [-a, 1.0])
+            pair = (t[::-1, ::-1], r[::-1, ::-1]) if reverse else (t, r)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                data = bd.diagonalize_boson(boson_std(scale * pair[0], scale * pair[1]))
+            assert sorted(m.mode_class.value for m in data.modes) == [
+                "ContinuousFree", "Discrete"], a
+
+    def test_discrete_forms_padded_with_zero_modes(self):
+        # 1-3 coupled Discrete modes next to 2-3 decoupled ones with a zero,
+        # shuffled: rounding of the coupled coordinates lands in the
+        # decoupled modes' vectors, where T or R has an exact zero row
+        rng = np.random.default_rng(4)
+        names = ["Constant", "ContinuousFree", "ContinuousQuadratic"]
+        for _ in range(200):
+            n, k = int(rng.integers(1, 4)), int(rng.integers(2, 4))
+            w, kinds = rng.uniform(0.5, 2.0, n), rng.integers(0, 3, k)
+            t, r = np.zeros((2, n + k, n + k))
+            t[:n, :n], r[:n, :n] = pair_from_modes(squeezed_transform(rng, n, 0.5), w, -w)
+            t[n:, n:] = np.diag((kinds == 2) * rng.uniform(0.5, 2.0, k))
+            r[n:, n:] = np.diag((kinds == 1) * rng.uniform(0.5, 2.0, k))
+            perm = np.ix_(*[rng.permutation(n + k)] * 2)
+            want = sorted(["Discrete"] * n + [names[c] for c in kinds])
+            for scale in (1e-6, 1.0, 1e6):
+                data = bd.diagonalize_boson(boson_std(scale * t[perm], scale * r[perm]))
+                assert sorted(m.mode_class.value for m in data.modes) == want
 
 class TestModeLevels:
     def test_number_ladder(self):
