@@ -72,8 +72,7 @@ __version__ = "0.1.0"
 #: Names of the brute-force oracle, re-exported lazily: of the CLI commands
 #: only ``verify`` and ``lemmas`` use ``fock``, the only module that uses scipy.
 _FOCK_EXPORTS = (
-    "BosonFockRep",
-    "FermionFockRep",
+    "FockRep",
     "TruncationResult",
     "bogoliubov_mode_operators",
     "build_boson_rep",

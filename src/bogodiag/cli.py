@@ -1,12 +1,13 @@
 """Command-line front end over JSON files.
 
-Exit codes: 0 success, 1 validation or assertion failure, 2 mathematical
-error (non-real spectrum, defective pencil, continuous spectrum, degenerate
-point, resource guard), 3 I/O failure.  All numeric work lives in the
-library; each command parses its file and options, makes one library call
-and renders the result as JSON.  ``verify`` and ``lemmas`` load the
-brute-force oracle (``fock``) when they run, so the other commands start
-without it; the oracle loads scipy only for bosonic ``verify``.
+Exit codes: 0 success, 1 validation or assertion failure (usage errors
+included), 2 mathematical error (non-real spectrum, defective pencil,
+continuous spectrum, degenerate point, resource guard), 3 I/O failure.
+All numeric work lives in the library; each command parses its file and
+options, makes one library call and renders the result as JSON.
+``verify`` and ``lemmas`` load the brute-force oracle (``fock``) when they
+run, so the other commands start without it; the oracle loads scipy only
+for bosonic ``verify``.
 """
 
 from __future__ import annotations
@@ -107,22 +108,45 @@ def _exit_io(exc: Exception) -> None:
     sys.exit(EXIT_IO)
 
 
-@click.group()
+def _usage_checked(call, *args):
+    """`call(*args)`, with a usage error written as the ValidationError
+    payload of :func:`_run`, exit 1; a bare ``bogodiag`` still shows help."""
+    try:
+        return call(*args)
+    except click.exceptions.NoArgsIsHelpError:
+        raise
+    except click.UsageError as exc:
+        def body():
+            raise ValidationError(exc.format_message())
+
+        _run(body, None)
+
+
+class _Group(click.Group):
+    """The command group; usage errors in its own arguments and in a
+    command's (parsed when the command is invoked) exit 1 with JSON."""
+
+    def parse_args(self, ctx, args):
+        return _usage_checked(super().parse_args, ctx, args)
+
+    def invoke(self, ctx):
+        return _usage_checked(super().invoke, ctx)
+
+
+@click.group(cls=_Group)
 def main():
     """Diagonalize real quadratic forms and cross-check them on Fock space."""
 
 
 @main.command()
 @click.argument("form_file")
-@click.option("--tol", type=float, default=forms.TOL_SYM, show_default=True,
-              help="Symmetry tolerance for the U and V checks.")
 @click.option("--out", type=str, default=None, help="Write JSON here instead of stdout.")
-def validate(form_file, tol, out):
+def validate(form_file, out):
     """Check a form file against its structural invariants."""
 
     def body():
         form = forms.form_from_dict(_read_json(form_file))
-        violations = forms.validate(form, tol_sym=tol)
+        violations = forms.validate(form)
         payload = {"valid": not violations, "violations": _violations(violations)}
         return payload, EXIT_OK if not violations else EXIT_INVALID
 

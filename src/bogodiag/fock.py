@@ -49,11 +49,16 @@ DENSE_EIG_LIMIT = 1200
 #: reaches dimension 8192.
 EIGENSOLVE_BYTES_GUARD = 2 ** 31
 
-Matrix = Union[np.ndarray, "scipy.sparse.csr_matrix"]
 
+@dataclass(frozen=True)
+class FockRep:
+    """Ladder matrices on the occupation basis of n modes with `base` levels
+    each, mode 0 most significant: base 2 is the exact fermionic space,
+    base cutoff + 1 the truncated bosonic one."""
 
-class _FockSpace:
-    """Occupation basis of n modes with `base` levels each, mode 0 most significant."""
+    statistics: Statistics
+    n: int
+    base: int
 
     @property
     def dim(self) -> int:
@@ -81,57 +86,26 @@ class _FockSpace:
         """Total occupation of each basis vector (digit sum of its index)."""
         return self._digits.sum(axis=0)
 
-
-@dataclass(frozen=True)
-class FermionFockRep(_FockSpace):
-    """Ladder matrices on the exact fermionic Fock space of n modes."""
-
-    n: int
-    base = 2
-    statistics = Statistics.FERMION
-
-    def a(self, i: int) -> np.ndarray:
-        """Creation operator for mode i, sign strings over lower modes (int64)."""
-        rows, cols, values = _entries(*(part[i : i + 1] for part in self._ladders[0]))
-        out = np.zeros((self.dim, self.dim), dtype=np.int64)
-        out[rows, cols] = values
-        return out
-
-    def a_dag(self, i: int) -> np.ndarray:
-        """Annihilation operator for mode i (kills the vacuum)."""
-        return self.a(i).T
-
-
-@dataclass(frozen=True)
-class BosonFockRep(_FockSpace):
-    """CSR ladder matrices on the truncated bosonic Fock space."""
-
-    n: int
-    cutoff: int
-    statistics = Statistics.BOSON
-
-    @property
-    def base(self) -> int:
-        return self.cutoff + 1
-
     def a(self, i: int):
-        """Creation operator for mode i (matrix elements sqrt(m+1))."""
+        """CSR creation operator for mode i: entries sqrt(m+1), times the
+        sign string over lower modes for fermions (so exactly 0 or +/-1)."""
         return _csr(*(part[i : i + 1] for part in self._ladders[0]), self.dim)
 
     def a_dag(self, i: int):
+        """CSR annihilation operator for mode i (kills the vacuum)."""
         return _csr(*(part[i : i + 1] for part in self._ladders[1]), self.dim)
 
 
-def build_fermion_rep(n: int) -> FermionFockRep:
+def build_fermion_rep(n: int) -> FockRep:
     """Exact fermionic representation; guarded at dimension FERMION_DIM_GUARD."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if 2 ** n > FERMION_DIM_GUARD:
         raise ResourceLimitError(f"fermionic Fock dimension 2^{n} exceeds the guard")
-    return FermionFockRep(n=n)
+    return FockRep(Statistics.FERMION, n, 2)
 
 
-def build_boson_rep(n: int, cutoff: int) -> BosonFockRep:
+def build_boson_rep(n: int, cutoff: int) -> FockRep:
     """Truncated bosonic representation; guarded at (cutoff+1)^n <= BOSON_DIM_GUARD."""
     if n < 1 or cutoff < 1:
         raise ValueError("n and cutoff must be at least 1")
@@ -140,7 +114,7 @@ def build_boson_rep(n: int, cutoff: int) -> BosonFockRep:
         raise ResourceLimitError(
             f"bosonic Fock dimension {dim} = ({cutoff}+1)^{n} exceeds the guard {BOSON_DIM_GUARD}"
         )
-    return BosonFockRep(n=n, cutoff=cutoff)
+    return FockRep(Statistics.BOSON, n, cutoff + 1)
 
 
 def _pair_sum(coeff: np.ndarray, left: tuple, right: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -259,12 +233,13 @@ def _check_rep(form, rep) -> None:
         raise ValueError(f"mode count mismatch: form has {form.n}, rep has {rep.n}")
 
 
-def _lowest_pairs(matrix: Matrix, k: int, v0: Optional[np.ndarray] = None,
+def _lowest_pairs(matrix, k: int, v0: Optional[np.ndarray] = None,
                   vectors: bool = False) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The k smallest eigenvalues, ascending, with their eigenvectors if asked.
+    """The k smallest eigenvalues of a CSR matrix, ascending, with their
+    eigenvectors if asked.
 
-    Matrices up to DENSE_EIG_LIMIT, dense input and requests for (nearly)
-    every eigenvalue take a dense solve, which raises ValueError for a matrix
+    Matrices up to DENSE_EIG_LIMIT and requests for (nearly) every
+    eigenvalue take a dense solve, which raises ValueError for a matrix
     that is not symmetric within 1e-10; the rest implicitly restarted Lanczos
     (ARPACK) on H + sigma*I, sigma the largest absolute row sum (a bound on
     ||H||_2), so that ARPACK's stopping rule tol*|Ritz value| is relative to
@@ -277,11 +252,10 @@ def _lowest_pairs(matrix: Matrix, k: int, v0: Optional[np.ndarray] = None,
     """
     dim = matrix.shape[0]
     k = min(k, dim)
-    sparse = hasattr(matrix, "toarray")
-    if not sparse or dim <= DENSE_EIG_LIMIT or k >= dim - 1:
+    if dim <= DENSE_EIG_LIMIT or k >= dim - 1:
         # the matrix, its symmetrized copy, LAPACK's copy and the eigenvectors
         _check_eigensolve_bytes(4 * 8 * dim * dim, f"dense eigensolve of dimension {dim}")
-        dense = matrix.toarray() if sparse else np.asarray(matrix, dtype=float)
+        dense = matrix.toarray()
         sym = np.subtract(dense, dense.T)
         dev = float(np.abs(sym, out=sym).max(initial=0.0))
         if dev > 1e-10:
@@ -304,7 +278,6 @@ def _lowest_pairs(matrix: Matrix, k: int, v0: Optional[np.ndarray] = None,
         # one misses, for one, the states antisymmetric under a mode swap
         v0 = np.random.default_rng(0).standard_normal(dim)
     import scipy.sparse.linalg as spla
-    matrix = matrix.tocsr()
     sigma = _row_sum_bound(matrix)
     shifted = spla.LinearOperator(matrix.shape, dtype=float,
                                   matvec=lambda x: matrix @ x + sigma * x)
@@ -338,15 +311,15 @@ def _check_eigensolve_bytes(estimate: int, what: str) -> None:
         )
 
 
-def lowest_eigenvalues(matrix: Matrix, k: int) -> np.ndarray:
-    """The k smallest eigenvalues, by dense solve or by shifted Lanczos from
-    a fixed-seed Gaussian start, so deterministic (k = dim gives the whole
-    spectrum); ResourceLimitError when the solve would need over
-    EIGENSOLVE_BYTES_GUARD."""
+def lowest_eigenvalues(matrix, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of a symmetric CSR matrix, by dense solve
+    or by shifted Lanczos from a fixed-seed Gaussian start, so deterministic
+    (k = dim gives the whole spectrum); ResourceLimitError when the solve
+    would need over EIGENSOLVE_BYTES_GUARD."""
     return _lowest_pairs(matrix, k)[0]
 
 
-def sector_spectra(form: QuadraticForm, rep: FermionFockRep) -> tuple[np.ndarray, np.ndarray]:
+def sector_spectra(form: QuadraticForm, rep: FockRep) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of the fermionic form on the even and odd sectors.
 
     Every quadratic term changes the particle number by 0 or 2, so H splits

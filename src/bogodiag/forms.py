@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import NonCanonicalTransform, ValidationError
 
-#: Default tolerance for the symmetry checks of U and V.
+#: Tolerance for the symmetry checks of U and V.
 TOL_SYM = 1e-9
 
 #: Tolerance for the canonicality residual of a transform.
@@ -199,13 +199,15 @@ def _normal_coefficients(form: QuadraticForm) -> tuple[float, dict]:
         return form.const + float(np.trace(c)), {"C": c}
 
 
-def validate(form: QuadraticForm, tol_sym: float = TOL_SYM) -> list[Violation]:
+def validate(form: QuadraticForm) -> list[Violation]:
     """Check the structural invariants of a form.
 
     Returns a list of violations (empty means valid), each carrying the
-    maximal deviation of the corresponding check.  Finite entries whose
-    normal-form coefficients, or for bosons the pencil R T, overflow count
-    as non-finite.
+    maximal deviation of the corresponding check.  U and V must be
+    (anti)symmetric within TOL_SYM, the tolerance every command applies
+    through :func:`to_standard`.  Finite entries whose normal-form
+    coefficients, or for bosons the pencil R T, overflow count as
+    non-finite.
     """
     out = []
     finite = np.isfinite(form.U).all() and np.isfinite(form.V).all() and np.isfinite(form.const)
@@ -213,15 +215,15 @@ def validate(form: QuadraticForm, tol_sym: float = TOL_SYM) -> list[Violation]:
         out.append(Violation("finite", "non-finite entries", float("inf")))
         return out
     dev_v = _deviation(form.V, 1.0)
-    if dev_v > tol_sym:
+    if dev_v > TOL_SYM:
         out.append(Violation("V_symmetric", "V not symmetric", dev_v))
     if form.statistics is Statistics.BOSON:
         dev_u = _deviation(form.U, 1.0)
-        if dev_u > tol_sym:
+        if dev_u > TOL_SYM:
             out.append(Violation("U_symmetric", "U not symmetric", dev_u))
     else:
         dev_u = _deviation(form.U, -1.0)
-        if dev_u > tol_sym:
+        if dev_u > TOL_SYM:
             out.append(Violation("U_antisymmetric", "U not antisymmetric", dev_u))
     k0, mats = _normal_coefficients(form)
     overflowed = [name for name, m in mats.items() if not np.isfinite(m).all()]
@@ -248,7 +250,7 @@ def to_standard(form: QuadraticForm) -> StandardForm:
     The k0 values make the normal form equal the defining operator exactly
     on the Fock space (reordering a_i^+ a_j into a_j a_i^+ produces traces).
     """
-    violations = validate(form, TOL_SYM)
+    violations = validate(form)
     if violations:
         raise ValidationError("invalid form: " + "; ".join(v.message for v in violations), violations)
     k0, mats = _normal_coefficients(form)
@@ -388,6 +390,21 @@ def _statistics_from_dict(data: dict) -> Statistics:
         raise ValidationError("statistics must be 'boson' or 'fermion'") from exc
 
 
+def _integer_from_dict(data, key: str, message: str) -> int:
+    """data[key] as an int.  JSON integers and integral floats pass; a missing
+    key, a bool, a string, a fraction, NaN or an infinity (JSON's 1e999 or
+    Infinity) raises ValidationError(message)."""
+    try:
+        value = data[key]
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(message) from exc
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(message)
+    return value
+
+
 def _require_object(data, what: str) -> None:
     if not isinstance(data, dict):
         raise ValidationError(f"{what} must be a JSON object, got {type(data).__name__}")
@@ -397,10 +414,7 @@ def form_from_dict(data: dict) -> QuadraticForm:
     """Parse the JSON form schema {statistics, n, U, V, const}."""
     _require_object(data, "form")
     stats = _statistics_from_dict(data)
-    try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("missing or malformed mode count 'n'") from exc
+    n = _integer_from_dict(data, "n", "missing or malformed mode count 'n'")
     u = _matrix_from_dict(data, "U", n)
     v = _matrix_from_dict(data, "V", n)
     try:
@@ -416,10 +430,7 @@ def transform_from_dict(data: dict) -> BogoliubovTransform:
     """Parse the JSON transform schema {statistics, n, P, Q}."""
     _require_object(data, "transform")
     stats = _statistics_from_dict(data)
-    try:
-        n = int(data["n"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("missing or malformed mode count 'n'") from exc
+    n = _integer_from_dict(data, "n", "missing or malformed mode count 'n'")
     p = _matrix_from_dict(data, "P", n)
     q = _matrix_from_dict(data, "Q", n)
     return BogoliubovTransform(statistics=stats, P=p, Q=q)

@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from .errors import DegeneratePoint, ValidationError
-from .forms import StandardForm, Statistics
+from .forms import StandardForm, Statistics, _integer_from_dict
 from .spectral import (
     DEGENERACY_TOL,
     FermionModeData,
@@ -37,7 +37,7 @@ from .spectral import (
 )
 
 if TYPE_CHECKING:
-    from .fock import FermionFockRep
+    from .fock import FockRep
 
 #: Coefficient turning the jacobian's antisymmetric part into the 2-form
 #: wedge coefficients; pinned by the cross-term identity test.
@@ -192,7 +192,7 @@ def local_witten_spectrum(lambdas, count: int) -> SpectrumResult:
                           label_kind="witten", complete=False, bounded_below=True)
 
 
-def _fermion_rep(n: int, rep: Optional[FermionFockRep]) -> FermionFockRep:
+def _fermion_rep(n: int, rep: Optional[FockRep]) -> FockRep:
     """`rep`, or the exact representation of n modes (ResourceLimitError
     from n = 13 on); a representation of other modes raises ValueError."""
     from .fock import build_fermion_rep
@@ -219,7 +219,7 @@ def _finite_array(values, name: str, ndim: int) -> np.ndarray:
     return array
 
 
-def _wedge_residuals(omega: np.ndarray, rep: FermionFockRep) -> np.ndarray:
+def _wedge_residuals(omega: np.ndarray, rep: FockRep) -> np.ndarray:
     """Wedge-contraction residual of each 1-form of a stack of shape (T, n)."""
     from .fock import _concat, _grouped, _pair_sum
 
@@ -232,7 +232,7 @@ def _wedge_residuals(omega: np.ndarray, rep: FermionFockRep) -> np.ndarray:
     return np.abs(diff).max(axis=(-2, -1))
 
 
-def _cross_residuals(jac: np.ndarray, rep: FermionFockRep) -> tuple[np.ndarray, np.ndarray]:
+def _cross_residuals(jac: np.ndarray, rep: FockRep) -> tuple[np.ndarray, np.ndarray]:
     """Cross-term (residual, const) of each jacobian of a stack of shape (T, n, n)."""
     from .fock import _concat, _grouped, _pair_sum, _with_transpose, _xz_diagonals
 
@@ -247,7 +247,7 @@ def _cross_residuals(jac: np.ndarray, rep: FermionFockRep) -> tuple[np.ndarray, 
     return np.abs(diff).max(axis=(-2, -1)), const
 
 
-def wedge_contraction_identity(omega, rep: Optional[FermionFockRep] = None) -> float:
+def wedge_contraction_identity(omega, rep: Optional[FockRep] = None) -> float:
     """Residual of (w w* + w* w) - <w, w> on the exterior algebra.
 
     w is the wedge by the 1-form with coefficients `omega` (built from the
@@ -262,7 +262,7 @@ def wedge_contraction_identity(omega, rep: Optional[FermionFockRep] = None) -> f
     return float(_wedge_residuals(omega[None], rep)[0])
 
 
-def cross_term_identity(omega_jac, rep: Optional[FermionFockRep] = None) -> tuple[float, float]:
+def cross_term_identity(omega_jac, rep: Optional[FockRep] = None) -> tuple[float, float]:
     """Check that the localized cross term is purely algebraic.
 
     Builds Q two ways on the exterior algebra: directly as
@@ -319,14 +319,12 @@ def identity_residuals(n: int, seed: int, trials: int) -> tuple[float, float]:
 
 def fixture_from_dict(data: dict) -> VectorFieldFixture:
     """Parse the JSON fixture schema {n, chi, points: [{label, jacobian}]}."""
-    try:
-        n = int(data["n"])
-        chi = int(data["chi"])
-        raw_points = data["points"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError("fixture requires integer 'n', 'chi' and a 'points' list") from exc
+    message = "fixture requires integer 'n', 'chi' and a 'points' list"
+    n = _integer_from_dict(data, "n", message)
+    chi = _integer_from_dict(data, "chi", message)
+    raw_points = data.get("points")
     if not isinstance(raw_points, list):
-        raise ValidationError("fixture requires integer 'n', 'chi' and a 'points' list")
+        raise ValidationError(message)
     points = []
     for entry in raw_points:
         try:

@@ -2,6 +2,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -17,14 +18,15 @@ from bogodiag.cli import main
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
-#: Child that caps its own address space, then runs the CLI on argv[2:].
-CAPPED_CLI = (
+#: Preamble of a child that caps its own address space at argv[1] bytes.
+CAP_CHILD = (
     "import resource, sys\n"
     "cap = int(sys.argv[1])\n"
     "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
-    "from bogodiag.cli import main\n"
-    "main(sys.argv[2:])\n"
 )
+
+#: Capped child that runs the CLI on argv[2:].
+CAPPED_CLI = CAP_CHILD + "from bogodiag.cli import main\nmain(sys.argv[2:])\n"
 
 
 #: Child that runs every command that needs no oracle on the shipped
@@ -62,7 +64,7 @@ print(json.dumps(phases))
 
 #: Every name the package re-exports from the oracle module.
 FOCK_EXPORTS = [
-    "BosonFockRep", "FermionFockRep", "TruncationResult", "bogoliubov_mode_operators",
+    "FockRep", "TruncationResult", "bogoliubov_mode_operators",
     "build_boson_rep", "build_fermion_rep", "build_hamiltonian", "build_standard_hamiltonian",
     "lowest_eigenvalues", "sector_spectra", "truncation_stable_spectrum",
 ]
@@ -195,6 +197,28 @@ class TestDiagonalize:
         assert [m["class"] for m in modes] == ["ContinuousInverted", "ContinuousInverted",
                                                "Discrete"]
         assert [m["t"] * m["r"] for m in modes] == pytest.approx([1.0, 1.0, -4.0], abs=1e-9)
+
+    def test_residual_refusal_exits_2(self, runner, tmp_path, monkeypatch):
+        # eigenvectors of R T mixed across its two eigenvalues leave S T S^t
+        # off-diagonal: the last check of diagonalize_boson refuses
+        eig = np.linalg.eig
+
+        def mixed(m):
+            vals, vecs = eig(m)
+            return vals, vecs + 1e-3 * vecs[:, ::-1]
+
+        monkeypatch.setattr(np.linalg, "eig", mixed)
+        path = write_json(tmp_path / "b2.json", {
+            "statistics": "boson", "n": 2, "U": [[0, 0], [0, 0]], "V": [[1, 0], [0, 2]], "const": 0,
+        })
+        result = runner.invoke(main, ["diagonalize", path])
+        assert result.exit_code == 2
+        payload = strict_json(result.stdout)
+        assert payload["error"] == "DefectiveMatrix"
+        match = re.fullmatch(r"residual off-diagonal (\S+) exceeds tolerance (\S+)", payload["detail"])
+        # tolerance DIAG_TOL_FACTOR (||T|| + ||R||) with T = V / 2 = -R
+        assert match[2] == f"{spectral.DIAG_TOL_FACTOR * 2 * np.hypot(0.5, 1.0):.3e}"
+        assert float(match[1]) > 1e-4
 
     def test_zero_pencil_with_overflowing_rounding_scale(self, runner, tmp_path):
         # R T = 0 while ||R|| ||T|| overflows to inf; pytest fails on any
@@ -395,6 +419,22 @@ class TestVerify:
         assert payload["compared"] == 2 ** n
         assert payload["sector_mismatches"] == 0
         assert payload["max_abs_deviation"] <= 1e-9
+
+    def test_fermion_mode_operators_n12_under_memory_cap(self):
+        # the guard edge n = 12 builds its CSR ladders, and the transformed
+        # modes from them, in a 1.5 GB address space; each dense ladder alone
+        # took 128 MB there
+        code = CAP_CHILD + (
+            "import bogodiag as bd, scipy.sparse as sp\n"
+            "transform = bd.random_canonical(bd.Statistics.FERMION, 12, seed=1)\n"
+            "ops = bd.bogoliubov_mode_operators(bd.build_fermion_rep(12), transform)\n"
+            "anti = [abs(b @ b_dag + b_dag @ b - sp.identity(4096)).max() for b, b_dag in ops]\n"
+            "print(len(ops), max(anti))\n"
+        )
+        proc = run_child(code, str(1536 * 2**20))
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        count, worst = proc.stdout.split()
+        assert int(count) == 12 and float(worst) <= 1e-12
 
     def test_oversized_eigensolve_exits_2_under_memory_cap(self, tmp_path):
         # at n = 3, cutoff 28 (fine dimension 57^3 = 185193, inside the
@@ -636,14 +676,38 @@ class TestOutputContract:
         ("validate", '{"statistics": "boson", "n": 1e999, "U": [[0]], "V": [[1]]}'),
         ("spectrum", '{"statistics": "boson", "n": Infinity, "U": [[0]], "V": [[1]]}'),
         ("diagonalize", '{"statistics": "fermion", "n": -Infinity, "U": [[0]], "V": [[1]]}'),
+        ("spectrum", '{"statistics": "fermion", "n": 1.5, "U": [[0]], "V": [[1]]}'),
+        ("spectrum", '{"statistics": "fermion", "n": true, "U": [[0]], "V": [[1]]}'),
+        ("spectrum", '{"statistics": "fermion", "n": "1", "U": [[0]], "V": [[1]]}'),
+        ("morse", '{"n": 2.7, "chi": 1, "points": [{"label": "p", "jacobian": [[1, 0], [0, 1]]}]}'),
+        ("morse", '{"n": 2, "chi": true, "points": [{"label": "p", "jacobian": [[1, 0], [0, 1]]}]}'),
     ], ids=["points_number", "points_null", "points_bool", "fixture_n_overflow",
-            "fixture_chi_infinite", "form_n_overflow", "form_n_infinite", "form_n_minus_infinite"])
+            "fixture_chi_infinite", "form_n_overflow", "form_n_infinite", "form_n_minus_infinite",
+            "form_n_fraction", "form_n_bool", "form_n_string", "fixture_n_fraction",
+            "fixture_chi_bool"])
     def test_unparseable_count_exits_1(self, runner, tmp_path, command, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
         result = runner.invoke(main, [command, str(path)])
         assert result.exit_code == 1
         assert strict_json(result.stdout)["error"] == "ValidationError"
+
+    @pytest.mark.parametrize("args, named", [
+        (["spectrum", "FORM", "--count", "abc"], "--count"),
+        (["verify", "FORM", "--tol", "x"], "--tol"),
+        (["spectrum", "FORM", "--bogus"], "--bogus"),
+        (["spectrum"], "FORM_FILE"),
+        (["frobnicate"], "frobnicate"),
+        (["validate", "FORM", "--tol", "1"], "--tol"),
+    ], ids=["count_not_integer", "tol_not_float", "unknown_option", "missing_file",
+            "unknown_command", "validate_has_no_tol"])
+    def test_usage_error_exits_1(self, runner, tmp_path, args, named):
+        path = fermion_n1(tmp_path)
+        result = runner.invoke(main, [path if arg == "FORM" else arg for arg in args])
+        assert result.exit_code == 1
+        payload = strict_json(result.stdout)
+        assert payload["error"] == "ValidationError"
+        assert named in payload["detail"]
 
     @pytest.mark.parametrize("command", ["validate", "diagonalize", "spectrum", "verify"])
     def test_overflowing_normal_form_exits_1(self, runner, tmp_path, command):
@@ -720,9 +784,9 @@ class TestColdStart:
         assert proc.stdout.strip() == "[]"
 
     def test_oracle_reexports_resolve_lazily(self):
-        from bogodiag import BosonFockRep, fock
+        from bogodiag import FockRep, fock
 
-        assert BosonFockRep is fock.BosonFockRep
+        assert FockRep is fock.FockRep
         for name in FOCK_EXPORTS:
             assert getattr(bogodiag, name) is getattr(fock, name)
             assert name in dir(bogodiag)

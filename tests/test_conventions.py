@@ -27,8 +27,8 @@ def check_fermion_normal_form_ordering():
         h_std = bd.build_standard_hamiltonian(std, rep)
         assert np.max(np.abs(h_def - h_std)) <= 1e-12
         # drift check: the reversed second factor flips the operator part
-        xs = [(rep.a(i) + rep.a_dag(i)).astype(float) for i in range(n)]
-        ys = [(rep.a(i) - rep.a_dag(i)).astype(float) for i in range(n)]
+        xs = [(rep.a(i) + rep.a_dag(i)).toarray() for i in range(n)]
+        ys = [(rep.a(i) - rep.a_dag(i)).toarray() for i in range(n)]
         h_flipped = sum(std.C[i, j] * (xs[i] @ ys[j]) for i in range(n) for j in range(n))
         h_flipped = h_flipped + std.k0 * np.eye(rep.dim)
         assert np.max(np.abs(h_def - h_flipped)) > 0.1
@@ -105,8 +105,8 @@ def check_two_form_coefficient():
         assert residual <= 1e-12
         # same computation with coefficient +1 on (W - W^t)
         rep = bd.build_fermion_rep(n)
-        a_ops = [rep.a(i).astype(float) for i in range(n)]
-        adag_ops = [rep.a_dag(i).astype(float) for i in range(n)]
+        a_ops = [rep.a(i).toarray() for i in range(n)]
+        adag_ops = [rep.a_dag(i).toarray() for i in range(n)]
         xs = [a_ops[i] + adag_ops[i] for i in range(n)]
         zs = [adag_ops[i] - a_ops[i] for i in range(n)]
         direct = sum(w[i, j] * (xs[i] @ zs[j]) for i in range(n) for j in range(n))

@@ -265,8 +265,11 @@ class TestJson:
         {"statistics": "fermion", "n": 1, "P": [["a"]], "Q": [[1]]},
         {"statistics": "fermion", "n": 2, "P": [[0]], "Q": [[1]]},
         {"statistics": "boson", "n": float("inf"), "P": [[1]], "Q": [[0]]},
+        {"statistics": "boson", "n": 1.5, "P": [[1]], "Q": [[0]]},
+        {"statistics": "boson", "n": True, "P": [[1]], "Q": [[0]]},
+        {"statistics": "boson", "n": "1", "P": [[1]], "Q": [[0]]},
     ], ids=["n_missing", "n_not_integer", "P_missing", "P_not_numeric", "P_wrong_shape",
-            "n_infinite"])
+            "n_infinite", "n_fraction", "n_bool", "n_string"])
     def test_malformed_transform_rejected(self, payload):
         with pytest.raises(bd.ValidationError):
             bd.transform_from_dict(payload)

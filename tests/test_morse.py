@@ -43,7 +43,7 @@ def witten_tensor_oracle(lams, cutoff):
         pos = (ab + ab.T) / np.sqrt(2.0)
         deriv = (ab - ab.T) / np.sqrt(2.0)
         oscillator = -deriv @ deriv + lams[i] ** 2 * (pos @ pos)
-        occupation = sp.csr_matrix(frep.a(i).astype(float) @ frep.a_dag(i).astype(float))
+        occupation = frep.a(i) @ frep.a_dag(i)
         h = (h + sp.kron(oscillator, sp.identity(df))
              + 2.0 * lams[i] * sp.kron(sp.identity(db), occupation))
     h = (h - np.sum(lams) * sp.identity(db * df)).tocsr()
