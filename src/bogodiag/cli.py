@@ -110,11 +110,9 @@ def _exit_io(exc: Exception) -> None:
 
 def _usage_checked(call, *args):
     """`call(*args)`, with a usage error written as the ValidationError
-    payload of :func:`_run`, exit 1; a bare ``bogodiag`` still shows help."""
+    payload of :func:`_run`, exit 1."""
     try:
         return call(*args)
-    except click.exceptions.NoArgsIsHelpError:
-        raise
     except click.UsageError as exc:
         def body():
             raise ValidationError(exc.format_message())
@@ -124,7 +122,8 @@ def _usage_checked(call, *args):
 
 class _Group(click.Group):
     """The command group; usage errors in its own arguments and in a
-    command's (parsed when the command is invoked) exit 1 with JSON."""
+    command's (parsed when the command is invoked) exit 1 with JSON, a
+    missing command too (no ``no_args_is_help``)."""
 
     def parse_args(self, ctx, args):
         return _usage_checked(super().parse_args, ctx, args)
@@ -133,7 +132,7 @@ class _Group(click.Group):
         return _usage_checked(super().invoke, ctx)
 
 
-@click.group(cls=_Group)
+@click.group(cls=_Group, no_args_is_help=False)
 def main():
     """Diagonalize real quadratic forms and cross-check them on Fock space."""
 

@@ -53,12 +53,17 @@ EIGENSOLVE_BYTES_GUARD = 2 ** 31
 @dataclass(frozen=True)
 class FockRep:
     """Ladder matrices on the occupation basis of n modes with `base` levels
-    each, mode 0 most significant: base 2 is the exact fermionic space,
-    base cutoff + 1 the truncated bosonic one."""
+    each, mode 0 most significant: base 2 is the exact fermionic space (the
+    only base a fermionic rep accepts), base cutoff + 1 the truncated
+    bosonic one."""
 
     statistics: Statistics
     n: int
     base: int
+
+    def __post_init__(self):
+        if self.statistics is Statistics.FERMION and self.base != 2:
+            raise ValueError(f"a fermionic representation has base 2, not {self.base}")
 
     @property
     def dim(self) -> int:

@@ -699,8 +699,9 @@ class TestOutputContract:
         (["spectrum"], "FORM_FILE"),
         (["frobnicate"], "frobnicate"),
         (["validate", "FORM", "--tol", "1"], "--tol"),
+        ([], "Missing command"),
     ], ids=["count_not_integer", "tol_not_float", "unknown_option", "missing_file",
-            "unknown_command", "validate_has_no_tol"])
+            "unknown_command", "validate_has_no_tol", "no_command"])
     def test_usage_error_exits_1(self, runner, tmp_path, args, named):
         path = fermion_n1(tmp_path)
         result = runner.invoke(main, [path if arg == "FORM" else arg for arg in args])

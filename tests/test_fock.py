@@ -63,6 +63,12 @@ class TestFermionRep:
         with pytest.raises(ValueError):
             bd.build_fermion_rep(0)
 
+    def test_fermion_base_other_than_2_rejected(self):
+        # sign strings on three occupation levels are no fermionic ladder
+        with pytest.raises(ValueError, match="base 2"):
+            bd.FockRep(Statistics.FERMION, 2, 3)
+        assert bd.FockRep(Statistics.BOSON, 2, 3).dim == 9
+
 
 class TestBosonRep:
     def test_ladder_amplitudes(self):
