@@ -26,11 +26,9 @@ from .forms import (
     compose,
     form_from_dict,
     from_standard,
-    is_canonical,
     is_positive,
     random_canonical,
     to_standard,
-    transform_from_dict,
     validate,
 )
 from .spectral import (

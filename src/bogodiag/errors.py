@@ -14,7 +14,8 @@ class ValidationError(BogodiagError):
 
 
 class NonCanonicalTransform(BogodiagError):
-    """A Bogoliubov transform failed the canonicality precondition."""
+    """A Bogoliubov transform that is not canonical, or that differs from
+    the form or transform it meets in statistics or mode count."""
 
 
 class NonRealSpectrum(BogodiagError):

@@ -416,7 +416,7 @@ def bogoliubov_mode_operators(rep, b: BogoliubovTransform) -> list:
     if b.statistics is Statistics.FERMION:
         p, q = b.o_plus, b.o_minus.T
     else:
-        p, q = np.linalg.inv(b.s).T, b.s
+        p, q = np.linalg.inv(b.S).T, b.S
     xs = [rep.a(i) + rep.a_dag(i) for i in range(n)]
     zs = [rep.a_dag(i) - rep.a(i) for i in range(n)]
     out = []

@@ -19,17 +19,19 @@ with T = (U+V)/2, R = (U-V)/2, C = U+V.  The constants k0 absorb both the
 original additive constant and the reordering terms; they are fixed by exact
 operator equality on the Fock space (tests/test_conventions.py).
 
-A Bogoliubov transformation is a pair of real matrices (P, Q).  Its action on
-the normal form is parameterized by S = P+Q (bosons) and by the orthogonal
-pair O_+ = Q+P, O_- = Q-P (fermions):
+A Bogoliubov transformation is stored as the blocks it acts with on the
+normal form: an invertible S for bosons, an orthogonal pair (O_+, O_-) for
+fermions:
 
     bosons:   T -> S T S^t,  R -> S^-t R S^-1
     fermions: C -> O_+ C O_-
 
-The transform is canonical when S (P-Q)^t = 1 (bosons) or when both O_+ and
-O_- are orthogonal (fermions), and positive when it preserves orientation:
-det(P+Q) > 0 and det(P-Q) > 0 for bosons, det O_+ = det O_- = +1 for fermions.
-Positive transforms are isospectral and preserve fermionic parity sectors.
+Every invertible S is canonical; a fermionic pair must be orthogonal within
+TOL_CANON.  A transform is positive when it preserves orientation: det S > 0
+for bosons, det O_+ = det O_- = +1 for fermions.  Positive transforms are
+isospectral and preserve fermionic parity sectors.  The pair (P, Q) of the
+operator substitution is P = (S + S^-t)/2, Q = (S - S^-t)/2 for bosons, and
+O_+ = Q + P, O_- = Q - P for fermions (CONVENTIONS.md).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .errors import NonCanonicalTransform, ValidationError
 #: Tolerance for the symmetry checks of U and V.
 TOL_SYM = 1e-9
 
-#: Tolerance for the canonicality residual of a transform.
+#: Tolerance for the orthogonality residual of a fermionic transform.
 TOL_CANON = 1e-9
 
 
@@ -137,44 +139,36 @@ class StandardForm:
 
 @dataclass(frozen=True)
 class BogoliubovTransform:
-    """A real Bogoliubov transformation stored as the matrix pair (P, Q)."""
+    """A canonical real Bogoliubov transformation: S for bosons, the
+    orthogonal pair (O_+, O_-) for fermions."""
 
     statistics: Statistics
-    P: np.ndarray
-    Q: np.ndarray
+    S: Optional[np.ndarray] = None
+    o_plus: Optional[np.ndarray] = None
+    o_minus: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        p = _as_square_matrix(self.P, "P")
-        q = _as_square_matrix(self.Q, "Q", p.shape[0])
-        object.__setattr__(self, "P", p)
-        object.__setattr__(self, "Q", q)
+        if self.statistics is Statistics.BOSON:
+            if self.S is None:
+                raise ValidationError("bosonic transform requires S")
+            object.__setattr__(self, "S", _as_square_matrix(self.S, "S"))
+            return
+        if self.o_plus is None or self.o_minus is None:
+            raise ValidationError("fermionic transform requires o_plus and o_minus")
+        op = _as_square_matrix(self.o_plus, "o_plus")
+        om = _as_square_matrix(self.o_minus, "o_minus", op.shape[0])
+        # np.max, not max(): a NaN residual must propagate to the refusal
+        dev = float(np.max(np.abs(np.stack([op.T @ op, om.T @ om]) - np.eye(op.shape[0])),
+                           initial=0.0))
+        if not dev <= TOL_CANON:
+            raise NonCanonicalTransform(f"o_plus and o_minus are not orthogonal (residual {dev:.3e})")
+        object.__setattr__(self, "o_plus", op)
+        object.__setattr__(self, "o_minus", om)
 
     @property
     def n(self) -> int:
-        return self.P.shape[0]
-
-    @property
-    def s(self) -> np.ndarray:
-        """The bosonic block S = P + Q."""
-        return self.P + self.Q
-
-    @property
-    def o_plus(self) -> np.ndarray:
-        """The fermionic block O_+ = Q + P."""
-        return self.Q + self.P
-
-    @property
-    def o_minus(self) -> np.ndarray:
-        """The fermionic block O_- = Q - P."""
-        return self.Q - self.P
-
-    def to_dict(self) -> dict:
-        return {
-            "statistics": self.statistics.value,
-            "n": self.n,
-            "P": self.P.tolist(),
-            "Q": self.Q.tolist(),
-        }
+        mat = self.S if self.statistics is Statistics.BOSON else self.o_plus
+        return mat.shape[0]
 
 
 @dataclass(frozen=True)
@@ -270,28 +264,21 @@ def from_standard(std: StandardForm) -> QuadraticForm:
     return QuadraticForm(statistics=Statistics.FERMION, U=u, V=v, const=const)
 
 
-def is_canonical(b: BogoliubovTransform) -> tuple[bool, float]:
-    """Canonicality predicate; returns (verdict, max-norm residual)."""
-    eye = np.eye(b.n)
-    if b.statistics is Statistics.BOSON:
-        dev = float(np.max(np.abs((b.P + b.Q) @ (b.P - b.Q).T - eye)))
-    else:
-        op, om = b.o_plus, b.o_minus
-        dev = max(
-            float(np.max(np.abs(op.T @ op - eye))),
-            float(np.max(np.abs(om.T @ om - eye))),
-        )
-    return dev <= TOL_CANON, dev
-
-
 def is_positive(b: BogoliubovTransform) -> bool:
     """Orientation predicate selecting the isospectral transform class."""
     if b.statistics is Statistics.BOSON:
-        return np.linalg.det(b.P + b.Q) > 0 and np.linalg.det(b.P - b.Q) > 0
+        return bool(np.linalg.det(b.S) > 0)
     return (
         abs(np.linalg.det(b.o_plus) - 1.0) <= TOL_CANON
         and abs(np.linalg.det(b.o_minus) - 1.0) <= TOL_CANON
     )
+
+
+def _check_compatible(first, second, what: str) -> None:
+    if first.statistics is not second.statistics:
+        raise NonCanonicalTransform(f"statistics of {what} differ")
+    if first.n != second.n:
+        raise NonCanonicalTransform(f"mode counts of {what} differ ({first.n} and {second.n})")
 
 
 def apply_transform(std: StandardForm, b: BogoliubovTransform) -> StandardForm:
@@ -300,17 +287,13 @@ def apply_transform(std: StandardForm, b: BogoliubovTransform) -> StandardForm:
     The constant k0 is unchanged: the transform is a change of operator
     basis, not of operator.
     """
-    if std.statistics is not b.statistics:
-        raise NonCanonicalTransform("statistics of form and transform differ")
-    ok, dev = is_canonical(b)
-    if not ok:
-        raise NonCanonicalTransform(f"transform is not canonical (residual {dev:.3e})")
+    _check_compatible(std, b, "form and transform")
     if std.statistics is Statistics.BOSON:
-        s = b.s
+        s = b.S
         try:
             s_inv = np.linalg.inv(s)
         except np.linalg.LinAlgError:
-            raise NonCanonicalTransform("singular S = P+Q") from None
+            raise NonCanonicalTransform("singular S") from None
         t = s @ std.T @ s.T
         r = s_inv.T @ std.R @ s_inv
         return StandardForm(statistics=Statistics.BOSON, T=t, R=r, k0=std.k0)
@@ -320,15 +303,11 @@ def apply_transform(std: StandardForm, b: BogoliubovTransform) -> StandardForm:
 
 def compose(second: BogoliubovTransform, first: BogoliubovTransform) -> BogoliubovTransform:
     """The single transform equivalent to applying `first`, then `second`."""
-    if second.statistics is not first.statistics:
-        raise NonCanonicalTransform("statistics of transforms differ")
+    _check_compatible(second, first, "transforms")
     if second.statistics is Statistics.BOSON:
-        s = second.s @ first.s
-        s_inv_t = np.linalg.inv(s).T
-        return BogoliubovTransform(Statistics.BOSON, P=(s + s_inv_t) / 2.0, Q=(s - s_inv_t) / 2.0)
-    op = second.o_plus @ first.o_plus
-    om = first.o_minus @ second.o_minus
-    return BogoliubovTransform(Statistics.FERMION, P=(op - om) / 2.0, Q=(op + om) / 2.0)
+        return BogoliubovTransform(Statistics.BOSON, S=second.S @ first.S)
+    return BogoliubovTransform(Statistics.FERMION, o_plus=second.o_plus @ first.o_plus,
+                               o_minus=first.o_minus @ second.o_minus)
 
 
 def _haar_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -359,9 +338,7 @@ def random_canonical(statistics: Statistics, n: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     if statistics is Statistics.FERMION:
         draw = _haar_special_orthogonal if positive else _haar_orthogonal
-        op = draw(rng, n)
-        om = draw(rng, n)
-        return BogoliubovTransform(Statistics.FERMION, P=(op - om) / 2.0, Q=(op + om) / 2.0)
+        return BogoliubovTransform(Statistics.FERMION, o_plus=draw(rng, n), o_minus=draw(rng, n))
     o1 = _haar_special_orthogonal(rng, n)
     o2 = _haar_special_orthogonal(rng, n)
     u = rng.uniform(-spread, spread, size=n)
@@ -369,8 +346,7 @@ def random_canonical(statistics: Statistics, n: int, seed: int = 0,
     if not positive and rng.random() < 0.5:
         s = s.copy()
         s[:, 0] *= -1.0
-    s_inv_t = np.linalg.inv(s).T
-    return BogoliubovTransform(Statistics.BOSON, P=(s + s_inv_t) / 2.0, Q=(s - s_inv_t) / 2.0)
+    return BogoliubovTransform(Statistics.BOSON, S=s)
 
 
 def _matrix_from_dict(data: dict, key: str, n: int) -> np.ndarray:
@@ -424,13 +400,3 @@ def form_from_dict(data: dict) -> QuadraticForm:
     if not np.isfinite(const):
         raise ValidationError(f"constant 'const' must be finite, got {const}")
     return QuadraticForm(statistics=stats, U=u, V=v, const=const)
-
-
-def transform_from_dict(data: dict) -> BogoliubovTransform:
-    """Parse the JSON transform schema {statistics, n, P, Q}."""
-    _require_object(data, "transform")
-    stats = _statistics_from_dict(data)
-    n = _integer_from_dict(data, "n", "missing or malformed mode count 'n'")
-    p = _matrix_from_dict(data, "P", n)
-    q = _matrix_from_dict(data, "Q", n)
-    return BogoliubovTransform(statistics=stats, P=p, Q=q)

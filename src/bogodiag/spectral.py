@@ -38,7 +38,7 @@ from .errors import (
     ResourceLimitError,
     ValidationError,
 )
-from .forms import StandardForm, Statistics, Violation
+from .forms import BogoliubovTransform, StandardForm, Statistics, Violation, apply_transform
 
 #: Oscillator ladder coefficient, calibrated against the exact Fock oracle.
 LEVEL_COEFF = -4.0
@@ -102,6 +102,10 @@ class BosonModeData:
     def n(self) -> int:
         return self.S.shape[0]
 
+    @property
+    def transform(self) -> BogoliubovTransform:
+        return BogoliubovTransform(Statistics.BOSON, S=self.S)
+
     def to_dict(self) -> dict:
         return {
             "statistics": "boson",
@@ -126,6 +130,10 @@ class FermionModeData:
     @property
     def n(self) -> int:
         return self.o_plus.shape[0]
+
+    @property
+    def transform(self) -> BogoliubovTransform:
+        return BogoliubovTransform(Statistics.FERMION, o_plus=self.o_plus, o_minus=self.o_minus)
 
     def to_dict(self) -> dict:
         return {
@@ -384,9 +392,8 @@ def diagonalize_boson(std: StandardForm) -> BosonModeData:
     if np.linalg.det(s) < 0:
         s[-1] *= -1.0
 
-    t_full = s @ t_mat @ s.T
-    s_inv = np.linalg.inv(s)
-    r_full = s_inv.T @ r_mat @ s_inv
+    moved = apply_transform(std, BogoliubovTransform(Statistics.BOSON, S=s))
+    t_full, r_full = moved.T, moved.R
     tol_diag = DIAG_TOL_FACTOR * (t_norm + r_norm)
     mask = ~np.eye(n, dtype=bool)
     off = max(float(np.max(np.abs(a[mask]), initial=0.0)) for a in (t_full, r_full))

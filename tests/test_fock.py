@@ -22,6 +22,17 @@ def box_embedding(n, cutoff, fine_cutoff):
     return out
 
 
+def safe_states(n, cutoff):
+    """Box indices whose every occupation is at most cutoff - 2: a quadratic
+    term moves an occupation by at most 2, so truncation leaves them exact."""
+    idx = np.arange((cutoff + 1) ** n)
+    safe = np.ones(len(idx), dtype=bool)
+    for _ in range(n):
+        safe &= (idx % (cutoff + 1)) <= cutoff - 2
+        idx = idx // (cutoff + 1)
+    return np.flatnonzero(safe)
+
+
 class TestFermionRep:
     def test_n1_matrices(self):
         rep = bd.build_fermion_rep(1)
@@ -423,18 +434,38 @@ class TestTransformedModes:
         original = bd.build_standard_hamiltonian(std, rep)
         assert np.max(np.abs(rebuilt - original)) <= 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_fermion_closed_form_drives_oracle(self, n):
+        std = bd.to_standard(random_fermion_form(np.random.default_rng(40 + n), n))
+        data = bd.diagonalize_fermion(std)
+        rep = bd.build_fermion_rep(n)
+        modes = bd.bogoliubov_mode_operators(rep, data.transform)
+        rebuilt = data.k0 * np.eye(rep.dim)
+        for lam, (bk, bk_dag) in zip(data.lambdas, modes):
+            rebuilt += lam * ((bk + bk_dag) @ (bk_dag - bk)).toarray()
+        original = bd.build_standard_hamiltonian(std, rep).toarray()
+        assert np.max(np.abs(rebuilt - original)) <= 1e-10
+
+    @pytest.mark.parametrize("n,cutoff", [(1, 16), (2, 12), (3, 8)])
+    def test_boson_closed_form_drives_oracle(self, n, cutoff):
+        std = bd.to_standard(bounded_boson_form(np.random.default_rng(50 + n), n, seed=n))
+        data = bd.diagonalize_boson(std)
+        rep = bd.build_boson_rep(n, cutoff)
+        modes = bd.bogoliubov_mode_operators(rep, data.transform)
+        rebuilt = data.k0 * np.eye(rep.dim)
+        for mode, (bk, bk_dag) in zip(data.modes, modes):
+            xk, zk = bk + bk_dag, bk_dag - bk
+            rebuilt += (mode.t * (xk @ xk) + mode.r * (zk @ zk)).toarray()
+        original = bd.build_standard_hamiltonian(std, rep).toarray()
+        sel = np.ix_(*[safe_states(n, cutoff)] * 2)
+        assert np.max(np.abs(rebuilt[sel] - original[sel])) <= 1e-10
+
     def test_boson_ccr_on_safe_subspace(self):
         n, cutoff = 2, 12
         rep = bd.build_boson_rep(n, cutoff)
         b = bd.random_canonical(Statistics.BOSON, n, seed=3, positive=True)
         modes = bd.bogoliubov_mode_operators(rep, b)
-        base = cutoff + 1
-        idx = np.arange(rep.dim)
-        safe = np.ones(rep.dim, dtype=bool)
-        for _ in range(n):
-            safe &= (idx % base) <= cutoff - 2
-            idx = idx // base
-        sel = np.flatnonzero(safe)
+        sel = safe_states(n, cutoff)
         for bk, bk_dag in modes:
             comm = (bk_dag @ bk - bk @ bk_dag)[np.ix_(sel, sel)]
             assert np.max(np.abs(comm - np.eye(len(sel)))) <= 1e-10

@@ -114,8 +114,7 @@ class TestApplyTransform:
     def test_fermion_orthogonal_cancellation(self):
         theta = 0.7
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        # O_+ = rot(theta), O_- = rot(-theta): P = (O_+ - O_-)/2, Q = (O_+ + O_-)/2
-        b = bd.BogoliubovTransform(Statistics.FERMION, P=(rot - rot.T) / 2, Q=(rot + rot.T) / 2)
+        b = bd.BogoliubovTransform(Statistics.FERMION, o_plus=rot, o_minus=rot.T)
         std = bd.StandardForm(statistics=Statistics.FERMION, C=np.eye(2), k0=0.25)
         out = bd.apply_transform(std, b)
         assert np.max(np.abs(out.C - np.eye(2))) <= 1e-12
@@ -124,32 +123,53 @@ class TestApplyTransform:
     def test_boson_identity(self):
         std = bd.StandardForm(statistics=Statistics.BOSON,
                               T=[[1.0, 0.2], [0.2, 2.0]], R=-np.eye(2), k0=0.5)
-        b = bd.BogoliubovTransform(Statistics.BOSON, P=np.eye(2), Q=np.zeros((2, 2)))
+        b = bd.BogoliubovTransform(Statistics.BOSON, S=np.eye(2))
         out = bd.apply_transform(std, b)
         assert np.allclose(out.T, std.T)
         assert np.allclose(out.R, std.R)
 
     def test_boson_shear(self):
         # direct matrix arithmetic: S = [[1,1],[0,1]] on T = diag(1,2), R = -I
-        s = np.array([[1.0, 1.0], [0.0, 1.0]])
-        s_inv_t = np.linalg.inv(s).T
-        b = bd.BogoliubovTransform(Statistics.BOSON, P=(s + s_inv_t) / 2, Q=(s - s_inv_t) / 2)
+        b = bd.BogoliubovTransform(Statistics.BOSON, S=[[1.0, 1.0], [0.0, 1.0]])
         std = bd.StandardForm(statistics=Statistics.BOSON, T=np.diag([1.0, 2.0]), R=-np.eye(2), k0=0.0)
         out = bd.apply_transform(std, b)
         assert np.allclose(out.T, [[3.0, 2.0], [2.0, 2.0]])
         assert np.allclose(out.R, [[-1.0, 1.0], [1.0, -2.0]])
 
     def test_non_canonical_rejected(self):
-        b = bd.BogoliubovTransform(Statistics.BOSON, P=2 * np.eye(2), Q=np.zeros((2, 2)))
+        # a non-orthogonal block is refused when the transform is built
+        for o_plus, o_minus in ((2 * np.eye(2), np.eye(2)), (np.eye(2), np.full((2, 2), np.nan))):
+            with pytest.raises(bd.NonCanonicalTransform, match="not orthogonal"):
+                bd.BogoliubovTransform(Statistics.FERMION, o_plus=o_plus, o_minus=o_minus)
+
+    def test_missing_blocks_rejected(self):
+        with pytest.raises(bd.ValidationError, match="requires S"):
+            bd.BogoliubovTransform(Statistics.BOSON, o_plus=np.eye(1), o_minus=np.eye(1))
+        with pytest.raises(bd.ValidationError, match="requires o_plus and o_minus"):
+            bd.BogoliubovTransform(Statistics.FERMION, o_plus=np.eye(1))
+
+    def test_singular_s_rejected(self):
+        b = bd.BogoliubovTransform(Statistics.BOSON, S=[[1.0, 2.0], [2.0, 4.0]])
         std = bd.StandardForm(statistics=Statistics.BOSON, T=np.eye(2), R=np.eye(2), k0=0.0)
-        with pytest.raises(bd.NonCanonicalTransform):
+        with pytest.raises(bd.NonCanonicalTransform, match="singular S"):
             bd.apply_transform(std, b)
 
     def test_statistics_mismatch_rejected(self):
-        b = bd.BogoliubovTransform(Statistics.FERMION, P=np.zeros((1, 1)), Q=np.eye(1))
+        b = bd.BogoliubovTransform(Statistics.FERMION, o_plus=np.eye(1), o_minus=np.eye(1))
         std = bd.StandardForm(statistics=Statistics.BOSON, T=np.eye(1), R=np.eye(1), k0=0.0)
         with pytest.raises(bd.NonCanonicalTransform):
             bd.apply_transform(std, b)
+
+    @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
+    def test_mode_count_mismatch_rejected(self, statistics):
+        make = random_boson_form if statistics is Statistics.BOSON else random_fermion_form
+        std = bd.to_standard(make(np.random.default_rng(0), 2))
+        b2 = bd.random_canonical(statistics, 2, seed=1)
+        b3 = bd.random_canonical(statistics, 3, seed=1)
+        with pytest.raises(bd.NonCanonicalTransform, match=r"\(2 and 3\)"):
+            bd.apply_transform(std, b3)
+        with pytest.raises(bd.NonCanonicalTransform, match=r"\(2 and 3\)"):
+            bd.compose(b2, b3)
 
     @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
     @pytest.mark.parametrize("n", [1, 2, 4, 6])
@@ -170,10 +190,8 @@ class TestApplyTransform:
 
 class TestPredicates:
     def test_boson_identity_canonical_positive(self):
-        b = bd.BogoliubovTransform(Statistics.BOSON, P=np.eye(2), Q=np.zeros((2, 2)))
-        ok, dev = bd.is_canonical(b)
-        assert ok and dev <= 1e-15
-        assert bd.is_positive(b)
+        assert bd.is_positive(bd.BogoliubovTransform(Statistics.BOSON, S=np.eye(2)))
+        assert not bd.is_positive(bd.BogoliubovTransform(Statistics.BOSON, S=np.diag([-1.0, 1.0])))
 
     def test_fermion_from_special_orthogonal(self):
         rng = np.random.default_rng(0)
@@ -183,17 +201,11 @@ class TestPredicates:
             for q in (q1, q2):
                 if np.linalg.det(q) < 0:
                     q[:, 0] *= -1
-            b = bd.BogoliubovTransform(Statistics.FERMION, P=(q1 - q2) / 2, Q=(q1 + q2) / 2)
-            ok, dev = bd.is_canonical(b)
-            assert ok and dev <= 1e-12
+            b = bd.BogoliubovTransform(Statistics.FERMION, o_plus=q1, o_minus=q2)
             assert bd.is_positive(b)
 
     def test_fermion_reflection_not_positive(self):
-        o_plus = np.diag([-1.0, 1.0])
-        o_minus = np.eye(2)
-        b = bd.BogoliubovTransform(Statistics.FERMION, P=(o_plus - o_minus) / 2, Q=(o_plus + o_minus) / 2)
-        ok, _ = bd.is_canonical(b)
-        assert ok
+        b = bd.BogoliubovTransform(Statistics.FERMION, o_plus=np.diag([-1.0, 1.0]), o_minus=np.eye(2))
         assert not bd.is_positive(b)
 
 
@@ -203,29 +215,30 @@ class TestRandomCanonical:
             b = bd.random_canonical(Statistics.FERMION, 1, seed=seed, positive=True)
             assert b.o_plus[0, 0] == pytest.approx(1.0)
             assert b.o_minus[0, 0] == pytest.approx(1.0)
-            assert b.P[0, 0] == pytest.approx(0.0)
-            assert b.Q[0, 0] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("statistics", [Statistics.BOSON, Statistics.FERMION])
     def test_canonical_and_positive(self, statistics):
         for n in range(1, 7):
             for seed in range(100):
                 b = bd.random_canonical(statistics, n, seed=seed, positive=True)
-                ok, dev = bd.is_canonical(b)
-                assert ok and dev <= 1e-10, (statistics, n, seed, dev)
+                if statistics is Statistics.BOSON:
+                    # singular values exp(u) with |u| <= spread = 0.45
+                    sing = np.linalg.svd(b.S, compute_uv=False)
+                    assert sing[0] / sing[-1] <= np.exp(0.9) * (1 + 1e-10), (n, seed)
+                else:
+                    for o in (b.o_plus, b.o_minus):
+                        assert np.max(np.abs(o.T @ o - np.eye(n))) <= 1e-10, (n, seed)
                 assert bd.is_positive(b)
 
     def test_fermion_determinants(self):
         b = bd.random_canonical(Statistics.FERMION, 3, seed=7, positive=True)
-        assert np.linalg.det(b.Q + b.P) == pytest.approx(1.0, abs=1e-10)
-        assert np.linalg.det(b.Q - b.P) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.det(b.o_plus) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.det(b.o_minus) == pytest.approx(1.0, abs=1e-10)
 
     def test_negative_draws_reachable(self):
         seen_negative = False
         for seed in range(20):
             b = bd.random_canonical(Statistics.FERMION, 3, seed=seed, positive=False)
-            ok, _ = bd.is_canonical(b)
-            assert ok
             seen_negative = seen_negative or not bd.is_positive(b)
         assert seen_negative
 
@@ -239,11 +252,6 @@ class TestJson:
         assert np.allclose(g.U, f.U) and np.allclose(g.V, f.V)
         assert g.const == f.const
 
-    def test_transform_round_trip(self):
-        b = bd.random_canonical(Statistics.BOSON, 2, seed=1)
-        c = bd.transform_from_dict(b.to_dict())
-        assert np.allclose(c.P, b.P) and np.allclose(c.Q, b.Q)
-
     @pytest.mark.parametrize("payload", [
         {},
         {"statistics": "anyon", "n": 1, "U": [[0]], "V": [[0]]},
@@ -253,27 +261,17 @@ class TestJson:
         {"statistics": "boson", "n": 1, "U": [[0]], "V": [[0]], "const": "abc"},
         {"statistics": "boson", "n": 1, "U": [[0]], "V": [[0]], "const": None},
         {"statistics": "boson", "n": 1, "U": [[0]], "V": [[0]], "const": float("inf")},
+        pytest.param({"statistics": "fermion", "U": [[0]], "V": [[0]]}, id="n_missing"),
+        pytest.param({"statistics": "boson", "n": "one", "U": [[0]], "V": [[0]]}, id="n_not_integer"),
+        pytest.param({"statistics": "boson", "n": float("inf"), "U": [[0]], "V": [[0]]},
+                     id="n_infinite"),
+        pytest.param({"statistics": "boson", "n": 1.5, "U": [[0]], "V": [[0]]}, id="n_fraction"),
+        pytest.param({"statistics": "boson", "n": True, "U": [[0]], "V": [[0]]}, id="n_bool"),
+        pytest.param({"statistics": "boson", "n": "1", "U": [[0]], "V": [[0]]}, id="n_string"),
+        pytest.param({"statistics": "fermion", "n": 1, "V": [[1]]}, id="U_missing"),
+        pytest.param({"statistics": "fermion", "n": 1, "U": [["a"]], "V": [[1]]}, id="U_not_numeric"),
+        pytest.param({"statistics": "fermion", "n": 2, "U": [[0]], "V": [[1]]}, id="U_wrong_shape"),
     ])
     def test_malformed_rejected(self, payload):
         with pytest.raises(bd.ValidationError):
             bd.form_from_dict(payload)
-
-    @pytest.mark.parametrize("payload", [
-        {"statistics": "boson", "P": [[1]], "Q": [[0]]},
-        {"statistics": "boson", "n": "one", "P": [[1]], "Q": [[0]]},
-        {"statistics": "fermion", "n": 1, "Q": [[1]]},
-        {"statistics": "fermion", "n": 1, "P": [["a"]], "Q": [[1]]},
-        {"statistics": "fermion", "n": 2, "P": [[0]], "Q": [[1]]},
-        {"statistics": "boson", "n": float("inf"), "P": [[1]], "Q": [[0]]},
-        {"statistics": "boson", "n": 1.5, "P": [[1]], "Q": [[0]]},
-        {"statistics": "boson", "n": True, "P": [[1]], "Q": [[0]]},
-        {"statistics": "boson", "n": "1", "P": [[1]], "Q": [[0]]},
-    ], ids=["n_missing", "n_not_integer", "P_missing", "P_not_numeric", "P_wrong_shape",
-            "n_infinite", "n_fraction", "n_bool", "n_string"])
-    def test_malformed_transform_rejected(self, payload):
-        with pytest.raises(bd.ValidationError):
-            bd.transform_from_dict(payload)
-
-    def test_non_object_transform_rejected(self):
-        with pytest.raises(bd.ValidationError):
-            bd.transform_from_dict([[1.0], [0.0]])

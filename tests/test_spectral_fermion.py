@@ -43,9 +43,8 @@ class TestDiagonalizeFermion:
             eye = np.eye(n)
             assert np.max(np.abs(data.o_plus.T @ data.o_plus - eye)) <= 1e-12
             assert np.max(np.abs(data.o_minus.T @ data.o_minus - eye)) <= 1e-12
-            assert np.linalg.det(data.o_plus) == pytest.approx(1.0, abs=1e-9)
-            assert np.linalg.det(data.o_minus) == pytest.approx(1.0, abs=1e-9)
-            diag = data.o_plus @ std.C @ data.o_minus
+            assert bd.is_positive(data.transform)
+            diag = bd.apply_transform(std, data.transform).C
             assert np.max(np.abs(diag - np.diag(data.lambdas))) <= 1e-11
             det = np.linalg.det(std.C)
             if abs(det) > 1e-10:
@@ -116,7 +115,11 @@ class TestFermionSpectrum:
         base = bd.fermion_spectrum(bd.diagonalize_fermion(std))
         for seed in range(10):
             b = bd.random_canonical(Statistics.FERMION, n, seed=seed, positive=True)
-            moved = bd.fermion_spectrum(bd.diagonalize_fermion(bd.apply_transform(std, b)))
+            data = bd.diagonalize_fermion(bd.apply_transform(std, b))
+            # the closed-form transform composed after b diagonalizes std
+            diag = bd.apply_transform(std, bd.compose(data.transform, b)).C
+            assert np.max(np.abs(diag - np.diag(data.lambdas))) <= 1e-10
+            moved = bd.fermion_spectrum(data)
             for parity in (0, 1):
                 e0, e1 = sector_energies(base, parity), sector_energies(moved, parity)
                 assert len(e0) == len(e1)
