@@ -48,19 +48,14 @@ from .spectral import (
     ladder_sums,
 )
 from .morse import (
-    IDENTITY_TOL,
-    TWO_FORM_COEFF,
     MorseReport,
     PointReport,
     SingularPoint,
     VectorFieldFixture,
-    cross_term_identity,
     fixture_from_dict,
-    identity_residuals,
     local_witten_spectrum,
     morse_report,
     point_sign,
-    wedge_contraction_identity,
     zero_mode_parity,
 )
 from .verify import VerifyReport, verify_form
@@ -70,6 +65,8 @@ __version__ = "0.1.0"
 #: Names of the brute-force oracle, re-exported lazily: of the CLI commands
 #: only ``verify`` and ``lemmas`` use ``fock``, the only module that uses scipy.
 _FOCK_EXPORTS = (
+    "IDENTITY_TOL",
+    "TWO_FORM_COEFF",
     "FockRep",
     "TruncationResult",
     "bogoliubov_mode_operators",
@@ -77,9 +74,12 @@ _FOCK_EXPORTS = (
     "build_fermion_rep",
     "build_hamiltonian",
     "build_standard_hamiltonian",
+    "cross_term_identity",
+    "identity_residuals",
     "lowest_eigenvalues",
     "sector_spectra",
     "truncation_stable_spectrum",
+    "wedge_contraction_identity",
 )
 
 

@@ -236,16 +236,18 @@ def lemmas(n, seed, trials, out):
     """Operator-identity residuals over random inputs (threshold 1e-12)."""
 
     def body():
+        from . import fock
+
         _require_at_least(1, n=n, trials=trials)
         _require_at_least(0, seed=seed)
-        max_wedge, max_cross = morse.identity_residuals(n, seed, trials)
+        max_wedge, max_cross = fock.identity_residuals(n, seed, trials)
         payload = {
             "n": n,
             "trials": trials,
             "wedge_contraction_max_residual": max_wedge,
             "cross_term_max_residual": max_cross,
         }
-        ok = max_wedge <= morse.IDENTITY_TOL and max_cross <= morse.IDENTITY_TOL
+        ok = max_wedge <= fock.IDENTITY_TOL and max_cross <= fock.IDENTITY_TOL
         return payload, EXIT_OK if ok else EXIT_INVALID
 
     _run(body, out)

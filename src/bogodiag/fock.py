@@ -1,8 +1,13 @@
-"""Brute-force Fock-space oracle: ladder operators and exact spectra.
+"""Brute-force Fock-space oracle: ladder operators, exact spectra and the
+operator identities of the exterior algebra.
 
-The oracle writes the creation operators ``a_i`` and annihilation operators
-``a_i^+`` down explicitly and diagonalizes quadratic forms built from them.
-It knows nothing about :mod:`bogodiag.spectral` and is its ground truth.
+This is the only module that knows the Fock space.  The oracle writes the
+creation operators ``a_i`` and annihilation operators ``a_i^+`` down
+explicitly, diagonalizes quadratic forms built from them and checks the two
+identities behind the Morse-type counting of :mod:`bogodiag.morse`, the
+wedge/contraction anticommutator and the algebraic cross term, on the
+fermionic space (the exterior algebra).  It knows nothing about
+:mod:`bogodiag.spectral` and is its ground truth.
 
 Basis vectors are indexed by occupation numbers, mode 0 most significant,
 so every ladder operator moves basis vector c to c +/- step_i and is one
@@ -12,17 +17,17 @@ shifted diagonal, so a pair sum sum_ij c_ij L_i R_j is n vectorised
 products grouped by offset, and a form is H = M + M^t + const.  The
 diagonal helpers take optional leading batch axes on coefficients and
 weights, so a stack of forms on one representation is one pass of the same
-per-diagonal loops (the operator identities of :mod:`bogodiag.morse`).
+per-diagonal loops (the operator identities).
 
 Fermions live on the exact 2^n-dimensional space; their spectra are dense
 solves of the even and odd parity blocks, filled straight from the
 diagonals of M.  Bosons live on a per-mode truncated space of dimension
 (cutoff+1)^n, where [a_i^+, a_j] = delta_ij holds below the top occupation
 rung; their diagonals become one CSR matrix, and spectra are checked by
-cutoff doubling (:func:`truncation_stable_spectrum`).  scipy is imported
+cutoff doubling (:func:`truncation_stable_spectrum`).  Every eigensolve of
+a CSR matrix goes through :func:`lowest_eigenvalues`.  scipy is imported
 only inside the functions that build or solve CSR matrices, so fermionic
-verification and the operator identities of :mod:`bogodiag.morse` never
-load it.
+verification and the operator identities never load it.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, ValidationError
 from .forms import BogoliubovTransform, QuadraticForm, StandardForm, Statistics
 
 #: Largest fermionic Fock dimension the oracle will build (2^12).
@@ -48,6 +53,13 @@ DENSE_EIG_LIMIT = 1200
 #: Largest estimated working set of one eigensolve (2 GiB): a dense solve
 #: reaches dimension 8192.
 EIGENSOLVE_BYTES_GUARD = 2 ** 31
+
+#: Coefficient turning the jacobian's antisymmetric part into the 2-form
+#: wedge coefficients; pinned by the cross-term identity test.
+TWO_FORM_COEFF = -0.5
+
+#: Largest residual the operator identities may show (floating-point noise).
+IDENTITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -164,7 +176,7 @@ def _half_diagonals(form: QuadraticForm, rep) -> tuple[np.ndarray, np.ndarray]:
     """Diagonals of M = sum U_ij a_i^+ a_j^+ + V_ij a_i a_j^+.  The form is
     H = M + M^t + const (transposing the U part yields the -/+ U_ij a_i a_j
     block), so H is symmetric exactly by construction."""
-    _check_rep(form, rep)
+    _check_rep(rep, form.statistics, form.n)
     creation, annihilation = rep._ladders
     return _grouped(*_pair_sum(np.vstack([form.V, form.U]), _concat(creation, annihilation),
                                annihilation))
@@ -219,7 +231,7 @@ def _standard_diagonals(std: StandardForm, rep) -> tuple[np.ndarray, np.ndarray]
     """Ungrouped diagonals of a normal form without k0: sum C_ij x_i z_j
     (fermions, :func:`_xz_diagonals`) or sum T_ij x_i x_j + R_ij y_i y_j
     (bosons)."""
-    _check_rep(std, rep)
+    _check_rep(rep, std.statistics, std.n)
     if std.statistics is Statistics.FERMION:
         return _xz_diagonals(std.C, rep)
     x, y = _quadratures(rep)
@@ -231,17 +243,16 @@ def build_standard_hamiltonian(std: StandardForm, rep):
     return _csr(*_grouped(*_standard_diagonals(std, rep), std.k0), rep.dim)
 
 
-def _check_rep(form, rep) -> None:
-    if form.statistics is not getattr(rep, "statistics", None):
-        raise ValueError("statistics of form and representation differ")
-    if form.n != rep.n:
-        raise ValueError(f"mode count mismatch: form has {form.n}, rep has {rep.n}")
+def _check_rep(rep, statistics: Statistics, n: int) -> None:
+    """ValueError unless `rep` represents n modes of `statistics`."""
+    if getattr(rep, "statistics", None) is not statistics or rep.n != n:
+        raise ValueError(f"needs a {statistics.value} representation of {n} modes, got {rep}")
 
 
-def _lowest_pairs(matrix, k: int, v0: Optional[np.ndarray] = None,
-                  vectors: bool = False) -> tuple[np.ndarray, Optional[np.ndarray]]:
-    """The k smallest eigenvalues of a CSR matrix, ascending, with their
-    eigenvectors if asked.
+def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors: bool = False):
+    """The k smallest eigenvalues of a symmetric CSR matrix, ascending (k = dim
+    gives the whole spectrum); with `vectors`, the pair (values, vectors)
+    with eigenvector j in column j.
 
     Matrices up to DENSE_EIG_LIMIT and requests for (nearly) every
     eigenvalue take a dense solve, which raises ValueError for a matrix
@@ -270,7 +281,7 @@ def _lowest_pairs(matrix, k: int, v0: Optional[np.ndarray] = None,
         if vectors:
             vals, vecs = np.linalg.eigh(sym)
             return vals[:k], vecs[:, :k]
-        return np.linalg.eigvalsh(sym)[:k], None
+        return np.linalg.eigvalsh(sym)[:k]
     ncv = min(dim - 1, max(2 * k + 4, 20))
     # the start vector, then what scipy's ARPACK allocates: the Lanczos
     # basis, the dim x ncv array of its extraction step (made even when no
@@ -293,7 +304,7 @@ def _lowest_pairs(matrix, k: int, v0: Optional[np.ndarray] = None,
         raise ResourceLimitError(f"Lanczos eigensolve of {k} eigenvalues at dimension {dim} "
                                  f"did not converge in {100 * dim} iterations") from None
     if not vectors:
-        return np.sort(out) - sigma, None
+        return np.sort(out) - sigma
     order = np.argsort(out[0])
     return out[0][order] - sigma, out[1][:, order]
 
@@ -314,14 +325,6 @@ def _check_eigensolve_bytes(estimate: int, what: str) -> None:
             f"{what} needs about {estimate / 2**30:.1f} GiB, "
             f"above the guard of {EIGENSOLVE_BYTES_GUARD / 2**30:.1f} GiB"
         )
-
-
-def lowest_eigenvalues(matrix, k: int) -> np.ndarray:
-    """The k smallest eigenvalues of a symmetric CSR matrix, by dense solve
-    or by shifted Lanczos from a fixed-seed Gaussian start, so deterministic
-    (k = dim gives the whole spectrum); ResourceLimitError when the solve
-    would need over EIGENSOLVE_BYTES_GUARD."""
-    return _lowest_pairs(matrix, k)[0]
 
 
 def sector_spectra(form: QuadraticForm, rep: FockRep) -> tuple[np.ndarray, np.ndarray]:
@@ -371,7 +374,7 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
     states, so the coarse Hamiltonian is the principal submatrix of the fine
     one on the embedded occupation box: the fine eigenvalues interlace below
     the coarse ones.  The coarse solve starts cold from the fixed-seed
-    Gaussian vector of :func:`_lowest_pairs` and stays an independent
+    Gaussian vector of :func:`lowest_eigenvalues` and stays an independent
     witness; the fine Lanczos solve starts from the embedded sum of the
     coarse Ritz vectors.  A level it missed would disagree with the witness
     and shorten the prefix, never lengthen it.
@@ -382,13 +385,13 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
         return TruncationResult(values=())
     rep_lo = build_boson_rep(form.n, cutoff)
     rep_hi = build_boson_rep(form.n, 2 * cutoff)
-    lo, ritz = _lowest_pairs(build_hamiltonian(form, rep_lo), k, vectors=True)
+    lo, ritz = lowest_eigenvalues(build_hamiltonian(form, rep_lo), k, vectors=True)
     start = ritz.sum(axis=1)
     del ritz  # the fine assembly is the memory peak; add nothing to it
     h_hi = build_hamiltonian(form, rep_hi)
     v0 = np.zeros(rep_hi.dim)
     v0[np.ravel_multi_index(tuple(rep_lo._digits), (rep_hi.base,) * form.n)] = start
-    hi, _ = _lowest_pairs(h_hi, k, v0=v0)
+    hi = lowest_eigenvalues(h_hi, k, v0=v0)
     m = min(len(lo), len(hi))
     stable = 0
     while stable < m and abs(lo[stable] - hi[stable]) <= tol:
@@ -409,9 +412,8 @@ def bogoliubov_mode_operators(rep, b: BogoliubovTransform) -> list:
     with them reproduces the original operator matrix (exactly for fermions,
     below the truncation rungs for bosons).
     """
-    n = rep.n
-    if getattr(rep, "statistics", None) is not b.statistics or n != b.n:
-        raise ValueError("representation and transform are incompatible")
+    n = b.n
+    _check_rep(rep, b.statistics, n)
     # b_k, b_k^+ = (x_k -/+ z_k) / 2 with x_k = sum_i p_ki x_i, z_k = sum_i q_ki z_i
     if b.statistics is Statistics.FERMION:
         p, q = b.o_plus, b.o_minus.T
@@ -425,3 +427,115 @@ def bogoliubov_mode_operators(rep, b: BogoliubovTransform) -> list:
         zk = sum(q[kk, i] * zs[i] for i in range(n))
         out.append(((xk - zk) / 2.0, (xk + zk) / 2.0))
     return out
+
+
+def _finite_array(values, name: str, ndim: int) -> np.ndarray:
+    """`values` as a non-empty finite float vector (ndim 1) or square matrix
+    (ndim 2); anything else raises ValidationError naming `name`."""
+    shape = "vector" if ndim == 1 else "square matrix"
+    try:
+        array = np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a numeric {shape}: {exc}") from None
+    if array.ndim != ndim or len(array) < 1 or array.shape != array.shape[:1] * ndim:
+        raise ValidationError(f"{name} must be a non-empty {shape}, got shape {array.shape}")
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{name} has non-finite entries")
+    return array
+
+
+def _wedge_residuals(omega: np.ndarray, rep: FockRep) -> np.ndarray:
+    """Wedge-contraction residual of each 1-form of a stack of shape (T, n)."""
+    creation, annihilation = rep._ladders
+    coeff = omega[:, :, None] * omega[:, None, :]
+    # one dot product per trial: a batched reduction may round differently
+    norms = np.array([w @ w for w in omega])
+    _, diff = _grouped(*_concat(_pair_sum(coeff, creation, annihilation),
+                                _pair_sum(coeff, annihilation, creation)), -norms)
+    return np.abs(diff).max(axis=(-2, -1))
+
+
+def _cross_residuals(jac: np.ndarray, rep: FockRep) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-term (residual, const) of each jacobian of a stack of shape (T, n, n)."""
+    creation, annihilation = rep._ladders
+    two_form = TWO_FORM_COEFF * (jac - jac.swapaxes(-1, -2))
+    alg_off, alg_w = _with_transpose(*_concat(_pair_sum(jac, creation, annihilation),
+                                              _pair_sum(two_form, creation, creation)))
+    offsets, diff = _grouped(*_concat(_xz_diagonals(jac, rep), (alg_off, -alg_w)))
+    scalar = diff[..., np.searchsorted(offsets, 0), :]
+    const = scalar.mean(axis=-1)
+    scalar -= const[:, None]
+    return np.abs(diff).max(axis=(-2, -1)), const
+
+
+def wedge_contraction_identity(omega, rep: Optional[FockRep] = None) -> float:
+    """Residual of (w w* + w* w) - <w, w> on the exterior algebra.
+
+    w is the wedge by the 1-form with coefficients `omega` (built from the
+    creation operators) and w* its contraction adjoint.  The anticommutator
+    is the scalar <w, w> exactly; the residual is floating-point noise.
+    Both products are pair sums of the shifted-diagonal ladders, so the
+    check holds 2 n^2 weight vectors of length 2^n and no dense matrix.
+    `rep` defaults to the exact fermionic representation (ResourceLimitError
+    from n = 13); one of other statistics or modes raises ValueError.  An
+    `omega` that is not a non-empty finite vector raises ValidationError.
+    """
+    omega = _finite_array(omega, "omega", ndim=1)
+    rep = build_fermion_rep(len(omega)) if rep is None else rep
+    _check_rep(rep, Statistics.FERMION, len(omega))
+    return float(_wedge_residuals(omega[None], rep)[0])
+
+
+def cross_term_identity(omega_jac, rep: Optional[FockRep] = None) -> tuple[float, float]:
+    """Check that the localized cross term is purely algebraic.
+
+    Builds Q two ways on the exterior algebra: directly as
+    sum_ij W_ij (a_i + a_i^+)(a_j^+ - a_j) with W the jacobian of the 1-form,
+    and as A + A^t + B + B^t where A = sum_ij W_ij a_i a_j^+ is the algebraic
+    part of the derivation term and B is the wedge by the 2-form with
+    coefficients TWO_FORM_COEFF * (W - W^t).  Returns (residual, const) for
+    the best-fit scalar in direct - algebraic = const * identity; const
+    equals -Tr W, the scalar left behind by transposing the derivation term.
+    Both sides are shifted diagonals, the direct one from the fermionic
+    branch of build_standard_hamiltonian; at n = 12 the traced peak is about
+    90 MB.  `rep` is taken as in :func:`wedge_contraction_identity`; a
+    jacobian that is not a non-empty finite square matrix raises
+    ValidationError.
+    """
+    jac = _finite_array(omega_jac, "jacobian", ndim=2)
+    rep = build_fermion_rep(len(jac)) if rep is None else rep
+    _check_rep(rep, Statistics.FERMION, len(jac))
+    residual, const = _cross_residuals(jac[None], rep)
+    return float(residual[0]), float(const[0])
+
+
+def _trials_per_chunk(n: int) -> int:
+    """Trials evaluated in one stacked pass on n modes: their weights, about
+    8 n^2 2^n elements a trial, hold no more than one trial at the guard
+    edge n = 12, so n = 12 takes one trial at a time."""
+    edge = FERMION_DIM_GUARD.bit_length() - 1
+    return max(1, (edge ** 2 * FERMION_DIM_GUARD) // (n ** 2 * 2 ** n))
+
+
+def identity_residuals(n: int, seed: int, trials: int) -> tuple[float, float]:
+    """Largest (wedge-contraction, cross-term) residuals, each within
+    IDENTITY_TOL when the identities hold, over `trials` 1-forms and
+    jacobians on n modes drawn from [-1, 1]; odd trials symmetrize the
+    jacobian (an exact form, no 2-form part).  ResourceLimitError from n = 13.
+
+    Trials run in chunks of :func:`_trials_per_chunk`, each drawn in one call
+    and checked in one stacked pass; the draws, and so the residuals, are
+    those of drawing the 1-form and then the jacobian one trial at a time.
+    """
+    rep = build_fermion_rep(n)
+    rng = np.random.default_rng(seed)
+    chunk = _trials_per_chunk(n)
+    max_wedge = max_cross = 0.0
+    for start in range(0, trials, chunk):
+        draws = rng.uniform(-1.0, 1.0, size=(min(chunk, trials - start), n + n * n))
+        omega, jac = draws[:, :n], draws[:, n:].reshape(-1, n, n)
+        odd = (start + np.arange(len(draws))) % 2 == 1
+        jac[odd] = (jac[odd] + jac[odd].swapaxes(-1, -2)) / 2.0
+        max_cross = max(max_cross, float(_cross_residuals(jac, rep)[0].max()))
+        max_wedge = max(max_wedge, float(_wedge_residuals(omega, rep).max()))
+    return max_wedge, max_cross

@@ -13,13 +13,14 @@ zero-energy state: all m_i = 0 and f_i = 1 precisely at the negative
 lambda_i, so its parity sector is even exactly when det > 0.
 
 Jacobians are expected in orthonormal coordinates; metric pullback is out of
-scope here.
+scope here.  This module is closed-form counting only and never touches a
+Fock space: the operator identities behind the counting are checked on the
+exterior algebra by the Fock-space oracle, which owns them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -35,16 +36,6 @@ from .spectral import (
     guard_level_count,
     ladder_sums,
 )
-
-if TYPE_CHECKING:
-    from .fock import FockRep
-
-#: Coefficient turning the jacobian's antisymmetric part into the 2-form
-#: wedge coefficients; pinned by the cross-term identity test.
-TWO_FORM_COEFF = -0.5
-
-#: Largest residual the operator identities may show (floating-point noise).
-IDENTITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -190,131 +181,6 @@ def local_witten_spectrum(lambdas, count: int) -> SpectrumResult:
     totals, rungs = ladder_sums(ladders, count)
     return SpectrumResult(energies=totals, rungs=rungs, sectors=(rungs % 2).sum(axis=1) % 2,
                           label_kind="witten", complete=False, bounded_below=True)
-
-
-def _fermion_rep(n: int, rep: Optional[FockRep]) -> FockRep:
-    """`rep`, or the exact representation of n modes (ResourceLimitError
-    from n = 13 on); a representation of other modes raises ValueError."""
-    from .fock import build_fermion_rep
-
-    if rep is None:
-        return build_fermion_rep(n)
-    if getattr(rep, "statistics", None) is not Statistics.FERMION or rep.n != n:
-        raise ValueError(f"an identity check on {n} modes needs a fermionic rep of {n} modes")
-    return rep
-
-
-def _finite_array(values, name: str, ndim: int) -> np.ndarray:
-    """`values` as a non-empty finite float vector (ndim 1) or square matrix
-    (ndim 2); anything else raises ValidationError naming `name`."""
-    shape = "vector" if ndim == 1 else "square matrix"
-    try:
-        array = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must be a numeric {shape}: {exc}") from None
-    if array.ndim != ndim or len(array) < 1 or array.shape != array.shape[:1] * ndim:
-        raise ValidationError(f"{name} must be a non-empty {shape}, got shape {array.shape}")
-    if not np.isfinite(array).all():
-        raise ValidationError(f"{name} has non-finite entries")
-    return array
-
-
-def _wedge_residuals(omega: np.ndarray, rep: FockRep) -> np.ndarray:
-    """Wedge-contraction residual of each 1-form of a stack of shape (T, n)."""
-    from .fock import _concat, _grouped, _pair_sum
-
-    creation, annihilation = rep._ladders
-    coeff = omega[:, :, None] * omega[:, None, :]
-    # one dot product per trial: a batched reduction may round differently
-    norms = np.array([w @ w for w in omega])
-    _, diff = _grouped(*_concat(_pair_sum(coeff, creation, annihilation),
-                                _pair_sum(coeff, annihilation, creation)), -norms)
-    return np.abs(diff).max(axis=(-2, -1))
-
-
-def _cross_residuals(jac: np.ndarray, rep: FockRep) -> tuple[np.ndarray, np.ndarray]:
-    """Cross-term (residual, const) of each jacobian of a stack of shape (T, n, n)."""
-    from .fock import _concat, _grouped, _pair_sum, _with_transpose, _xz_diagonals
-
-    creation, annihilation = rep._ladders
-    two_form = TWO_FORM_COEFF * (jac - jac.swapaxes(-1, -2))
-    alg_off, alg_w = _with_transpose(*_concat(_pair_sum(jac, creation, annihilation),
-                                              _pair_sum(two_form, creation, creation)))
-    offsets, diff = _grouped(*_concat(_xz_diagonals(jac, rep), (alg_off, -alg_w)))
-    scalar = diff[..., np.searchsorted(offsets, 0), :]
-    const = scalar.mean(axis=-1)
-    scalar -= const[:, None]
-    return np.abs(diff).max(axis=(-2, -1)), const
-
-
-def wedge_contraction_identity(omega, rep: Optional[FockRep] = None) -> float:
-    """Residual of (w w* + w* w) - <w, w> on the exterior algebra.
-
-    w is the wedge by the 1-form with coefficients `omega` (built from the
-    creation operators) and w* its contraction adjoint.  The anticommutator
-    is the scalar <w, w> exactly; the residual is floating-point noise.
-    Both products are pair sums of the oracle's shifted-diagonal ladders, so
-    the check holds 2 n^2 weight vectors of length 2^n and no dense matrix.
-    An `omega` that is not a non-empty finite vector raises ValidationError.
-    """
-    omega = _finite_array(omega, "omega", ndim=1)
-    rep = _fermion_rep(len(omega), rep)
-    return float(_wedge_residuals(omega[None], rep)[0])
-
-
-def cross_term_identity(omega_jac, rep: Optional[FockRep] = None) -> tuple[float, float]:
-    """Check that the localized cross term is purely algebraic.
-
-    Builds Q two ways on the exterior algebra: directly as
-    sum_ij W_ij (a_i + a_i^+)(a_j^+ - a_j) with W the jacobian of the 1-form,
-    and as A + A^t + B + B^t where A = sum_ij W_ij a_i a_j^+ is the algebraic
-    part of the derivation term and B is the wedge by the 2-form with
-    coefficients TWO_FORM_COEFF * (W - W^t).  Returns (residual, const) for
-    the best-fit scalar in direct - algebraic = const * identity; const
-    equals -Tr W, the scalar left behind by transposing the derivation term.
-    Both sides are shifted diagonals of the oracle's engine, the direct one
-    from the fermionic branch of build_standard_hamiltonian; at n = 12 the
-    traced peak is about 90 MB.  A jacobian that is not a non-empty
-    finite square matrix raises ValidationError.
-    """
-    jac = _finite_array(omega_jac, "jacobian", ndim=2)
-    rep = _fermion_rep(len(jac), rep)
-    residual, const = _cross_residuals(jac[None], rep)
-    return float(residual[0]), float(const[0])
-
-
-def _trials_per_chunk(n: int) -> int:
-    """Trials evaluated in one stacked pass on n modes: their weights, about
-    8 n^2 2^n elements a trial, hold no more than one trial at the guard
-    edge n = 12, so n = 12 takes one trial at a time."""
-    from .fock import FERMION_DIM_GUARD
-
-    edge = FERMION_DIM_GUARD.bit_length() - 1
-    return max(1, (edge ** 2 * FERMION_DIM_GUARD) // (n ** 2 * 2 ** n))
-
-
-def identity_residuals(n: int, seed: int, trials: int) -> tuple[float, float]:
-    """Largest (wedge-contraction, cross-term) residuals, each within
-    IDENTITY_TOL when the identities hold, over `trials` 1-forms and
-    jacobians on n modes drawn from [-1, 1]; odd trials symmetrize the
-    jacobian (an exact form, no 2-form part).  ResourceLimitError from n = 13.
-
-    Trials run in chunks of :func:`_trials_per_chunk`, each drawn in one call
-    and checked in one stacked pass; the draws, and so the residuals, are
-    those of drawing the 1-form and then the jacobian one trial at a time.
-    """
-    rep = _fermion_rep(n, None)
-    rng = np.random.default_rng(seed)
-    chunk = _trials_per_chunk(n)
-    max_wedge = max_cross = 0.0
-    for start in range(0, trials, chunk):
-        draws = rng.uniform(-1.0, 1.0, size=(min(chunk, trials - start), n + n * n))
-        omega, jac = draws[:, :n], draws[:, n:].reshape(-1, n, n)
-        odd = (start + np.arange(len(draws))) % 2 == 1
-        jac[odd] = (jac[odd] + jac[odd].swapaxes(-1, -2)) / 2.0
-        max_cross = max(max_cross, float(_cross_residuals(jac, rep)[0].max()))
-        max_wedge = max(max_wedge, float(_wedge_residuals(omega, rep).max()))
-    return max_wedge, max_cross
 
 
 def fixture_from_dict(data: dict) -> VectorFieldFixture:

@@ -47,11 +47,9 @@ LEVEL_COEFF = -4.0
 DEGENERACY_TOL = 1e-10
 
 #: Rounding factor of diagonalize_boson: times ||R|| ||T|| for R*T, times a
-#: bound for a quadratic form, and eps / IMAG_TOL_FACTOR for a vector (_is_zero).
+#: bound for a quadratic form, eps / IMAG_TOL_FACTOR for a vector (_is_zero),
+#: and times ||T|| + ||R|| for the residual off-diagonal of the result.
 IMAG_TOL_FACTOR = 1e-8
-
-#: Scale-relative factor for the residual off-diagonal check.
-DIAG_TOL_FACTOR = 1e-8
 
 #: ladder_sums enumerates every combination when there are at most this
 #: many.  Sorting all totals grows with their number, the threshold path
@@ -394,7 +392,7 @@ def diagonalize_boson(std: StandardForm) -> BosonModeData:
 
     moved = apply_transform(std, BogoliubovTransform(Statistics.BOSON, S=s))
     t_full, r_full = moved.T, moved.R
-    tol_diag = DIAG_TOL_FACTOR * (t_norm + r_norm)
+    tol_diag = IMAG_TOL_FACTOR * (t_norm + r_norm)
     mask = ~np.eye(n, dtype=bool)
     off = max(float(np.max(np.abs(a[mask]), initial=0.0)) for a in (t_full, r_full))
     if off > tol_diag:

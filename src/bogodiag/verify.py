@@ -9,6 +9,7 @@ from typing import Optional
 import numpy as np
 
 from . import forms, spectral
+from .errors import ValidationError
 from .forms import QuadraticForm, Statistics
 
 
@@ -42,9 +43,13 @@ def verify_form(form: QuadraticForm, cutoff: int, count: int, tol: float) -> Ver
     ok when each is within `tol`.  Bosons: the `count` smallest levels
     against the prefix stable under doubling `cutoff`, ok when all `count`
     are compared and within `tol`; a spectrum unbounded below compares
-    nothing and is ok, with a warning.  Raises what ``to_standard``, the
-    spectra and the oracle raise (ResourceLimitError for fermions from n = 13).
+    nothing and is ok, with a warning.  A `tol` that is not a finite number
+    >= 0 raises ValidationError before any work; otherwise this raises what
+    ``to_standard``, the spectra and the oracle raise (ResourceLimitError for
+    fermions from n = 13).
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValidationError(f"tol must be a finite number >= 0, got {tol}")
     from . import fock
 
     std = forms.to_standard(form)

@@ -64,9 +64,10 @@ print(json.dumps(phases))
 
 #: Every name the package re-exports from the oracle module.
 FOCK_EXPORTS = [
-    "FockRep", "TruncationResult", "bogoliubov_mode_operators",
+    "IDENTITY_TOL", "TWO_FORM_COEFF", "FockRep", "TruncationResult", "bogoliubov_mode_operators",
     "build_boson_rep", "build_fermion_rep", "build_hamiltonian", "build_standard_hamiltonian",
-    "lowest_eigenvalues", "sector_spectra", "truncation_stable_spectrum",
+    "cross_term_identity", "identity_residuals", "lowest_eigenvalues", "sector_spectra",
+    "truncation_stable_spectrum", "wedge_contraction_identity",
 ]
 
 
@@ -216,8 +217,8 @@ class TestDiagonalize:
         payload = strict_json(result.stdout)
         assert payload["error"] == "DefectiveMatrix"
         match = re.fullmatch(r"residual off-diagonal (\S+) exceeds tolerance (\S+)", payload["detail"])
-        # tolerance DIAG_TOL_FACTOR (||T|| + ||R||) with T = V / 2 = -R
-        assert match[2] == f"{spectral.DIAG_TOL_FACTOR * 2 * np.hypot(0.5, 1.0):.3e}"
+        # tolerance IMAG_TOL_FACTOR (||T|| + ||R||) with T = V / 2 = -R
+        assert match[2] == f"{spectral.IMAG_TOL_FACTOR * 2 * np.hypot(0.5, 1.0):.3e}"
         assert float(match[1]) > 1e-4
 
     def test_zero_pencil_with_overflowing_rounding_scale(self, runner, tmp_path):
@@ -336,6 +337,15 @@ class TestVerify:
         result = runner.invoke(main, ["verify", path, "--tol", "1e-9"])
         assert result.exit_code == 0
         assert json.loads(result.output)["max_abs_deviation"] <= 1e-9
+
+    @pytest.mark.parametrize("name", ["fermion_pair", "boson_oscillator"])
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tol_not_finite_nonnegative_exits_1(self, runner, name, tol):
+        result = runner.invoke(main, ["verify", str(FIXTURES / f"{name}.json"), "--tol", tol])
+        assert result.exit_code == 1
+        payload = strict_json(result.stdout)
+        assert payload["error"] == "ValidationError"
+        assert payload["detail"] == f"tol must be a finite number >= 0, got {float(tol)}"
 
     def test_boson_random_n2(self, runner, tmp_path):
         from conftest import bounded_boson_form

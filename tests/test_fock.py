@@ -401,13 +401,19 @@ class TestEigensolveGuard:
         estimate = 8 * dim * (2 * ncv + 5 + (k if vectors else 0))
         tracemalloc.start()
         try:
-            fock._lowest_pairs(h, k, vectors=vectors)
+            out = fock.lowest_eigenvalues(h, k, vectors=vectors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # the estimate counts the arrays of length dim; ARPACK's ncv x ncv
         # workspace and scipy's bookkeeping add a few KB on top
         assert 0.85 * estimate <= peak <= estimate + 2**16
+        if vectors:
+            vals, vecs = out
+            assert vals.shape == (k,) and vecs.shape == (dim, k)
+            norm_1 = abs(h).sum(axis=0).max()
+            residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
+            assert np.all(residuals <= 1e-8 * norm_1)
 
     def test_admitted_dense_fallback_still_solves(self):
         vals = bd.lowest_eigenvalues(sp.diags(np.arange(1300.0, 0.0, -1.0), format="csr"), 1299)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bogodiag as bd
-from bogodiag import Parity, morse
+from bogodiag import Parity, fock
 
 
 def sphere_fixture():
@@ -274,7 +274,7 @@ class TestOperatorIdentities:
     def test_cross_term_detects_wrong_two_form_coefficient(self, monkeypatch, n):
         jac = np.random.default_rng(400 + n).uniform(-1, 1, (n, n))
         assert bd.cross_term_identity(jac)[0] <= 1e-12
-        monkeypatch.setattr(morse, "TWO_FORM_COEFF", 1.0)
+        monkeypatch.setattr(fock, "TWO_FORM_COEFF", 1.0)
         assert bd.cross_term_identity(jac)[0] > 0.1
 
     @pytest.mark.parametrize("n", [2, 3])
@@ -300,7 +300,7 @@ class TestOperatorIdentities:
         wedge, cross = bd.identity_residuals(3, seed=0, trials=6)
         assert wedge <= bd.IDENTITY_TOL and cross <= bd.IDENTITY_TOL
         # the trials include jacobians with a 2-form part
-        monkeypatch.setattr(morse, "TWO_FORM_COEFF", 1.0)
+        monkeypatch.setattr(fock, "TWO_FORM_COEFF", 1.0)
         assert bd.identity_residuals(3, seed=0, trials=6)[1] > 0.1
 
     @pytest.mark.parametrize("omega", [[[1.0, 2.0]], [np.nan, 1.0], [1.0, np.inf]],
@@ -345,13 +345,13 @@ class TestOperatorIdentities:
     @pytest.mark.parametrize("n, trials", [(2, 7), (4, 10)])
     def test_identity_residuals_chunk_boundaries(self, monkeypatch, n, trials, chunk):
         whole = bd.identity_residuals(n, 5, trials)
-        assert morse._trials_per_chunk(n) >= trials
-        monkeypatch.setattr(morse, "_trials_per_chunk", lambda n: chunk)
+        assert fock._trials_per_chunk(n) >= trials
+        monkeypatch.setattr(fock, "_trials_per_chunk", lambda n: chunk)
         assert bd.identity_residuals(n, 5, trials) == whole
 
     def test_identity_residuals_n12_memory_n13_refused(self):
         # n = 12 runs one trial per chunk, so its peak is a single trial's
-        assert morse._trials_per_chunk(12) == 1
+        assert fock._trials_per_chunk(12) == 1
         tracemalloc.start()
         try:
             wedge, cross = bd.identity_residuals(12, 0, 2)

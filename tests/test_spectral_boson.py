@@ -202,7 +202,7 @@ class TestRepeatedEigenvalues:
         for t, r, products, top in repeated_forms:
             t, r = scale * t, scale * r
             data = bd.diagonalize_boson(boson_std(t, r))
-            tol = bd.spectral.DIAG_TOL_FACTOR * (np.linalg.norm(t) + np.linalg.norm(r))
+            tol = bd.spectral.IMAG_TOL_FACTOR * (np.linalg.norm(t) + np.linalg.norm(r))
             assert off_diagonal(data, t, r) <= tol
             got = np.sort([m.t * m.r for m in data.modes])
             assert np.max(np.abs(got - scale ** 2 * products)) <= 1e-12 * scale ** 2 * top
@@ -214,7 +214,7 @@ class TestRepeatedEigenvalues:
         for t, r, products, _ in squeezed_forms:
             t, r = scale * t, scale * r
             data = bd.diagonalize_boson(boson_std(t, r))
-            tol = bd.spectral.DIAG_TOL_FACTOR * (np.linalg.norm(t) + np.linalg.norm(r))
+            tol = bd.spectral.IMAG_TOL_FACTOR * (np.linalg.norm(t) + np.linalg.norm(r))
             assert off_diagonal(data, t, r) <= tol
             got = np.sort([m.t * m.r for m in data.modes])
             bound = 1e-14 * np.linalg.norm(t) * np.linalg.norm(r)

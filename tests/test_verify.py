@@ -1,11 +1,16 @@
 """verify_form: closed-form spectra against the Fock-space oracle."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import bounded_boson_form, random_fermion_form
 
 import bogodiag as bd
-from bogodiag import Statistics, spectral
+from bogodiag import Statistics, forms, spectral
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def test_fermion_pass_n4():
@@ -63,3 +68,15 @@ def test_fermion_n13_refused():
     form = bd.QuadraticForm(Statistics.FERMION, U=np.zeros((n, n)), V=np.eye(n))
     with pytest.raises(bd.ResourceLimitError):
         bd.verify_form(form, cutoff=40, count=10, tol=1e-9)
+
+
+@pytest.mark.parametrize("name", ["fermion_pair", "boson_oscillator"])
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_tol_not_finite_nonnegative_refused_before_work(monkeypatch, name, tol):
+    def fail(form):
+        raise AssertionError("the form was brought to standard form")
+
+    form = bd.form_from_dict(json.loads((FIXTURES / f"{name}.json").read_text()))
+    monkeypatch.setattr(forms, "to_standard", fail)
+    with pytest.raises(bd.ValidationError, match="tol must be a finite number >= 0"):
+        bd.verify_form(form, cutoff=40, count=10, tol=tol)
