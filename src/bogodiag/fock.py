@@ -14,20 +14,22 @@ so every ladder operator moves basis vector c to c +/- step_i and is one
 shifted diagonal: a weight vector over c, sqrt(m+1) up and sqrt(m) down,
 times the Jordan-Wigner sign for fermions.  A product L_i R_j is again one
 shifted diagonal, so a pair sum sum_ij c_ij L_i R_j is n vectorised
-products grouped by offset, and a form is H = M + M^t + const.  The
-diagonal helpers take optional leading batch axes on coefficients and
-weights, so a stack of forms on one representation is one pass of the same
-per-diagonal loops (the operator identities).
+products, each added as it is made into one buffer holding a row per
+offset (:func:`_diagonals`), and a form is H = M + M^t + const with the
+transpose added in place.  Coefficients may carry leading batch axes,
+which lead the buffer, so a stack of forms on one representation is one
+pass of the same per-diagonal loops (the operator identities).
 
 Fermions live on the exact 2^n-dimensional space; their spectra are dense
 solves of the even and odd parity blocks, filled straight from the
 diagonals of M.  Bosons live on a per-mode truncated space of dimension
 (cutoff+1)^n, where [a_i^+, a_j] = delta_ij holds below the top occupation
-rung; their diagonals become one CSR matrix, and spectra are checked by
-cutoff doubling (:func:`truncation_stable_spectrum`).  Every eigensolve of
-a CSR matrix goes through :func:`lowest_eigenvalues`.  scipy is imported
-only inside the functions that build or solve CSR matrices, so fermionic
-verification and the operator identities never load it.
+rung; their buffer of diagonals is H itself, as a scipy DIA matrix, and
+spectra are checked by cutoff doubling (:func:`truncation_stable_spectrum`).
+Every eigensolve of a sparse matrix goes through :func:`lowest_eigenvalues`.
+scipy is imported only inside the functions that build or solve sparse
+matrices, so fermionic verification and the operator identities never load
+it.
 """
 
 from __future__ import annotations
@@ -106,11 +108,11 @@ class FockRep:
     def a(self, i: int):
         """CSR creation operator for mode i: entries sqrt(m+1), times the
         sign string over lower modes for fermions (so exactly 0 or +/-1)."""
-        return _csr(*(part[i : i + 1] for part in self._ladders[0]), self.dim)
+        return _dia(*(part[i : i + 1] for part in self._ladders[0]), self.dim).tocsr()
 
     def a_dag(self, i: int):
         """CSR annihilation operator for mode i (kills the vacuum)."""
-        return _csr(*(part[i : i + 1] for part in self._ladders[1]), self.dim)
+        return _dia(*(part[i : i + 1] for part in self._ladders[1]), self.dim).tocsr()
 
 
 def build_fermion_rep(n: int) -> FockRep:
@@ -134,52 +136,87 @@ def build_boson_rep(n: int, cutoff: int) -> FockRep:
     return FockRep(Statistics.BOSON, n, cutoff + 1)
 
 
-def _pair_sum(coeff: np.ndarray, left: tuple, right: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Ungrouped diagonals of sum_ij coeff_ij L_i R_j, one row per (j, i): L_i R_j
-    moves c to c + r_j + l_i with amplitude L_i[c + r_j] R_j[c].
-
-    `coeff` has shape (..., n_l, n_r); its leading batch axes lead the
-    weights, of shape (..., n_r * n_l, dim), and one pass serves the stack.
+def _products(coeff: np.ndarray, left: tuple, right: tuple):
+    """The products coeff_ij L_i R_j of a pair sum, by right-hand row j and
+    then by left-hand ladder: L_i R_j moves c to c + r_j + l_i with amplitude
+    L_i[c + r_j] R_j[c].  `left` and `right` are tuples of ladders (offsets,
+    weights) whose rows count on from one ladder to the next.  Yields
+    (offsets, lo, weights) with weights of shape (..., rows, hi - lo) over
+    the basis vectors c in [lo, hi); leading batch axes of `coeff`, of
+    shape (..., n_l, n_r), lead the weights.
     """
-    (l_off, l_w), (r_off, r_w) = left, right
-    dim = l_w.shape[1]
-    batch = coeff.shape[:-2]
-    weights = np.zeros((*batch, len(r_off), len(l_off), dim))
-    for j, s in enumerate(r_off.tolist()):
+    dim = right[0][1].shape[-1]
+    rows_r = [(s, w) for r_off, r_w in right for s, w in zip(r_off.tolist(), r_w)]
+    for j, (s, r_w) in enumerate(rows_r):
         lo, hi = max(0, -s), min(dim, dim - s)
-        np.multiply(coeff[..., :, j, None] * l_w[:, lo + s : hi + s], r_w[j, lo:hi],
-                    out=weights[..., j, :, lo:hi])
-    return (l_off + r_off[:, None]).ravel(), weights.reshape(*batch, -1, dim)
+        first = 0
+        for l_off, l_w in left:
+            weights = coeff[..., first : first + len(l_off), j, None] * l_w[:, lo + s : hi + s]
+            weights *= r_w[lo:hi]
+            yield l_off + s, lo, weights
+            first += len(l_off)
 
 
-def _concat(*diagonals: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """One set of diagonals from several (offsets, weights), rows in order."""
-    offsets, weights = zip(*diagonals)
-    return np.concatenate(offsets), np.concatenate(weights, axis=-2)
+def _term_offsets(term: tuple) -> np.ndarray:
+    """Offsets of every product of a term (coeff, left, right)."""
+    _, left, right = term
+    return np.add.outer(np.concatenate([off for off, _ in right]),
+                        np.concatenate([off for off, _ in left])).ravel()
 
 
-def _grouped(offsets: np.ndarray, weights: np.ndarray,
-             const: Union[float, np.ndarray] = 0.0) -> tuple:
-    """Sum the diagonals of equal offset in input order, then `const` on the
-    diagonal.  Weights of shape (..., rows, dim) give (..., len(keys), dim),
-    and `const` is a scalar or one value per stack entry, of shape (...)."""
-    keys, group = np.unique(np.append(offsets, 0), return_inverse=True)
-    out = np.zeros((*weights.shape[:-2], len(keys), weights.shape[-1]))
-    rows = list(np.moveaxis(out, -2, 0))  # views into out, made once
-    for g, row in zip(group.tolist(), np.moveaxis(weights, -2, 0)):
-        rows[g] += row
-    out[..., np.searchsorted(keys, 0), :] += np.asarray(const)[..., None]
-    return keys, out
+def _diagonals(terms: list, const: Union[float, np.ndarray] = 0.0, transposed: list = (),
+               symmetric: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Grouped diagonals (offsets, weights) of the pair sums of `terms`, each
+    (coeff, left, right) for sum_ij coeff_ij L_i R_j, plus the transpose of
+    every product of the `transposed` terms, plus with `symmetric` the
+    transpose of all that, plus `const` on the main diagonal.
+
+    One buffer of shape (..., len(offsets), dim) takes each product as it is
+    made, in the order terms, right-hand rows, left-hand rows, so every
+    diagonal is summed in that order; a transpose M[c + s, c] = w[c] is
+    M^t[c', c' - s] at c' = c + s.  The products of one right-hand row lie
+    on distinct diagonals, so they are added in one fancy-indexed step.
+    Offsets descend, so scipy's offsets -s ascend.  `const` is a scalar or
+    one value per stack entry, of shape (...).
+    """
+    own = np.concatenate([_term_offsets(t) for t in terms])
+    flipped = [-_term_offsets(t) for t in transposed] + ([-own] if symmetric else [])
+    # sorted(set()) and not np.unique, whose default path imports numpy.ma
+    scipy_offsets = np.array(sorted(set((-np.concatenate([own, *flipped, [0]])).tolist())))
+    dim = terms[0][2][0][1].shape[-1]
+    out = np.zeros((*terms[0][0].shape[:-2], len(scipy_offsets), dim))
+
+    def row(s):
+        return np.searchsorted(scipy_offsets, -s)
+
+    for coeff, left, right in terms:
+        for offsets, lo, weights in _products(coeff, left, right):
+            out[..., row(offsets), lo : lo + weights.shape[-1]] += weights
+    for coeff, left, right in transposed:
+        for offsets, lo, weights in _products(coeff, left, right):
+            hi = lo + weights.shape[-1]
+            for s, w in zip(offsets.tolist(), np.moveaxis(weights, -2, 0)):
+                a, b = max(lo, -s), min(hi, dim - s)
+                out[..., row(-s), a + s : b + s] += w[..., a - lo : b - lo]
+    if symmetric:
+        for d in scipy_offsets[scipy_offsets > 0].tolist():  # offsets d and -d pair up
+            up, down = out[..., row(d), : dim - d], out[..., row(-d), d:]
+            moved = up.copy()
+            up += down
+            down += moved
+        out[..., row(0), :] *= 2.0  # the main diagonal is its own transpose
+    out[..., row(0), :] += np.asarray(const)[..., None]
+    return -scipy_offsets, out
 
 
-def _half_diagonals(form: QuadraticForm, rep) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonals of M = sum U_ij a_i^+ a_j^+ + V_ij a_i a_j^+.  The form is
-    H = M + M^t + const (transposing the U part yields the -/+ U_ij a_i a_j
-    block), so H is symmetric exactly by construction."""
+def _half_term(form: QuadraticForm, rep) -> tuple:
+    """M = sum U_ij a_i^+ a_j^+ + V_ij a_i a_j^+ as one term of
+    :func:`_diagonals`.  The form is H = M + M^t + const (transposing the U
+    part yields the -/+ U_ij a_i a_j block), so H is symmetric exactly by
+    construction."""
     _check_rep(rep, form.statistics, form.n)
     creation, annihilation = rep._ladders
-    return _grouped(*_pair_sum(np.vstack([form.V, form.U]), _concat(creation, annihilation),
-                               annihilation))
+    return np.vstack([form.V, form.U]), (creation, annihilation), (annihilation,)
 
 
 def _entries(offsets: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -188,59 +225,50 @@ def _entries(offsets: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]
     return cols + offsets[k], cols, weights[k, cols]
 
 
-def _csr(offsets: np.ndarray, weights: np.ndarray, dim: int):
+def _dia(offsets: np.ndarray, weights: np.ndarray, dim: int):
     import scipy.sparse as sp
     # scipy's diagonal k holds the entries (c - k, c), indexed by column c
-    return sp.dia_matrix((weights, -offsets), shape=(dim, dim)).tocsr()
-
-
-def _with_transpose(offsets: np.ndarray, weights: np.ndarray) -> tuple:
-    """Diagonals of M, then of M^t: M[c + s, c] = w[c] is M^t[c', c' - s] at
-    c' = c + s.  Weights of shape (..., k, dim) give (..., 2k, dim)."""
-    k, dim = weights.shape[-2:]
-    both = np.zeros((*weights.shape[:-2], 2 * k, dim))
-    both[..., :k, :] = weights
-    for row, s in enumerate(offsets.tolist()):
-        lo, hi = max(0, -s), min(dim, dim - s)
-        both[..., k + row, lo + s : hi + s] = weights[..., row, lo:hi]
-    return np.concatenate([offsets, -offsets]), both
+    return sp.dia_matrix((weights, -offsets), shape=(dim, dim))
 
 
 def build_hamiltonian(form: QuadraticForm, rep):
-    """Assemble the quadratic form as an explicit symmetric CSR matrix."""
-    # nested calls, so that each stage's input is freed before the next runs
-    return _csr(*_grouped(*_with_transpose(*_half_diagonals(form, rep)), form.const), rep.dim)
+    """Assemble the quadratic form as an explicit symmetric DIA matrix.
+
+    Its diagonals are stored in ascending scipy offset, so a product H @ x
+    sums each row in column order, as the CSR matrix ``H.tocsr()`` does:
+    both give the same bits.
+    """
+    return _dia(*_diagonals([_half_term(form, rep)], form.const, symmetric=True), rep.dim)
 
 
-def _quadratures(rep) -> tuple[tuple, tuple]:
-    """x = a + a^+ and y = a - a^+ as ladders of 2n rows, row p acting on
-    mode p mod n (a sum of two ladders is one ladder of their rows)."""
-    (c_off, c_w), (a_off, a_w) = rep._ladders
-    offsets = np.concatenate([c_off, a_off])
-    return (offsets, np.vstack([c_w, a_w])), (offsets, np.vstack([c_w, -a_w]))
+def _y_signs(n: int) -> np.ndarray:
+    """Sign of each row of y = a - a^+ over the rows of both ladders,
+    creation then annihilation (row p acts on mode p mod n).  Quadrature
+    terms carry these signs in their coefficients, which gives the same
+    products, bit for bit, as negated weights."""
+    return np.repeat([1.0, -1.0], n)
 
 
-def _xz_diagonals(c: np.ndarray, rep) -> tuple[np.ndarray, np.ndarray]:
-    """Ungrouped diagonals of sum_ij c_ij x_i z_j with z = a^+ - a = -y, for
+def _xz_term(c: np.ndarray, rep) -> tuple:
+    """sum_ij c_ij x_i z_j with x = a + a^+ and z = a^+ - a = -y, for
     coefficients of shape (..., n, n) (tiled over the 2n ladder rows)."""
-    x, (offsets, y_w) = _quadratures(rep)
-    return _pair_sum(np.tile(c, (2, 2)), x, (offsets, -y_w))
+    return np.tile(c, (2, 2)) * -_y_signs(c.shape[-1]), rep._ladders, rep._ladders
 
 
-def _standard_diagonals(std: StandardForm, rep) -> tuple[np.ndarray, np.ndarray]:
-    """Ungrouped diagonals of a normal form without k0: sum C_ij x_i z_j
-    (fermions, :func:`_xz_diagonals`) or sum T_ij x_i x_j + R_ij y_i y_j
-    (bosons)."""
+def _standard_terms(std: StandardForm, rep) -> list:
+    """Terms of a normal form without k0: sum C_ij x_i z_j (fermions,
+    :func:`_xz_term`) or sum T_ij x_i x_j + R_ij y_i y_j (bosons)."""
     _check_rep(rep, std.statistics, std.n)
     if std.statistics is Statistics.FERMION:
-        return _xz_diagonals(std.C, rep)
-    x, y = _quadratures(rep)
-    return _concat(_pair_sum(np.tile(std.T, (2, 2)), x, x), _pair_sum(np.tile(std.R, (2, 2)), y, y))
+        return [_xz_term(std.C, rep)]
+    y = _y_signs(std.n)
+    return [(np.tile(std.T, (2, 2)), rep._ladders, rep._ladders),
+            (np.tile(std.R, (2, 2)) * np.outer(y, y), rep._ladders, rep._ladders)]
 
 
 def build_standard_hamiltonian(std: StandardForm, rep):
-    """Assemble a normal form (see :func:`_standard_diagonals`) as a CSR matrix."""
-    return _csr(*_grouped(*_standard_diagonals(std, rep), std.k0), rep.dim)
+    """Assemble a normal form (see :func:`_standard_terms`) as a CSR matrix."""
+    return _dia(*_diagonals(_standard_terms(std, rep), std.k0), rep.dim).tocsr()
 
 
 def _check_rep(rep, statistics: Statistics, n: int) -> None:
@@ -250,8 +278,8 @@ def _check_rep(rep, statistics: Statistics, n: int) -> None:
 
 
 def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors: bool = False):
-    """The k smallest eigenvalues of a symmetric CSR matrix, ascending (k = dim
-    gives the whole spectrum); with `vectors`, the pair (values, vectors)
+    """The k smallest eigenvalues of a symmetric sparse matrix, ascending (k =
+    dim gives the whole spectrum); with `vectors`, the pair (values, vectors)
     with eigenvector j in column j.
 
     Matrices up to DENSE_EIG_LIMIT and requests for (nearly) every
@@ -259,7 +287,10 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
     that is not symmetric within 1e-10; the rest implicitly restarted Lanczos
     (ARPACK) on H + sigma*I, sigma the largest absolute row sum (a bound on
     ||H||_2), so that ARPACK's stopping rule tol*|Ritz value| is relative to
-    ||H|| even where an eigenvalue of H is 0.  Its basis holds
+    ||H|| even where an eigenvalue of H is 0.  sigma is read from the
+    diagonals of the DIA matrix that :func:`build_hamiltonian` returns,
+    without a copy of H; another sparse format is converted with todia().
+    H itself multiplies each Lanczos vector as it is.  Its basis holds
     max(2k + 4, 20) vectors, and it starts from `v0`, by default a
     fixed-seed Gaussian vector, so results are deterministic.  The working
     set is estimated first and refused with ResourceLimitError above
@@ -294,7 +325,7 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
         # one misses, for one, the states antisymmetric under a mode swap
         v0 = np.random.default_rng(0).standard_normal(dim)
     import scipy.sparse.linalg as spla
-    sigma = _row_sum_bound(matrix)
+    sigma = _row_sum_bound(matrix.todia())
     shifted = spla.LinearOperator(matrix.shape, dtype=float,
                                   matvec=lambda x: matrix @ x + sigma * x)
     try:
@@ -310,13 +341,15 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
 
 
 def _row_sum_bound(matrix) -> float:
-    """max_i sum_j |H_ij| of a CSR matrix, an upper bound on ||H||_2, from its
-    arrays: rows are reduced from their first entry, and empty rows skipped."""
-    starts, ends = matrix.indptr[:-1], matrix.indptr[1:]
-    filled = starts[starts < ends]
-    if not len(filled):
-        return 0.0
-    return float(np.add.reduceat(np.abs(matrix.data), filled).max())
+    """max_i sum_j |H_ij| of a DIA matrix, an upper bound on ||H||_2, from its
+    diagonals: each row's sum runs over them in the order stored, and no
+    copy of H is made."""
+    dim = matrix.shape[0]
+    sums = np.zeros(dim)
+    for k, diagonal in zip(matrix.offsets.tolist(), matrix.data):
+        lo, hi = max(0, -k), min(dim, dim - k)  # rows r whose column r + k exists
+        sums[lo:hi] += np.abs(diagonal[lo + k : hi + k])
+    return float(sums.max(initial=0.0))
 
 
 def _check_eigensolve_bytes(estimate: int, what: str) -> None:
@@ -335,7 +368,7 @@ def sector_spectra(form: QuadraticForm, rep: FockRep) -> tuple[np.ndarray, np.nd
     block.  Each block gets the entries of M, as they are and transposed,
     plus the constant.
     """
-    rows, cols, values = _entries(*_half_diagonals(form, rep))
+    rows, cols, values = _entries(*_diagonals([_half_term(form, rep)]))
     parity = rep.occupations()[cols] % 2
     block = np.empty((rep.dim // 2, rep.dim // 2))
     spectra = []
@@ -387,10 +420,12 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
     rep_hi = build_boson_rep(form.n, 2 * cutoff)
     lo, ritz = lowest_eigenvalues(build_hamiltonian(form, rep_lo), k, vectors=True)
     start = ritz.sum(axis=1)
-    del ritz  # the fine assembly is the memory peak; add nothing to it
+    inside = np.ravel_multi_index(tuple(rep_lo._digits), (rep_hi.base,) * form.n)
+    del ritz, rep_lo  # the fine assembly is the memory peak; add nothing to it
     h_hi = build_hamiltonian(form, rep_hi)
-    v0 = np.zeros(rep_hi.dim)
-    v0[np.ravel_multi_index(tuple(rep_lo._digits), (rep_hi.base,) * form.n)] = start
+    del rep_hi  # its cached ladders and digits are no use to the solve
+    v0 = np.zeros(h_hi.shape[0])
+    v0[inside] = start
     hi = lowest_eigenvalues(h_hi, k, v0=v0)
     m = min(len(lo), len(hi))
     stable = 0
@@ -450,8 +485,8 @@ def _wedge_residuals(omega: np.ndarray, rep: FockRep) -> np.ndarray:
     coeff = omega[:, :, None] * omega[:, None, :]
     # one dot product per trial: a batched reduction may round differently
     norms = np.array([w @ w for w in omega])
-    _, diff = _grouped(*_concat(_pair_sum(coeff, creation, annihilation),
-                                _pair_sum(coeff, annihilation, creation)), -norms)
+    _, diff = _diagonals([(coeff, (creation,), (annihilation,)),
+                          (coeff, (annihilation,), (creation,))], -norms)
     return np.abs(diff).max(axis=(-2, -1))
 
 
@@ -459,10 +494,11 @@ def _cross_residuals(jac: np.ndarray, rep: FockRep) -> tuple[np.ndarray, np.ndar
     """Cross-term (residual, const) of each jacobian of a stack of shape (T, n, n)."""
     creation, annihilation = rep._ladders
     two_form = TWO_FORM_COEFF * (jac - jac.swapaxes(-1, -2))
-    alg_off, alg_w = _with_transpose(*_concat(_pair_sum(jac, creation, annihilation),
-                                              _pair_sum(two_form, creation, creation)))
-    offsets, diff = _grouped(*_concat(_xz_diagonals(jac, rep), (alg_off, -alg_w)))
-    scalar = diff[..., np.searchsorted(offsets, 0), :]
+    # the algebraic side A + B and its transpose, subtracted: a negated
+    # coefficient negates each product exactly
+    alg = [(-jac, (creation,), (annihilation,)), (-two_form, (creation,), (creation,))]
+    offsets, diff = _diagonals([_xz_term(jac, rep), *alg], transposed=alg)
+    scalar = diff[..., offsets.tolist().index(0), :]
     const = scalar.mean(axis=-1)
     scalar -= const[:, None]
     return np.abs(diff).max(axis=(-2, -1)), const
@@ -498,7 +534,7 @@ def cross_term_identity(omega_jac, rep: Optional[FockRep] = None) -> tuple[float
     equals -Tr W, the scalar left behind by transposing the derivation term.
     Both sides are shifted diagonals, the direct one from the fermionic
     branch of build_standard_hamiltonian; at n = 12 the traced peak is about
-    90 MB.  `rep` is taken as in :func:`wedge_contraction_identity`; a
+    17 MB.  `rep` is taken as in :func:`wedge_contraction_identity`; a
     jacobian that is not a non-empty finite square matrix raises
     ValidationError.
     """
@@ -510,9 +546,9 @@ def cross_term_identity(omega_jac, rep: Optional[FockRep] = None) -> tuple[float
 
 
 def _trials_per_chunk(n: int) -> int:
-    """Trials evaluated in one stacked pass on n modes: their weights, about
-    8 n^2 2^n elements a trial, hold no more than one trial at the guard
-    edge n = 12, so n = 12 takes one trial at a time."""
+    """Trials evaluated in one stacked pass on n modes: as many times as
+    n^2 2^n fits into 12^2 2^12, so the guard edge n = 12 takes one trial at
+    a time.  A trial's buffer holds about 2 n^2 diagonals of length 2^n."""
     edge = FERMION_DIM_GUARD.bit_length() - 1
     return max(1, (edge ** 2 * FERMION_DIM_GUARD) // (n ** 2 * 2 ** n))
 

@@ -135,9 +135,7 @@ class TestBuildHamiltonian:
         f1, f2 = make(rng, n), make(rng, n)
         rep = bd.build_boson_rep(n, 6) if statistics is Statistics.BOSON else bd.build_fermion_rep(n)
         both = bd.QuadraticForm(statistics, U=f1.U + f2.U, V=f1.V + f2.V, const=f1.const + f2.const)
-        h1, h2, h12 = (bd.build_hamiltonian(f, rep) for f in (f1, f2, both))
-        if statistics is Statistics.BOSON:
-            h1, h2, h12 = h1.toarray(), h2.toarray(), h12.toarray()
+        h1, h2, h12 = (bd.build_hamiltonian(f, rep).toarray() for f in (f1, f2, both))
         assert np.max(np.abs(h12 - h1 - h2)) <= 1e-12
         assert np.max(np.abs(h1 - h1.T)) <= 1e-12
 
@@ -216,7 +214,7 @@ class TestAssemblyEngine:
         for seed in range(3):
             f = random_fermion_form(np.random.default_rng(100 * n + seed), n)
             h = bd.build_hamiltonian(f, rep)
-            assert sp.isspmatrix_csr(h)
+            assert sp.isspmatrix_dia(h)
             assert np.max(np.abs(h.toarray() - termwise_hamiltonian(f, dense_a, dense_d))) <= 1e-13
 
     @pytest.mark.parametrize("n, cutoff", [(1, 6), (2, 4), (3, 3)])
@@ -231,8 +229,26 @@ class TestAssemblyEngine:
         for seed in range(3):
             f = random_boson_form(np.random.default_rng(200 * n + seed), n)
             h = bd.build_hamiltonian(f, rep)
-            assert sp.isspmatrix_csr(h)
+            assert sp.isspmatrix_dia(h)
             assert np.max(np.abs(h.toarray() - termwise_hamiltonian(f, dense_a, dense_d))) <= 1e-13
+
+    @pytest.mark.parametrize("statistics, n, cutoff", [
+        (Statistics.FERMION, 3, None), (Statistics.FERMION, 6, None),
+        (Statistics.BOSON, 1, 12), (Statistics.BOSON, 2, 8), (Statistics.BOSON, 3, 5),
+    ])
+    def test_matvec_sums_rows_in_csr_column_order(self, statistics, n, cutoff):
+        # Lanczos multiplies by the DIA matrix; its diagonals are stored in
+        # ascending scipy offset, so every row is summed as the CSR sums it
+        rng = np.random.default_rng(500 + n)
+        if statistics is Statistics.FERMION:
+            f, rep = random_fermion_form(rng, n), bd.build_fermion_rep(n)
+        else:
+            f, rep = random_boson_form(rng, n), bd.build_boson_rep(n, cutoff)
+        h = bd.build_hamiltonian(f, rep)
+        assert np.all(np.diff(h.offsets) > 0)
+        for _ in range(3):
+            x = rng.standard_normal(rep.dim)
+            assert np.array_equal(h @ x, h.tocsr() @ x)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_sector_blocks_are_parity_slices(self, n, monkeypatch):
@@ -269,6 +285,32 @@ class TestOracleMemory:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_boson_assembly_peak_within_twice_its_diagonals(self):
+        # (3, 32), dimension 35937: the stage stacks of the earlier engine
+        # peaked at 15.5 MiB here, three times the 5.2 MiB of diagonals
+        f = bounded_boson_form(np.random.default_rng(110), 3, seed=3)
+        rep = bd.build_boson_rep(3, 32)
+        tracemalloc.start()
+        try:
+            h = bd.build_hamiltonian(f, rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * h.data.nbytes
+
+    def test_cutoff_doubling_peak(self):
+        # (3, 16) at k = 10: the fine Lanczos basis and H, without the
+        # FockReps or a CSR copy (25.2 MiB with both, 19.8 MiB without)
+        f = bounded_boson_form(np.random.default_rng(110), 3, seed=3)
+        tracemalloc.start()
+        try:
+            out = bd.truncation_stable_spectrum(f, cutoff=16, k=10, tol=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.stable_count == 10
+        assert peak < 22.5 * 2**20
 
 
 class TestExactSpectrum:
@@ -335,7 +377,7 @@ class TestWarmStart:
         coarse = bd.build_hamiltonian(f, bd.build_boson_rep(n, cutoff)).toarray()
         fine = bd.build_hamiltonian(f, bd.build_boson_rep(n, 2 * cutoff))
         e = box_embedding(n, cutoff, 2 * cutoff)
-        assert np.array_equal(coarse, fine[e][:, e].toarray())
+        assert np.array_equal(coarse, fine.tocsr()[e][:, e].toarray())
 
     @pytest.mark.parametrize("n, cutoff", [(2, 20), (3, 8)])
     def test_interlacing(self, n, cutoff):
