@@ -16,9 +16,12 @@ times the Jordan-Wigner sign for fermions.  A product L_i R_j is again one
 shifted diagonal, so a pair sum sum_ij c_ij L_i R_j is n vectorised
 products, each added as it is made into one buffer holding a row per
 offset (:func:`_diagonals`), and a form is H = M + M^t + const with the
-transpose added in place.  Coefficients may carry leading batch axes,
-which lead the buffer, so a stack of forms on one representation is one
-pass of the same per-diagonal loops (the operator identities).
+transpose added in place.  A transposed product is a product too:
+(c_ij L_i R_j)^t = c_ij R_j^t L_i^t with a_i^t = a_i^+, so a transposed
+term is an ordinary term on the adjoint ladders.  Coefficients may carry
+leading batch axes, which lead the buffer, so a stack of forms on one
+representation is one pass of the same per-diagonal loops (the operator
+identities).
 
 Fermions live on the exact 2^n-dimensional space; their spectra are dense
 solves of the even and odd parity blocks, filled straight from the
@@ -164,23 +167,21 @@ def _term_offsets(term: tuple) -> np.ndarray:
                         np.concatenate([off for off, _ in left])).ravel()
 
 
-def _diagonals(terms: list, const: Union[float, np.ndarray] = 0.0, transposed: list = (),
+def _diagonals(terms: list, const: Union[float, np.ndarray] = 0.0,
                symmetric: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Grouped diagonals (offsets, weights) of the pair sums of `terms`, each
-    (coeff, left, right) for sum_ij coeff_ij L_i R_j, plus the transpose of
-    every product of the `transposed` terms, plus with `symmetric` the
-    transpose of all that, plus `const` on the main diagonal.
+    (coeff, left, right) for sum_ij coeff_ij L_i R_j, plus with `symmetric`
+    the transpose of all that, plus `const` on the main diagonal.
 
     One buffer of shape (..., len(offsets), dim) takes each product as it is
     made, in the order terms, right-hand rows, left-hand rows, so every
-    diagonal is summed in that order; a transpose M[c + s, c] = w[c] is
-    M^t[c', c' - s] at c' = c + s.  The products of one right-hand row lie
+    diagonal is summed in that order.  The products of one right-hand row lie
     on distinct diagonals, so they are added in one fancy-indexed step.
     Offsets descend, so scipy's offsets -s ascend.  `const` is a scalar or
     one value per stack entry, of shape (...).
     """
     own = np.concatenate([_term_offsets(t) for t in terms])
-    flipped = [-_term_offsets(t) for t in transposed] + ([-own] if symmetric else [])
+    flipped = [-own] if symmetric else []
     # sorted(set()) and not np.unique, whose default path imports numpy.ma
     scipy_offsets = np.array(sorted(set((-np.concatenate([own, *flipped, [0]])).tolist())))
     dim = terms[0][2][0][1].shape[-1]
@@ -192,12 +193,6 @@ def _diagonals(terms: list, const: Union[float, np.ndarray] = 0.0, transposed: l
     for coeff, left, right in terms:
         for offsets, lo, weights in _products(coeff, left, right):
             out[..., row(offsets), lo : lo + weights.shape[-1]] += weights
-    for coeff, left, right in transposed:
-        for offsets, lo, weights in _products(coeff, left, right):
-            hi = lo + weights.shape[-1]
-            for s, w in zip(offsets.tolist(), np.moveaxis(weights, -2, 0)):
-                a, b = max(lo, -s), min(hi, dim - s)
-                out[..., row(-s), a + s : b + s] += w[..., a - lo : b - lo]
     if symmetric:
         for d in scipy_offsets[scipy_offsets > 0].tolist():  # offsets d and -d pair up
             up, down = out[..., row(d), : dim - d], out[..., row(-d), d:]
@@ -289,9 +284,9 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
     ||H||_2), so that ARPACK's stopping rule tol*|Ritz value| is relative to
     ||H|| even where an eigenvalue of H is 0.  sigma is read from the
     diagonals of the DIA matrix that :func:`build_hamiltonian` returns,
-    without a copy of H; another sparse format is converted with todia().
-    H itself multiplies each Lanczos vector as it is.  Its basis holds
-    max(2k + 4, 20) vectors, and it starts from `v0`, by default a
+    without a copy of H; another sparse format sums |H| over its own
+    entries.  H itself multiplies each Lanczos vector as it is.  Its basis
+    holds max(2k + 4, 20) vectors, and it starts from `v0`, by default a
     fixed-seed Gaussian vector, so results are deterministic.  The working
     set is estimated first and refused with ResourceLimitError above
     EIGENSOLVE_BYTES_GUARD, before anything is allocated; a Lanczos solve
@@ -325,7 +320,10 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
         # one misses, for one, the states antisymmetric under a mode swap
         v0 = np.random.default_rng(0).standard_normal(dim)
     import scipy.sparse.linalg as spla
-    sigma = _row_sum_bound(matrix.todia())
+    if matrix.format == "dia":
+        sigma = _row_sum_bound(matrix)
+    else:  # todia() of scattered entries would hold a dense row per diagonal
+        sigma = float(np.max(abs(matrix).sum(axis=1)))
     shifted = spla.LinearOperator(matrix.shape, dtype=float,
                                   matvec=lambda x: matrix @ x + sigma * x)
     try:
@@ -494,10 +492,13 @@ def _cross_residuals(jac: np.ndarray, rep: FockRep) -> tuple[np.ndarray, np.ndar
     """Cross-term (residual, const) of each jacobian of a stack of shape (T, n, n)."""
     creation, annihilation = rep._ladders
     two_form = TWO_FORM_COEFF * (jac - jac.swapaxes(-1, -2))
-    # the algebraic side A + B and its transpose, subtracted: a negated
-    # coefficient negates each product exactly
-    alg = [(-jac, (creation,), (annihilation,)), (-two_form, (creation,), (creation,))]
-    offsets, diff = _diagonals([_xz_term(jac, rep), *alg], transposed=alg)
+    # the algebraic side A + B + A^t + B^t, subtracted: a negated coefficient
+    # negates each product exactly
+    offsets, diff = _diagonals([_xz_term(jac, rep),
+                                (-jac, (creation,), (annihilation,)),
+                                (-two_form, (creation,), (creation,)),
+                                (-jac.swapaxes(-1, -2), (creation,), (annihilation,)),
+                                (-two_form.swapaxes(-1, -2), (annihilation,), (annihilation,))])
     scalar = diff[..., offsets.tolist().index(0), :]
     const = scalar.mean(axis=-1)
     scalar -= const[:, None]

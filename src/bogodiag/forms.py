@@ -349,10 +349,27 @@ def random_canonical(statistics: Statistics, n: int, seed: int = 0,
     return BogoliubovTransform(Statistics.BOSON, S=s)
 
 
+def _is_number_type(kind: type) -> bool:
+    """The type of a JSON number (or a numpy one); bool, though a subclass
+    of int, is not."""
+    return issubclass(kind, (int, float, np.integer, np.floating)) and not issubclass(kind, bool)
+
+
+def _number_array(value) -> np.ndarray:
+    """`value`, a number or nested lists of numbers, as a float array.  An
+    entry that is not a number (a string, a bool or null) raises TypeError,
+    ragged lists ValueError and an integer beyond the float range
+    OverflowError; NaN and infinities pass."""
+    entries = np.array(value, dtype=object)
+    if not all(map(_is_number_type, set(map(type, entries.flat)))):
+        raise TypeError("entries must be numbers")
+    return entries.astype(float)
+
+
 def _matrix_from_dict(data: dict, key: str, n: int) -> np.ndarray:
     try:
-        arr = np.array(data[key], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+        arr = _number_array(data[key])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"missing or malformed matrix {key!r}") from exc
     if arr.shape != (n, n):
         raise ValidationError(f"matrix {key!r} must be {n}x{n}, got shape {arr.shape}")
@@ -393,10 +410,14 @@ def form_from_dict(data: dict) -> QuadraticForm:
     n = _integer_from_dict(data, "n", "missing or malformed mode count 'n'")
     u = _matrix_from_dict(data, "U", n)
     v = _matrix_from_dict(data, "V", n)
+    const = data.get("const", 0.0)
+    if not _is_number_type(type(const)):
+        raise ValidationError("constant 'const' must be a number")
     try:
-        const = float(data.get("const", 0.0))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError("constant 'const' must be a number") from exc
+        const = float(const)
+    except OverflowError:
+        raise ValidationError("constant 'const' must be finite, got an integer beyond "
+                              "the float range") from None
     if not np.isfinite(const):
         raise ValidationError(f"constant 'const' must be finite, got {const}")
     return QuadraticForm(statistics=stats, U=u, V=v, const=const)

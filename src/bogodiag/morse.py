@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegeneratePoint, ValidationError
-from .forms import StandardForm, Statistics, _integer_from_dict
+from .forms import StandardForm, Statistics, _integer_from_dict, _number_array
 from .spectral import (
     DEGENERACY_TOL,
     FermionModeData,
@@ -195,8 +195,8 @@ def fixture_from_dict(data: dict) -> VectorFieldFixture:
     for entry in raw_points:
         try:
             label = str(entry["label"])
-            jac = np.array(entry["jacobian"], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+            jac = _number_array(entry["jacobian"])
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("each point requires 'label' and a square 'jacobian'") from exc
         points.append(SingularPoint(label=label, jacobian=jac))
     return VectorFieldFixture(n=n, chi=chi, points=tuple(points))

@@ -702,6 +702,50 @@ class TestOutputContract:
         assert result.exit_code == 1
         assert strict_json(result.stdout)["error"] == "ValidationError"
 
+    FORM_1 = '{"statistics": "boson", "n": 1, "U": [[0]], "V": %s, "const": %s}'
+    FORM_2 = '{"statistics": "boson", "n": 2, "U": [[0, 0], [0, 0]], "V": %s, "const": 0}'
+    POINT = '{"n": %d, "chi": 1, "points": [{"label": "p", "jacobian": %s}]}'
+    BIG = "9" * 400  # a JSON integer beyond the float range
+
+    @pytest.mark.parametrize("command, text, detail", [
+        ("validate", FORM_1 % ("[[1]]", '"2.5"'), "constant 'const' must be a number"),
+        ("spectrum", FORM_1 % ("[[1]]", "true"), "constant 'const' must be a number"),
+        ("validate", FORM_1 % ('[["1"]]', "0"), "missing or malformed matrix 'V'"),
+        ("diagonalize", FORM_1 % ("[[true]]", "0"), "missing or malformed matrix 'V'"),
+        ("validate", FORM_1 % ("[[null]]", "0"), "missing or malformed matrix 'V'"),
+        ("verify", FORM_2 % "[[1, true], [true, 2]]", "missing or malformed matrix 'V'"),
+        ("validate", FORM_1 % ("[[1]]", BIG),
+         "constant 'const' must be finite, got an integer beyond the float range"),
+        ("spectrum", FORM_1 % (f"[[{BIG}]]", "0"), "missing or malformed matrix 'V'"),
+        ("morse", POINT % (1, '[["2"]]'), "each point requires 'label' and a square 'jacobian'"),
+        ("morse", POINT % (1, "[[true]]"), "each point requires 'label' and a square 'jacobian'"),
+        ("morse", POINT % (2, "[[1, true], [0, 1]]"),
+         "each point requires 'label' and a square 'jacobian'"),
+    ], ids=["const_string", "const_bool", "V_string", "V_bool", "V_null", "V_mixed",
+            "const_big_integer", "V_big_integer", "jacobian_string", "jacobian_bool",
+            "jacobian_mixed"])
+    def test_number_that_is_not_a_json_number_exits_1(self, runner, tmp_path, command, text,
+                                                      detail):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 1
+        payload = strict_json(result.stdout)
+        assert (payload["error"], payload["detail"]) == ("ValidationError", detail)
+
+    @pytest.mark.parametrize("command, text", [
+        ("validate", '{"statistics": "boson", "n": 2.0, "U": [[0, 0], [0, 0]],'
+                     ' "V": [[1, 0], [0, 2]], "const": 1}'),
+        ("morse", '{"n": 2.0, "chi": 0.0, "points": [{"label": "p", "jacobian": [[1, 0], [0, 1]]},'
+                  ' {"label": "q", "jacobian": [[1, 0], [0, -1]]}]}'),
+    ], ids=["form_n", "fixture_n_chi"])
+    def test_integral_float_count_passes(self, runner, tmp_path, command, text):
+        path = tmp_path / "integral.json"
+        path.write_text(text)
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 0
+        assert "error" not in strict_json(result.stdout)
+
     @pytest.mark.parametrize("args, named", [
         (["spectrum", "FORM", "--count", "abc"], "--count"),
         (["verify", "FORM", "--tol", "x"], "--tol"),

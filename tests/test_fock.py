@@ -312,6 +312,24 @@ class TestOracleMemory:
         assert out.stable_count == 10
         assert peak < 22.5 * 2**20
 
+    def test_shift_of_scattered_csr_read_from_its_entries(self):
+        # dimension 3000 with ~5600 distinct diagonals in 0.5 MiB of CSR:
+        # reading sigma through todia() held a dense row per diagonal
+        # (128.7 MiB traced)
+        dim, nnz = 3000, 21000
+        rng = np.random.default_rng(120)
+        rows, cols = rng.integers(0, dim, (2, nnz))
+        a = sp.coo_matrix((rng.uniform(-0.5, 0.5, nnz), (rows, cols)), shape=(dim, dim))
+        h = (a + a.T + sp.diags(np.arange(dim, dtype=float))).tocsr()
+        tracemalloc.start()
+        try:
+            vals = bd.lowest_eigenvalues(h, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert np.allclose(vals, np.sort(spla.eigsh(h, k=3, which="SA", return_eigenvectors=False)))
+
 
 class TestExactSpectrum:
     def test_diagonal(self):

@@ -242,6 +242,17 @@ class TestRandomCanonical:
             seen_negative = seen_negative or not bd.is_positive(b)
         assert seen_negative
 
+    def test_boson_determinant_signs(self):
+        # positive=False flips a column of S on a coin toss: both signs of
+        # det S occur over seeds 0-19, and positive=True never gives a negative one
+        for n in (1, 2, 3):
+            free = {np.sign(np.linalg.det(bd.random_canonical(Statistics.BOSON, n, seed=seed,
+                                                               positive=False).S))
+                    for seed in range(20)}
+            kept = {np.sign(np.linalg.det(bd.random_canonical(Statistics.BOSON, n, seed=seed).S))
+                    for seed in range(20)}
+            assert free == {-1.0, 1.0} and kept == {1.0}, n
+
 
 class TestJson:
     def test_form_round_trip(self):
@@ -251,6 +262,11 @@ class TestJson:
         assert g.statistics is f.statistics
         assert np.allclose(g.U, f.U) and np.allclose(g.V, f.V)
         assert g.const == f.const
+
+    def test_numpy_numbers_accepted(self):
+        f = bd.form_from_dict({"statistics": "boson", "n": 1, "U": np.zeros((1, 1)),
+                               "V": [[np.int64(1)]], "const": np.float64(0.5)})
+        assert f.V[0, 0] == 1.0 and f.const == 0.5
 
     @pytest.mark.parametrize("payload", [
         {},
