@@ -23,12 +23,17 @@ leading batch axes, which lead the buffer, so a stack of forms on one
 representation is one pass of the same per-diagonal loops (the operator
 identities).
 
-Fermions live on the exact 2^n-dimensional space; their spectra are dense
-solves of the even and odd parity blocks, filled straight from the
-diagonals of M.  Bosons live on a per-mode truncated space of dimension
-(cutoff+1)^n, where [a_i^+, a_j] = delta_ij holds below the top occupation
-rung; their buffer of diagonals is H itself, as a scipy DIA matrix, and
-spectra are checked by cutoff doubling (:func:`truncation_stable_spectrum`).
+Fermions live on the exact 2^n-dimensional space; their spectra come from
+the even and odd parity blocks, filled straight from the diagonals of M.
+The chiral operator X = x_0 x_1 ... x_{n-1}, x_i = a_i + a_i^+, flips every
+bit with a sign and sends H to 2 k0 - H, so the dense solves shrink: for odd
+n the odd spectrum mirrors the even one, and for n = 0 mod 4 each sector
+folds to a singular-value problem of half its dimension
+(:func:`sector_spectra`).  Bosons live on a per-mode truncated space of
+dimension (cutoff+1)^n, where [a_i^+, a_j] = delta_ij holds below the top
+occupation rung; their buffer of diagonals is H itself, as a scipy DIA
+matrix, and spectra are checked by cutoff doubling
+(:func:`truncation_stable_spectrum`).
 Every eigensolve of a sparse matrix goes through :func:`lowest_eigenvalues`.
 scipy is imported only inside the functions that build or solve sparse
 matrices, so fermionic verification and the operator identities never load
@@ -358,26 +363,78 @@ def _check_eigensolve_bytes(estimate: int, what: str) -> None:
         )
 
 
+def _chiral_signs(rep: FockRep) -> np.ndarray:
+    """Signs s_c of the chiral operator X = x_0 x_1 ... x_{n-1}, x_i = a_i + a_i^+,
+    which sends e_c to s_c e_{~c}.  x_i flips bit i with the sign string of
+    modes 0..i-1, and the x_j with j > i, which act first, leave those bits
+    as they are, so s_c is the product of the n ladder weights at c."""
+    (_, up), (_, down) = rep._ladders
+    return np.prod(up + down, axis=0)
+
+
+def _folded_spectrum(r: np.ndarray, c: np.ndarray, v: np.ndarray, signs: np.ndarray,
+                     k0: float) -> np.ndarray:
+    """Ascending spectrum k0 +/- sigma(B) of one sector of dimension m on which
+    X squares to +1, from the entries (r, c, v) of M at block positions and
+    the signs of X at those positions.
+
+    X pairs position p < m/2 with m-1-p, and in the basis
+    (e_p +/- s_p e_{m-1-p}) / sqrt(2) the sector is [[k0 I, B], [B^t, k0 I]].
+    An entry H_ij lands on B at the pairs of i and j, weighted by 1 (i < m/2)
+    or s_i (row) and by 1 or -s_j (column), and halved; the constant cancels.
+    """
+    half = len(signs) // 2
+    position = np.arange(len(signs))
+    pair = np.minimum(position, position[::-1])
+    row_sign, col_sign = signs.copy(), -signs
+    row_sign[:half] = col_sign[:half] = 1.0
+    v = 0.5 * v
+    index = np.concatenate([pair[r] * half + pair[c], pair[c] * half + pair[r]])
+    weights = np.concatenate([row_sign[r] * col_sign[c] * v, row_sign[c] * col_sign[r] * v])
+    b = np.bincount(index, weights, minlength=half * half).reshape(half, half)
+    sigma = np.linalg.svd(b, compute_uv=False)  # descending
+    return np.concatenate([k0 - sigma, k0 + sigma[::-1]])
+
+
 def sector_spectra(form: QuadraticForm, rep: FockRep) -> tuple[np.ndarray, np.ndarray]:
     """Ascending eigenvalues of the fermionic form on the even and odd sectors.
 
     Every quadratic term changes the particle number by 0 or 2, so H splits
     into two blocks of dimension 2^(n-1); b sits at position b >> 1 of its
-    block.  Each block gets the entries of M, as they are and transposed,
-    plus the constant.
+    block.  A block gets the entries of M, as they are and transposed, plus
+    the constant.  The chiral operator X (:func:`_chiral_signs`) flips every
+    bit, and X H X^t = 2 k0 - H, with k0 the mean of H at the vacuum and at
+    the fully occupied state.  So for odd n, where X swaps the sectors, only
+    the even block is solved, and the odd spectrum is its mirror 2 k0 - even.
+    For even n, X keeps each sector and squares to (-1)^(n(n-1)/2): for
+    n = 0 mod 4 that is +1, and each sector folds to k0 +/- the singular
+    values of a block of dimension 2^(n-2) (:func:`_folded_spectrum`); for
+    n = 2 mod 4 both blocks are solved.
     """
-    rows, cols, values = _entries(*_diagonals([_half_term(form, rep)]))
-    parity = rep.occupations()[cols] % 2
-    block = np.empty((rep.dim // 2, rep.dim // 2))
+    offsets, weights = _diagonals([_half_term(form, rep)])
+    # H at the vacuum and at the fully occupied state, as a block holds them
+    vacuum, full = 2.0 * weights[offsets.tolist().index(0)][[0, -1]] + form.const
+    k0 = (vacuum + full) / 2.0
+    rows, cols, values = _entries(offsets, weights)
+    del offsets, weights  # the buffer is no use to the solves
+    occupied = rep.occupations() % 2
+    parity = occupied[cols]
+    fold = rep.n % 4 == 0
+    block = None if fold else np.empty((rep.dim // 2, rep.dim // 2))
     spectra = []
-    for p in (0, 1):  # eigvalsh works on a copy, so one buffer serves both
+    for p in (0,) if rep.n % 2 else (0, 1):
         mine = parity == p
         r, c, v = rows[mine] >> 1, cols[mine] >> 1, values[mine]
-        block.fill(0.0)
+        if fold:
+            spectra.append(_folded_spectrum(r, c, v, _chiral_signs(rep)[occupied == p], k0))
+            continue
+        block.fill(0.0)  # eigvalsh works on a copy, so one buffer serves both
         block[r, c] = v
         block[c, r] += v
         block.flat[:: len(block) + 1] += form.const
         spectra.append(np.linalg.eigvalsh(block))
+    if rep.n % 2:
+        spectra.append((2.0 * k0 - spectra[0])[::-1])
     return spectra[0], spectra[1]
 
 

@@ -194,9 +194,11 @@ def fixture_from_dict(data: dict) -> VectorFieldFixture:
     points = []
     for entry in raw_points:
         try:
-            label = str(entry["label"])
+            label = entry["label"]
             jac = _number_array(entry["jacobian"])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError("each point requires 'label' and a square 'jacobian'") from exc
+        if not isinstance(label, str):
+            raise ValidationError("each point's 'label' must be a string")
         points.append(SingularPoint(label=label, jacobian=jac))
     return VectorFieldFixture(n=n, chi=chi, points=tuple(points))

@@ -524,6 +524,17 @@ class TestMorse:
         assert result.exit_code == 1
         assert json.loads(result.output)["error"] == "ValidationError"
 
+    @pytest.mark.parametrize("label", ["null", '["x"]', "3"], ids=["null", "list", "number"])
+    def test_label_that_is_not_a_string_exits_1(self, runner, tmp_path, label):
+        path = tmp_path / "label.json"
+        path.write_text('{"n": 1, "chi": 1, "points": [{"label": %s, "jacobian": [[1]]}]}'
+                        % label)
+        result = runner.invoke(main, ["morse", str(path)])
+        assert result.exit_code == 1
+        payload = strict_json(result.stdout)
+        assert (payload["error"], payload["detail"]) == (
+            "ValidationError", "each point's 'label' must be a string")
+
 
 class TestLemmas:
     def test_residuals(self, runner):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bogodiag as bd
-from bogodiag import Statistics
+from bogodiag import Statistics, fock
 
 
 def check_fermion_normal_form_ordering():
@@ -119,12 +119,43 @@ def check_two_form_coefficient():
         assert np.max(np.abs(diff - const * np.eye(rep.dim))) > 0.1
 
 
+def check_chiral_operator():
+    """X = x_0 x_1 ... x_{n-1}, x_i = a_i + a_i^+, is the bit complement with
+    the signs the oracle folds with, squares to (-1)^(n(n-1)/2) and sends H
+    to 2 k0 - H, k0 the mean of H at the vacuum and the fully occupied state."""
+    for n in range(1, 8):
+        rep = bd.build_fermion_rep(n)
+        chiral = np.eye(rep.dim)
+        for i in range(n):
+            chiral = chiral @ (rep.a(i) + rep.a_dag(i)).toarray()
+        flip = np.zeros((rep.dim, rep.dim))
+        flip[rep.dim - 1 - np.arange(rep.dim), np.arange(rep.dim)] = fock._chiral_signs(rep)
+        assert np.array_equal(chiral, flip)
+        assert np.array_equal(chiral @ chiral, (-1.0) ** (n * (n - 1) // 2) * np.eye(rep.dim))
+        # U and V that are neither antisymmetric nor symmetric
+        rng = np.random.default_rng(30 + n)
+        f = bd.QuadraticForm(Statistics.FERMION, U=rng.uniform(-1, 1, (n, n)),
+                             V=rng.uniform(-1, 1, (n, n)), const=0.4)
+        h = bd.build_hamiltonian(f, rep).toarray()
+        k0 = (h[0, 0] + h[-1, -1]) / 2.0
+        assert np.max(np.abs(chiral @ h @ chiral.T - (2.0 * k0 * np.eye(rep.dim) - h))) <= 1e-12
+        # drift checks: the unsigned complement does not anticommute with
+        # H - k0 from n = 2 on, and X^2 = +1, as for commuting involutions,
+        # fails at n = 2, 3, 6 and 7
+        if n > 1:
+            bare = np.abs(flip)
+            assert np.max(np.abs(bare @ h @ bare.T - (2.0 * k0 * np.eye(rep.dim) - h))) > 0.1
+        if n % 4 in (2, 3):
+            assert not np.array_equal(chiral @ chiral, np.eye(rep.dim))
+
+
 ALL_CHECKS = (
     check_fermion_normal_form_ordering,
     check_normal_ordering_constants,
     check_level_coefficient,
     check_fermion_shift_and_parity,
     check_two_form_coefficient,
+    check_chiral_operator,
 )
 
 
