@@ -33,11 +33,13 @@ folds to a singular-value problem of half its dimension
 dimension (cutoff+1)^n, where [a_i^+, a_j] = delta_ij holds below the top
 occupation rung; their buffer of diagonals is H itself, as a scipy DIA
 matrix, and spectra are checked by cutoff doubling
-(:func:`truncation_stable_spectrum`).
+(:func:`truncation_stable_spectrum`, which returns the stable prefix as an
+array).
 Every eigensolve of a sparse matrix goes through :func:`lowest_eigenvalues`.
-scipy is imported only inside the functions that build or solve sparse
-matrices, so fermionic verification and the operator identities never load
-it.
+Callers reach the oracle only as ``bogodiag.fock``: importing the package
+does not load it.  scipy is imported only inside the functions that build or
+solve sparse matrices, so fermionic verification and the operator identities
+never load it.
 """
 
 from __future__ import annotations
@@ -438,25 +440,14 @@ def sector_spectra(form: QuadraticForm, rep: FockRep) -> tuple[np.ndarray, np.nd
     return spectra[0], spectra[1]
 
 
-@dataclass(frozen=True)
-class TruncationResult:
-    """Stable eigenvalue prefix from a cutoff-doubling comparison."""
-
-    values: tuple
-    warning: Optional[str] = None
-
-    @property
-    def stable_count(self) -> int:
-        return len(self.values)
-
-
 def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
-                               tol: float) -> TruncationResult:
+                               tol: float) -> np.ndarray:
     """The k smallest oracle eigenvalues that survive doubling the cutoff.
 
-    Eigenvalues are computed at `cutoff` and `2*cutoff`; the returned prefix
-    holds where both agree within `tol` (values from the finer basis).  A
-    shorter-than-k prefix carries a warning instead of failing.
+    Eigenvalues are computed at `cutoff` and `2*cutoff`; the returned
+    ascending array, at most k long, is the prefix where both agree within
+    `tol` (values from the finer basis).  A prefix shorter than k is not an
+    error: the caller decides what it means.
 
     Every term of a form passes through states no more occupied than its end
     states, so the coarse Hamiltonian is the principal submatrix of the fine
@@ -470,7 +461,7 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
     if form.statistics is not Statistics.BOSON:
         raise ValueError("truncation control applies to bosonic forms only")
     if k == 0:
-        return TruncationResult(values=())
+        return np.zeros(0)
     rep_lo = build_boson_rep(form.n, cutoff)
     rep_hi = build_boson_rep(form.n, 2 * cutoff)
     lo, ritz = lowest_eigenvalues(build_hamiltonian(form, rep_lo), k, vectors=True)
@@ -486,13 +477,7 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
     stable = 0
     while stable < m and abs(lo[stable] - hi[stable]) <= tol:
         stable += 1
-    warning = None
-    if stable < k:
-        warning = (
-            f"only {stable} of {k} eigenvalues are stable under cutoff doubling "
-            f"({cutoff} vs {2 * cutoff}); the spectrum may be continuous or unbounded below"
-        )
-    return TruncationResult(values=tuple(float(v) for v in hi[:stable]), warning=warning)
+    return hi[:stable]
 
 
 def bogoliubov_mode_operators(rep, b: BogoliubovTransform) -> list:

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import NonCanonicalTransform, ValidationError
 
-#: Tolerance for the symmetry checks of U and V.
+#: Tolerance for the symmetry checks of U and V, relative to their largest entry.
 TOL_SYM = 1e-9
 
 #: Tolerance for the orthogonality residual of a fermionic transform.
@@ -198,8 +198,9 @@ def validate(form: QuadraticForm) -> list[Violation]:
 
     Returns a list of violations (empty means valid), each carrying the
     maximal deviation of the corresponding check.  U and V must be
-    (anti)symmetric within TOL_SYM, the tolerance every command applies
-    through :func:`to_standard`.  Finite entries whose normal-form
+    (anti)symmetric within TOL_SYM times their largest absolute entry, the
+    tolerance every command applies through :func:`to_standard`, so a
+    rescaled form keeps its verdict.  Finite entries whose normal-form
     coefficients, or for bosons the pencil R T, overflow count as
     non-finite.
     """
@@ -208,16 +209,17 @@ def validate(form: QuadraticForm) -> list[Violation]:
     if not finite:
         out.append(Violation("finite", "non-finite entries", float("inf")))
         return out
+    limit = TOL_SYM * max(np.abs(form.U).max(initial=0.0), np.abs(form.V).max(initial=0.0))
     dev_v = _deviation(form.V, 1.0)
-    if dev_v > TOL_SYM:
+    if dev_v > limit:
         out.append(Violation("V_symmetric", "V not symmetric", dev_v))
     if form.statistics is Statistics.BOSON:
         dev_u = _deviation(form.U, 1.0)
-        if dev_u > TOL_SYM:
+        if dev_u > limit:
             out.append(Violation("U_symmetric", "U not symmetric", dev_u))
     else:
         dev_u = _deviation(form.U, -1.0)
-        if dev_u > TOL_SYM:
+        if dev_u > limit:
             out.append(Violation("U_antisymmetric", "U not antisymmetric", dev_u))
     k0, mats = _normal_coefficients(form)
     overflowed = [name for name, m in mats.items() if not np.isfinite(m).all()]

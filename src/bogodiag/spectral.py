@@ -51,12 +51,6 @@ DEGENERACY_TOL = 1e-10
 #: and times ||T|| + ||R|| for the residual off-diagonal of the result.
 IMAG_TOL_FACTOR = 1e-8
 
-#: ladder_sums enumerates every combination when there are at most this
-#: many.  Sorting all totals grows with their number, the threshold path
-#: starts with a few dozen numpy calls per ladder; near 4096 combinations
-#: both took 0.1-0.4 ms on a 2-vCPU VM, and the threshold path wins above.
-_ENUMERATE_ALL = 4096
-
 #: SpectrumResult.json_chunks renders this many levels per chunk, so the
 #: text held at a time stays small (0.45 MB for n = 20 fermions).
 _CHUNK_LEVELS = 4096
@@ -441,8 +435,8 @@ def ladder_sums(ladders: Sequence[Sequence[float]], k: int) -> tuple[np.ndarray,
     stable sort.
 
     The combinations are enumerated ladder by ladder in lexicographic rank
-    order and stably sorted by total.  Up to _ENUMERATE_ALL combinations
-    (or k) are enumerated in full.  Otherwise only those with total <= T,
+    order and stably sorted by total.  When k asks for every combination
+    they are enumerated in full.  Otherwise only those with total <= T,
     the k-th smallest total, which holds every sum among the k smallest:
     rounding is monotone, so raising a rank never lowers a total, and a
     prefix is dropped once its partial sum plus the minima of the remaining
@@ -457,7 +451,7 @@ def ladder_sums(ladders: Sequence[Sequence[float]], k: int) -> tuple[np.ndarray,
     orders = [np.argsort(v, kind="stable") for v in values]
     ranked = [v[order] for v, order in zip(values, orders)]
     sizes = [len(lad) for lad in ranked]
-    bounded = math.prod(sizes) > max(k, _ENUMERATE_ALL)
+    bounded = math.prod(sizes) > k
     with np.errstate(over="ignore", invalid="ignore"):
         if bounded:
             bound = _kth_smallest_total(ranked, k)

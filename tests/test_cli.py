@@ -62,15 +62,6 @@ phases["boson_oracle"] = loaded()
 print(json.dumps(phases))
 """
 
-#: Every name the package re-exports from the oracle module.
-FOCK_EXPORTS = [
-    "IDENTITY_TOL", "TWO_FORM_COEFF", "FockRep", "TruncationResult", "bogoliubov_mode_operators",
-    "build_boson_rep", "build_fermion_rep", "build_hamiltonian", "build_standard_hamiltonian",
-    "cross_term_identity", "identity_residuals", "lowest_eigenvalues", "sector_spectra",
-    "truncation_stable_spectrum", "wedge_contraction_identity",
-]
-
-
 def run_child(code, *args):
     """Run Python code in a fresh child that imports bogodiag from this checkout."""
     src = str(Path(bogodiag.__file__).resolve().parents[1])
@@ -347,6 +338,16 @@ class TestVerify:
         assert payload["error"] == "ValidationError"
         assert payload["detail"] == f"tol must be a finite number >= 0, got {float(tol)}"
 
+    def test_short_stable_prefix_warns_and_exits_1(self, runner, tmp_path):
+        # the n = 1 oscillator at cutoff 4 has 5 coarse levels, so only 5 of
+        # the 10 requested can agree with the cutoff-8 solve
+        result = runner.invoke(main, ["verify", boson_n1(tmp_path), "--cutoff", "4",
+                                      "--count", "10", "--tol", "1e-6"])
+        assert result.exit_code == 1
+        payload = strict_json(result.stdout)
+        assert payload["compared"] == 5 and payload["max_abs_deviation"] <= 1e-6
+        assert payload["warning"] == "only 5 of 10 levels agree between cutoffs 4 and 8"
+
     def test_boson_random_n2(self, runner, tmp_path):
         from conftest import bounded_boson_form
 
@@ -436,8 +437,9 @@ class TestVerify:
         # took 128 MB there
         code = CAP_CHILD + (
             "import bogodiag as bd, scipy.sparse as sp\n"
+            "from bogodiag import fock\n"
             "transform = bd.random_canonical(bd.Statistics.FERMION, 12, seed=1)\n"
-            "ops = bd.bogoliubov_mode_operators(bd.build_fermion_rep(12), transform)\n"
+            "ops = fock.bogoliubov_mode_operators(fock.build_fermion_rep(12), transform)\n"
             "anti = [abs(b @ b_dag + b_dag @ b - sp.identity(4096)).max() for b, b_dag in ops]\n"
             "print(len(ops), max(anti))\n"
         )
@@ -787,6 +789,19 @@ class TestOutputContract:
         assert [v["check"] for v in payload["violations"]] == ["derived_finite"]
 
     @pytest.mark.parametrize("command", ["validate", "diagonalize", "spectrum", "verify"])
+    def test_asymmetry_large_against_the_entries_exits_1(self, runner, tmp_path, command):
+        # max |V - V^t| = 5e-10 is 500 times the diagonal: refused before the
+        # pencil, which would be defective (exit 2)
+        path = write_json(tmp_path / "skewed.json", {
+            "statistics": "boson", "n": 2, "U": [[0.0, 0.0], [0.0, 0.0]],
+            "V": [[1e-12, 5e-10], [0.0, 1e-12]], "const": 0.0,
+        })
+        result = runner.invoke(main, [command, path])
+        assert result.exit_code == 1
+        payload = strict_json(result.stdout)
+        assert [v["check"] for v in payload["violations"]] == ["V_symmetric"]
+
+    @pytest.mark.parametrize("command", ["validate", "diagonalize", "spectrum", "verify"])
     def test_overflowing_pencil_exits_1(self, runner, tmp_path, command):
         # finite T and R, but the pencil R T overflows to -inf
         path = write_json(tmp_path / "pencil.json", {
@@ -848,14 +863,6 @@ class TestColdStart:
                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert proc.returncode == 0, proc.stderr[-2000:]
         assert proc.stdout.strip() == "[]"
-
-    def test_oracle_reexports_resolve_lazily(self):
-        from bogodiag import FockRep, fock
-
-        assert FockRep is fock.FockRep
-        for name in FOCK_EXPORTS:
-            assert getattr(bogodiag, name) is getattr(fock, name)
-            assert name in dir(bogodiag)
 
     def test_unknown_attribute_raises(self):
         with pytest.raises(AttributeError):

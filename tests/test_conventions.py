@@ -22,9 +22,9 @@ def check_fermion_normal_form_ordering():
         b = rng.uniform(-1, 1, (n, n))
         f = bd.QuadraticForm(Statistics.FERMION, U=(a - a.T) / 2, V=(b + b.T) / 2, const=0.3)
         std = bd.to_standard(f)
-        rep = bd.build_fermion_rep(n)
-        h_def = bd.build_hamiltonian(f, rep)
-        h_std = bd.build_standard_hamiltonian(std, rep)
+        rep = fock.build_fermion_rep(n)
+        h_def = fock.build_hamiltonian(f, rep)
+        h_std = fock.build_standard_hamiltonian(std, rep)
         assert np.max(np.abs(h_def - h_std)) <= 1e-12
         # drift check: the reversed second factor flips the operator part
         xs = [(rep.a(i) + rep.a_dag(i)).toarray() for i in range(n)]
@@ -45,15 +45,15 @@ def check_normal_ordering_constants():
         rng = np.random.default_rng(10 + n)
         b = rng.uniform(-1, 1, (n, n))
         f = bd.QuadraticForm(Statistics.FERMION, U=np.zeros((n, n)), V=(b + b.T) / 2, const=0.7)
-        rep = bd.build_fermion_rep(n)
-        dev = np.max(np.abs(bd.build_hamiltonian(f, rep)
-                            - bd.build_standard_hamiltonian(bd.to_standard(f), rep)))
+        rep = fock.build_fermion_rep(n)
+        dev = np.max(np.abs(fock.build_hamiltonian(f, rep)
+                            - fock.build_standard_hamiltonian(bd.to_standard(f), rep)))
         assert dev <= 1e-12
         # drift check: dropping the trace contribution shifts every level
         std = bd.to_standard(f)
         wrong = bd.StandardForm(statistics=Statistics.FERMION, C=std.C, k0=f.const)
-        dev_wrong = np.max(np.abs(bd.build_hamiltonian(f, rep)
-                                  - bd.build_standard_hamiltonian(wrong, rep)))
+        dev_wrong = np.max(np.abs(fock.build_hamiltonian(f, rep)
+                                  - fock.build_standard_hamiltonian(wrong, rep)))
         assert dev_wrong > 0.1
 
 
@@ -61,7 +61,7 @@ def check_level_coefficient():
     """Oscillator ladder coefficient -4, not the tempting -2."""
     assert bd.LEVEL_COEFF == -4.0
     f = bd.QuadraticForm(Statistics.BOSON, U=[[0.0]], V=[[1.0]], const=0.0)
-    oracle = bd.lowest_eigenvalues(bd.build_hamiltonian(f, bd.build_boson_rep(1, 60)), 5)
+    oracle = fock.lowest_eigenvalues(fock.build_hamiltonian(f, fock.build_boson_rep(1, 60)), 5)
     std = bd.to_standard(f)
     data = bd.diagonalize_boson(std)
     mode = data.modes[0]
@@ -82,8 +82,8 @@ def check_fermion_shift_and_parity():
     f2 = bd.QuadraticForm(Statistics.FERMION, U=[[0.0, 1.0], [-1.0, 0.0]], V=np.zeros((2, 2)))
     r2 = bd.fermion_spectrum(bd.diagonalize_fermion(bd.to_standard(f2)))
     assert r2.sectors.tolist() == [0, 1, 1, 0]
-    rep = bd.build_fermion_rep(2)
-    even, odd = bd.sector_spectra(f2, rep)
+    rep = fock.build_fermion_rep(2)
+    even, odd = fock.sector_spectra(f2, rep)
     assert np.allclose(even, [-2.0, 2.0]) and np.allclose(odd, [0.0, 0.0])
     # drift checks: flipping the parity anchor or dropping the shift breaks
     # the n = 1 oracle (even sector {0}, odd sector {2})
@@ -97,14 +97,14 @@ def check_fermion_shift_and_parity():
 
 def check_two_form_coefficient():
     """2-form coefficients -1/2 (W - W^t); the no-half convention fails."""
-    assert bd.TWO_FORM_COEFF == -0.5
+    assert fock.TWO_FORM_COEFF == -0.5
     for n in (2, 3):
         rng = np.random.default_rng(20 + n)
         w = rng.uniform(-1, 1, (n, n))
-        residual, _ = bd.cross_term_identity(w)
+        residual, _ = fock.cross_term_identity(w)
         assert residual <= 1e-12
         # same computation with coefficient +1 on (W - W^t)
-        rep = bd.build_fermion_rep(n)
+        rep = fock.build_fermion_rep(n)
         a_ops = [rep.a(i).toarray() for i in range(n)]
         adag_ops = [rep.a_dag(i).toarray() for i in range(n)]
         xs = [a_ops[i] + adag_ops[i] for i in range(n)]
@@ -124,7 +124,7 @@ def check_chiral_operator():
     the signs the oracle folds with, squares to (-1)^(n(n-1)/2) and sends H
     to 2 k0 - H, k0 the mean of H at the vacuum and the fully occupied state."""
     for n in range(1, 8):
-        rep = bd.build_fermion_rep(n)
+        rep = fock.build_fermion_rep(n)
         chiral = np.eye(rep.dim)
         for i in range(n):
             chiral = chiral @ (rep.a(i) + rep.a_dag(i)).toarray()
@@ -136,7 +136,7 @@ def check_chiral_operator():
         rng = np.random.default_rng(30 + n)
         f = bd.QuadraticForm(Statistics.FERMION, U=rng.uniform(-1, 1, (n, n)),
                              V=rng.uniform(-1, 1, (n, n)), const=0.4)
-        h = bd.build_hamiltonian(f, rep).toarray()
+        h = fock.build_hamiltonian(f, rep).toarray()
         k0 = (h[0, 0] + h[-1, -1]) / 2.0
         assert np.max(np.abs(chiral @ h @ chiral.T - (2.0 * k0 * np.eye(rep.dim) - h))) <= 1e-12
         # drift checks: the unsigned complement does not anticommute with

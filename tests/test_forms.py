@@ -35,6 +35,24 @@ class TestValidate:
         with pytest.raises(bd.ValidationError, match="U not symmetric"):
             bd.to_standard(f)
 
+    @pytest.mark.parametrize("statistics", list(Statistics))
+    @pytest.mark.parametrize("exponent", range(-12, 13, 4))
+    def test_symmetry_check_is_scale_free(self, statistics, exponent):
+        # a rotated diagonal carries rounding asymmetry of about eps |V|,
+        # which an absolute tolerance refused from scale 1e8 on (7.5e-9 at
+        # 1e8); a truly asymmetric form is refused at every scale, also
+        # where its asymmetry is far below 1e-9
+        scale = 10.0 ** exponent
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+        v = q @ np.diag(scale * rng.uniform(1.0, 2.0, 4)) @ q.T
+        a = scale * rng.standard_normal((4, 4))
+        u = q @ (a + a.T if statistics is Statistics.BOSON else a - a.T) @ q.T
+        assert bd.validate(bd.QuadraticForm(statistics, U=u, V=v)) == []
+        skewed = bd.QuadraticForm(statistics, U=np.zeros((2, 2)),
+                                  V=scale * np.array([[1.0, 500.0], [0.0, 1.0]]))
+        assert [x.check for x in bd.validate(skewed)] == ["V_symmetric"]
+
     def test_nonfinite_rejected(self):
         f = bd.QuadraticForm(Statistics.BOSON, U=np.zeros((1, 1)), V=[[np.inf]])
         assert [v.check for v in bd.validate(f)] == ["finite"]

@@ -34,8 +34,8 @@ def witten_tensor_oracle(lams, cutoff):
     basis, so nothing couples two blocks."""
     lams = np.asarray(lams, dtype=float)
     n = len(lams)
-    brep = bd.build_boson_rep(n, cutoff)
-    frep = bd.build_fermion_rep(n)
+    brep = fock.build_boson_rep(n, cutoff)
+    frep = fock.build_fermion_rep(n)
     db, df = brep.dim, frep.dim
     h = sp.csr_matrix((db * df, db * df))
     for i in range(n):
@@ -212,7 +212,7 @@ class TestLocalWittenSpectrum:
 
     def test_zero_mode_parity_matches_oracle_sector(self):
         spectra = witten_tensor_oracle([1.0, -2.0], 20)
-        occupations = bd.build_fermion_rep(2).occupations()
+        occupations = fock.build_fermion_rep(2).occupations()
         zero_blocks = [f for f, vals in enumerate(spectra) for v in vals if abs(v) <= 1e-6]
         assert len(zero_blocks) == 1
         assert occupations[zero_blocks[0]] % 2 == 1
@@ -220,30 +220,30 @@ class TestLocalWittenSpectrum:
 
 class TestOperatorIdentities:
     def test_wedge_contraction_explicit(self):
-        assert bd.wedge_contraction_identity([3.0, 4.0]) <= 1e-12
-        assert bd.wedge_contraction_identity([0.0, 0.0]) <= 1e-15
+        assert fock.wedge_contraction_identity([3.0, 4.0]) <= 1e-12
+        assert fock.wedge_contraction_identity([0.0, 0.0]) <= 1e-15
 
     def test_wedge_contraction_random(self):
         rng = np.random.default_rng(7)
-        rep = bd.build_fermion_rep(6)
+        rep = fock.build_fermion_rep(6)
         for trial in range(20):
-            assert bd.wedge_contraction_identity(rng.uniform(-1, 1, 6), rep) <= 1e-12
+            assert fock.wedge_contraction_identity(rng.uniform(-1, 1, 6), rep) <= 1e-12
 
     def test_cross_term_symmetric_jacobian(self):
         # an exact 1-form (symmetric jacobian) has no 2-form part
         rng = np.random.default_rng(8)
         a = rng.uniform(-1, 1, (3, 3))
-        residual, const = bd.cross_term_identity((a + a.T) / 2)
+        residual, const = fock.cross_term_identity((a + a.T) / 2)
         assert residual <= 1e-12
         assert const == pytest.approx(-np.trace((a + a.T) / 2))
 
     def test_cross_term_rotation(self):
-        residual, const = bd.cross_term_identity([[0.0, 1.0], [-1.0, 0.0]])
+        residual, const = fock.cross_term_identity([[0.0, 1.0], [-1.0, 0.0]])
         assert residual <= 1e-12
         assert const == pytest.approx(0.0, abs=1e-12)
 
     def test_cross_term_zero(self):
-        residual, const = bd.cross_term_identity(np.zeros((2, 2)))
+        residual, const = fock.cross_term_identity(np.zeros((2, 2)))
         assert residual == 0.0 and const == 0.0
 
     def test_cross_term_n12_completes_n13_refused(self):
@@ -252,7 +252,7 @@ class TestOperatorIdentities:
         jac = np.random.default_rng(12).uniform(-1, 1, (12, 12))
         tracemalloc.start()
         try:
-            residual, const = bd.cross_term_identity(jac)
+            residual, const = fock.cross_term_identity(jac)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -260,60 +260,60 @@ class TestOperatorIdentities:
         assert const == pytest.approx(-np.trace(jac))
         assert peak < 256 * 2**20
         jac13 = np.random.default_rng(13).uniform(-1, 1, (13, 13))
-        assert refusal_peak(bd.cross_term_identity, jac13) < 2**20
+        assert refusal_peak(fock.cross_term_identity, jac13) < 2**20
 
     def test_rep_of_other_modes_rejected(self):
         with pytest.raises(ValueError):
-            bd.wedge_contraction_identity([1.0, 2.0, 3.0], bd.build_fermion_rep(2))
+            fock.wedge_contraction_identity([1.0, 2.0, 3.0], fock.build_fermion_rep(2))
         with pytest.raises(ValueError):
-            bd.cross_term_identity(np.eye(2), bd.build_fermion_rep(3))
+            fock.cross_term_identity(np.eye(2), fock.build_fermion_rep(3))
         with pytest.raises(ValueError):
-            bd.wedge_contraction_identity([1.0, 2.0], bd.build_boson_rep(2, 1))
+            fock.wedge_contraction_identity([1.0, 2.0], fock.build_boson_rep(2, 1))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_cross_term_detects_wrong_two_form_coefficient(self, monkeypatch, n):
         jac = np.random.default_rng(400 + n).uniform(-1, 1, (n, n))
-        assert bd.cross_term_identity(jac)[0] <= 1e-12
+        assert fock.cross_term_identity(jac)[0] <= 1e-12
         monkeypatch.setattr(fock, "TWO_FORM_COEFF", 1.0)
-        assert bd.cross_term_identity(jac)[0] > 0.1
+        assert fock.cross_term_identity(jac)[0] > 0.1
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_wedge_detects_missing_sign_strings(self, n):
         # hard-core bosons: the fermionic ladders without Jordan-Wigner signs
-        rep = bd.build_fermion_rep(n)
-        rep.__dict__["_ladders"] = bd.build_boson_rep(n, 1)._ladders
-        assert bd.wedge_contraction_identity(np.ones(n), rep) > 0.1
+        rep = fock.build_fermion_rep(n)
+        rep.__dict__["_ladders"] = fock.build_boson_rep(n, 1)._ladders
+        assert fock.wedge_contraction_identity(np.ones(n), rep) > 0.1
 
     def test_wedge_memory_guard_n13(self):
-        assert refusal_peak(bd.wedge_contraction_identity, np.ones(13)) < 2**20
+        assert refusal_peak(fock.wedge_contraction_identity, np.ones(13)) < 2**20
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_cross_term_random(self, n):
         rng = np.random.default_rng(300 + n)
-        rep = bd.build_fermion_rep(n)
+        rep = fock.build_fermion_rep(n)
         for trial in range(10):
-            residual, const = bd.cross_term_identity(rng.uniform(-1, 1, (n, n)), rep)
+            residual, const = fock.cross_term_identity(rng.uniform(-1, 1, (n, n)), rep)
             assert residual <= 1e-12
 
 
     def test_identity_residuals_n3(self, monkeypatch):
-        wedge, cross = bd.identity_residuals(3, seed=0, trials=6)
-        assert wedge <= bd.IDENTITY_TOL and cross <= bd.IDENTITY_TOL
+        wedge, cross = fock.identity_residuals(3, seed=0, trials=6)
+        assert wedge <= fock.IDENTITY_TOL and cross <= fock.IDENTITY_TOL
         # the trials include jacobians with a 2-form part
         monkeypatch.setattr(fock, "TWO_FORM_COEFF", 1.0)
-        assert bd.identity_residuals(3, seed=0, trials=6)[1] > 0.1
+        assert fock.identity_residuals(3, seed=0, trials=6)[1] > 0.1
 
     @pytest.mark.parametrize("omega", [[[1.0, 2.0]], [np.nan, 1.0], [1.0, np.inf]],
                              ids=["matrix", "nan", "inf"])
     def test_wedge_rejects_bad_omega(self, omega):
         with pytest.raises(bd.ValidationError, match="omega"):
-            bd.wedge_contraction_identity(omega)
+            fock.wedge_contraction_identity(omega)
 
     @pytest.mark.parametrize("check, values, name", [
-        (bd.wedge_contraction_identity, [], "omega"),
-        (bd.wedge_contraction_identity, [[1.0], [2.0, 3.0]], "omega"),
-        (bd.cross_term_identity, [[1.0], [2.0, 3.0]], "jacobian"),
-        (bd.cross_term_identity, [[]], "jacobian"),
+        (fock.wedge_contraction_identity, [], "omega"),
+        (fock.wedge_contraction_identity, [[1.0], [2.0, 3.0]], "omega"),
+        (fock.cross_term_identity, [[1.0], [2.0, 3.0]], "jacobian"),
+        (fock.cross_term_identity, [[]], "jacobian"),
     ], ids=["empty-omega", "ragged-omega", "ragged-jacobian", "non-square-jacobian"])
     def test_malformed_input_names_the_argument(self, check, values, name):
         with pytest.raises(bd.ValidationError, match=name):
@@ -322,7 +322,7 @@ class TestOperatorIdentities:
     @pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
     def test_cross_rejects_nonfinite_jacobian(self, entry):
         with pytest.raises(bd.ValidationError, match="jacobian"):
-            bd.cross_term_identity([[1.0, entry], [0.0, 1.0]])
+            fock.cross_term_identity([[1.0, entry], [0.0, 1.0]])
 
     @pytest.mark.parametrize("seed", [0, 17])
     @pytest.mark.parametrize("trials", [1, 2, 7])
@@ -330,37 +330,37 @@ class TestOperatorIdentities:
     def test_identity_residuals_equal_per_trial_replay(self, n, seed, trials):
         # the reference draws and checks one trial at a time, the 1-form first
         rng = np.random.default_rng(seed)
-        rep = bd.build_fermion_rep(n)
+        rep = fock.build_fermion_rep(n)
         wedge = cross = 0.0
         for trial in range(trials):
             omega = rng.uniform(-1.0, 1.0, size=n)
             jac = rng.uniform(-1.0, 1.0, size=(n, n))
             if trial % 2 == 1:
                 jac = (jac + jac.T) / 2.0
-            wedge = max(wedge, bd.wedge_contraction_identity(omega, rep))
-            cross = max(cross, bd.cross_term_identity(jac, rep)[0])
-        assert bd.identity_residuals(n, seed, trials) == (wedge, cross)
+            wedge = max(wedge, fock.wedge_contraction_identity(omega, rep))
+            cross = max(cross, fock.cross_term_identity(jac, rep)[0])
+        assert fock.identity_residuals(n, seed, trials) == (wedge, cross)
 
     @pytest.mark.parametrize("chunk", [1, 3])
     @pytest.mark.parametrize("n, trials", [(2, 7), (4, 10)])
     def test_identity_residuals_chunk_boundaries(self, monkeypatch, n, trials, chunk):
-        whole = bd.identity_residuals(n, 5, trials)
+        whole = fock.identity_residuals(n, 5, trials)
         assert fock._trials_per_chunk(n) >= trials
         monkeypatch.setattr(fock, "_trials_per_chunk", lambda n: chunk)
-        assert bd.identity_residuals(n, 5, trials) == whole
+        assert fock.identity_residuals(n, 5, trials) == whole
 
     def test_identity_residuals_n12_memory_n13_refused(self):
         # n = 12 runs one trial per chunk, so its peak is a single trial's
         assert fock._trials_per_chunk(12) == 1
         tracemalloc.start()
         try:
-            wedge, cross = bd.identity_residuals(12, 0, 2)
+            wedge, cross = fock.identity_residuals(12, 0, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert wedge <= bd.IDENTITY_TOL and cross <= bd.IDENTITY_TOL
+        assert wedge <= fock.IDENTITY_TOL and cross <= fock.IDENTITY_TOL
         assert peak < 256 * 2**20
-        assert refusal_peak(bd.identity_residuals, 13, 0, 1) < 2**20
+        assert refusal_peak(fock.identity_residuals, 13, 0, 1) < 2**20
 
 
 class TestMorseReport:

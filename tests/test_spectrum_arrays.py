@@ -90,16 +90,27 @@ def tie_heavy_ladders(draw):
 
 class TestLadderSums:
     @settings(max_examples=120, deadline=None)
-    @given(ladders=tie_heavy_ladders(), enumerate_all=st.sampled_from([0, None]))
-    def test_matches_heap_bit_for_bit_at_every_k(self, ladders, enumerate_all):
-        # enumerate_all=0 forces the threshold enumeration even on these
-        # small inputs; None keeps the default, which enumerates them in full
+    @given(ladders=tie_heavy_ladders())
+    def test_matches_heap_bit_for_bit_at_every_k(self, ladders):
+        # every k below the total takes the threshold enumeration, k = total
+        # the full one
         total = math.prod(len(lad) for lad in ladders)
         want = reference_ladder_sums(ladders, total)
-        threshold = spectral._ENUMERATE_ALL if enumerate_all is None else enumerate_all
-        with mock.patch.object(spectral, "_ENUMERATE_ALL", threshold):
-            for k in range(1, total + 1):
-                assert_same_sums(bd.ladder_sums(ladders, k), (want[0][:k], want[1][:k]))
+        for k in range(1, total + 1):
+            assert_same_sums(bd.ladder_sums(ladders, k), (want[0][:k], want[1][:k]))
+
+    @pytest.mark.parametrize("k", [4912, 4913])
+    def test_full_enumeration_exactly_when_k_takes_every_combination(self, k):
+        # 17^3 = 4913 combinations: k = 4912 bounds the totals by the k-th
+        # smallest, k = 4913 enumerates them all; rungs 0-16 fit in uint8
+        rng = np.random.default_rng(17)
+        ladders = [0.25 * rng.integers(-4, 8, 17) for _ in range(3)]
+        with mock.patch.object(spectral, "_kth_smallest_total",
+                               wraps=spectral._kth_smallest_total) as kth:
+            got = bd.ladder_sums(ladders, k)
+        assert kth.called == (k < 4913)
+        assert got[1].dtype == np.uint8
+        assert_same_sums(got, reference_ladder_sums(ladders, k))
 
     @pytest.mark.parametrize("n, k", [(2, 3000), (3, 200), (6, 500)])
     def test_oscillator_ladders_above_full_enumeration(self, n, k):
@@ -118,9 +129,8 @@ class TestLadderSums:
         # the k-th smallest sum is +inf: enumerating every sum up to it
         # would take every combination
         ladders = [[1e308, 1.5e308, 1.7e308]] * 2
-        with mock.patch.object(spectral, "_ENUMERATE_ALL", 0):
-            with pytest.raises(bd.ValidationError) as info:
-                bd.ladder_sums(ladders, 2)
+        with pytest.raises(bd.ValidationError) as info:
+            bd.ladder_sums(ladders, 2)
         assert [v.check for v in info.value.violations] == ["derived_finite"]
 
 
