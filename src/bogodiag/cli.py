@@ -3,8 +3,11 @@
 Exit codes: 0 success, 1 validation or assertion failure (usage errors
 included), 2 mathematical error (non-real spectrum, defective pencil,
 continuous spectrum, degenerate point, resource guard), 3 I/O failure.
-All numeric work lives in the library; each command parses its file and
-options, makes one library call and renders the result as JSON.
+All numeric work lives in the library: each command parses its file,
+makes one library call and returns (payload, exit code), and one decorator,
+:func:`_payload`, gives it ``--out`` and renders that payload as JSON.
+Options out of range are usage errors, refused by their click types.
+A file that cannot be read, decoded or parsed exits 3.
 ``verify`` and ``lemmas`` load the brute-force oracle (``fock``) when they
 run, so the other commands start without it; the oracle loads scipy only
 for bosonic ``verify``.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import errno
+import functools
 import json
 import math
 import os
@@ -63,12 +67,6 @@ def _violations(violations) -> list:
             for v in violations]
 
 
-def _require_at_least(low: int, **options) -> None:
-    for name, value in options.items():
-        if value < low:
-            raise ValidationError(f"--{name} must be at least {low}, got {value}")
-
-
 def _run(body, out):
     """Execute a command body and map exceptions to the exit-code contract.
 
@@ -90,7 +88,9 @@ def _run(body, out):
         # backstop: validation should refuse every input that LAPACK cannot
         # handle, but a failure still gets a payload
         payload, code = {"error": type(exc).__name__, "detail": str(exc)}, EXIT_MATH
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # a file that is not UTF-8, or JSON nested beyond the parser's
+        # recursion limit, is as unreadable as malformed JSON
         _exit_io(exc)
     try:
         _emit(payload, out)
@@ -137,120 +137,104 @@ def main():
     """Diagonalize real quadratic forms and cross-check them on Fock space."""
 
 
+def _payload(command):
+    """Give a command the ``--out`` option and run it through :func:`_run`;
+    `command` takes the parsed parameters and returns (payload, exit code)."""
+
+    @click.option("--out", type=str, default=None, help="Write JSON here instead of stdout.")
+    @functools.wraps(command)
+    def run(out, **params):
+        _run(lambda: command(**params), out)
+
+    return run
+
+
 @main.command()
 @click.argument("form_file")
-@click.option("--out", type=str, default=None, help="Write JSON here instead of stdout.")
-def validate(form_file, out):
+@_payload
+def validate(form_file):
     """Check a form file against its structural invariants."""
-
-    def body():
-        form = forms.form_from_dict(_read_json(form_file))
-        violations = forms.validate(form)
-        payload = {"valid": not violations, "violations": _violations(violations)}
-        return payload, EXIT_OK if not violations else EXIT_INVALID
-
-    _run(body, out)
+    form = forms.form_from_dict(_read_json(form_file))
+    violations = forms.validate(form)
+    payload = {"valid": not violations, "violations": _violations(violations)}
+    return payload, EXIT_OK if not violations else EXIT_INVALID
 
 
 @main.command()
 @click.argument("form_file")
-@click.option("--out", type=str, default=None, help="Write JSON here instead of stdout.")
-def diagonalize(form_file, out):
+@_payload
+def diagonalize(form_file):
     """Diagonalize a form; emits per-mode data and the transform."""
-
-    def body():
-        form = forms.form_from_dict(_read_json(form_file))
-        std = forms.to_standard(form)
-        if form.statistics is forms.Statistics.BOSON:
-            data = spectral.diagonalize_boson(std)
-        else:
-            data = spectral.diagonalize_fermion(std)
-        return data.to_dict(), EXIT_OK
-
-    _run(body, out)
+    form = forms.form_from_dict(_read_json(form_file))
+    std = forms.to_standard(form)
+    if form.statistics is forms.Statistics.BOSON:
+        data = spectral.diagonalize_boson(std)
+    else:
+        data = spectral.diagonalize_fermion(std)
+    return data.to_dict(), EXIT_OK
 
 
 @main.command()
 @click.argument("form_file")
-@click.option("--count", type=int, default=10, show_default=True,
+@click.option("--count", type=click.IntRange(min=1), default=10, show_default=True,
               help="Number of smallest bosonic energies to enumerate.")
-@click.option("--out", type=str, default=None, help="Write JSON here instead of stdout.")
-def spectrum(form_file, count, out):
+@_payload
+def spectrum(form_file, count):
     """Exact spectrum: full 2^n list (fermions) or k smallest (bosons)."""
-
-    def body():
-        _require_at_least(1, count=count)
-        form = forms.form_from_dict(_read_json(form_file))
-        std = forms.to_standard(form)
-        if form.statistics is forms.Statistics.FERMION:
-            result = spectral.fermion_spectrum(spectral.diagonalize_fermion(std))
-        else:
-            result = spectral.boson_spectrum(spectral.diagonalize_boson(std), count)
-        return result, EXIT_OK
-
-    _run(body, out)
+    form = forms.form_from_dict(_read_json(form_file))
+    std = forms.to_standard(form)
+    if form.statistics is forms.Statistics.FERMION:
+        result = spectral.fermion_spectrum(spectral.diagonalize_fermion(std))
+    else:
+        result = spectral.boson_spectrum(spectral.diagonalize_boson(std), count)
+    return result, EXIT_OK
 
 
 @main.command()
 @click.argument("form_file")
-@click.option("--cutoff", type=int, default=40, show_default=True,
+@click.option("--cutoff", type=click.IntRange(min=1), default=40, show_default=True,
               help="Per-mode bosonic truncation of the oracle.")
-@click.option("--count", type=int, default=10, show_default=True,
+@click.option("--count", type=click.IntRange(min=1), default=10, show_default=True,
               help="Number of bosonic eigenvalues to compare.")
 @click.option("--tol", type=float, default=1e-9, show_default=True,
               help="Comparison tolerance.")
-@click.option("--out", type=str, default=None, help="Write JSON here instead of stdout.")
-def verify(form_file, cutoff, count, tol, out):
+@_payload
+def verify(form_file, cutoff, count, tol):
     """Cross-check closed-form spectra against the brute-force oracle."""
-
-    def body():
-        _require_at_least(1, cutoff=cutoff, count=count)
-        form = forms.form_from_dict(_read_json(form_file))
-        report = verify_form(form, cutoff, count, tol)
-        return report.to_dict(), EXIT_OK if report.ok else EXIT_INVALID
-
-    _run(body, out)
+    form = forms.form_from_dict(_read_json(form_file))
+    report = verify_form(form, cutoff, count, tol)
+    return report.to_dict(), EXIT_OK if report.ok else EXIT_INVALID
 
 
 @main.command(name="morse")
 @click.argument("fixture_file")
-@click.option("--out", type=str, default=None, help="Write JSON here instead of stdout.")
-def morse_cmd(fixture_file, out):
+@_payload
+def morse_cmd(fixture_file):
     """Index counts, chi check and zero-mode parities for a fixture."""
-
-    def body():
-        fixture = morse.fixture_from_dict(_read_json(fixture_file))
-        report = morse.morse_report(fixture)
-        return report.to_dict(), EXIT_OK if report.chi_matches else EXIT_INVALID
-
-    _run(body, out)
+    fixture = morse.fixture_from_dict(_read_json(fixture_file))
+    report = morse.morse_report(fixture)
+    return report.to_dict(), EXIT_OK if report.chi_matches else EXIT_INVALID
 
 
 @main.command()
-@click.option("--n", "n", type=int, default=4, show_default=True,
+@click.option("--n", "n", type=click.IntRange(min=1), default=4, show_default=True,
               help="Number of modes for the identity checks.")
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--trials", type=int, default=100, show_default=True)
-@click.option("--out", type=str, default=None, help="Write JSON here instead of stdout.")
-def lemmas(n, seed, trials, out):
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=100, show_default=True)
+@_payload
+def lemmas(n, seed, trials):
     """Operator-identity residuals over random inputs (threshold 1e-12)."""
+    from . import fock
 
-    def body():
-        from . import fock
-
-        _require_at_least(1, n=n, trials=trials)
-        _require_at_least(0, seed=seed)
-        max_wedge, max_cross = fock.identity_residuals(n, seed, trials)
-        payload = {
-            "n": n,
-            "trials": trials,
-            "wedge_contraction_max_residual": max_wedge,
-            "cross_term_max_residual": max_cross,
-        }
-        ok = max_wedge <= fock.IDENTITY_TOL and max_cross <= fock.IDENTITY_TOL
-        return payload, EXIT_OK if ok else EXIT_INVALID
-
-    _run(body, out)
+    max_wedge, max_cross = fock.identity_residuals(n, seed, trials)
+    payload = {
+        "n": n,
+        "trials": trials,
+        "wedge_contraction_max_residual": max_wedge,
+        "cross_term_max_residual": max_cross,
+    }
+    ok = max_wedge <= fock.IDENTITY_TOL and max_cross <= fock.IDENTITY_TOL
+    return payload, EXIT_OK if ok else EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -280,7 +280,7 @@ def _check_rep(rep, statistics: Statistics, n: int) -> None:
 
 
 def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors: bool = False):
-    """The k smallest eigenvalues of a symmetric sparse matrix, ascending (k =
+    """The k smallest eigenvalues of a symmetric DIA matrix, ascending (k =
     dim gives the whole spectrum); with `vectors`, the pair (values, vectors)
     with eigenvector j in column j.
 
@@ -290,12 +290,11 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
     (ARPACK) on H + sigma*I, sigma the largest absolute row sum (a bound on
     ||H||_2), so that ARPACK's stopping rule tol*|Ritz value| is relative to
     ||H|| even where an eigenvalue of H is 0.  sigma is read from the
-    diagonals of the DIA matrix that :func:`build_hamiltonian` returns,
-    without a copy of H; another sparse format sums |H| over its own
-    entries.  H itself multiplies each Lanczos vector as it is.  Its basis
-    holds max(2k + 4, 20) vectors, and it starts from `v0`, by default a
-    fixed-seed Gaussian vector, so results are deterministic.  The working
-    set is estimated first and refused with ResourceLimitError above
+    diagonals of H, the DIA matrix that :func:`build_hamiltonian` returns,
+    without a copy of H.  H itself multiplies each Lanczos vector as it is.
+    Its basis holds max(2k + 4, 20) vectors, and it starts from `v0`, by
+    default a fixed-seed Gaussian vector, so results are deterministic.  The
+    working set is estimated first and refused with ResourceLimitError above
     EIGENSOLVE_BYTES_GUARD, before anything is allocated; a Lanczos solve
     that uses up its budget of 100 * dim iterations raises it too.
     """
@@ -327,10 +326,7 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
         # one misses, for one, the states antisymmetric under a mode swap
         v0 = np.random.default_rng(0).standard_normal(dim)
     import scipy.sparse.linalg as spla
-    if matrix.format == "dia":
-        sigma = _row_sum_bound(matrix)
-    else:  # todia() of scattered entries would hold a dense row per diagonal
-        sigma = float(np.max(abs(matrix).sum(axis=1)))
+    sigma = _row_sum_bound(matrix)
     shifted = spla.LinearOperator(matrix.shape, dtype=float,
                                   matvec=lambda x: matrix @ x + sigma * x)
     try:
@@ -481,27 +477,34 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
 
 
 def bogoliubov_mode_operators(rep, b: BogoliubovTransform) -> list:
-    """Matrices of the transformed modes (b_k, b_k^+) on the original space.
+    """CSR matrices of the transformed modes (b_k, b_k^+) on the original space.
 
-    Building the transformed normal form of :func:`bogodiag.forms.apply_transform`
-    with them reproduces the original operator matrix (exactly for fermions,
-    below the truncation rungs for bosons).
+    b_k, b_k^+ = (x_k -/+ z_k) / 2 with x_k = sum_i p_ki x_i and
+    z_k = sum_i q_ki z_i, where x_i = a_i + a_i^+ and z_i = a_i^+ - a_i.  So
+    b_k weights the 2n ladders of `rep` by (p_ki + q_ki) / 2 (creation) and
+    (p_ki - q_ki) / 2 (annihilation), b_k^+ swaps the two weights, and each
+    is one DIA matrix of 2n diagonals.  Building the transformed normal form
+    of :func:`bogodiag.forms.apply_transform` with them reproduces the
+    original operator matrix (exactly for fermions, below the truncation
+    rungs for bosons).
     """
     n = b.n
     _check_rep(rep, b.statistics, n)
-    # b_k, b_k^+ = (x_k -/+ z_k) / 2 with x_k = sum_i p_ki x_i, z_k = sum_i q_ki z_i
     if b.statistics is Statistics.FERMION:
         p, q = b.o_plus, b.o_minus.T
     else:
         p, q = np.linalg.inv(b.S).T, b.S
-    xs = [rep.a(i) + rep.a_dag(i) for i in range(n)]
-    zs = [rep.a_dag(i) - rep.a(i) for i in range(n)]
-    out = []
-    for kk in range(n):
-        xk = sum(p[kk, i] * xs[i] for i in range(n))
-        zk = sum(q[kk, i] * zs[i] for i in range(n))
-        out.append(((xk - zk) / 2.0, (xk + zk) / 2.0))
-    return out
+    (up_off, up), (down_off, down) = rep._ladders
+    offsets = np.concatenate([up_off, down_off])
+    plus, minus = (p + q) / 2.0, (p - q) / 2.0
+
+    def csr(creation, annihilation):
+        weights = np.vstack([creation[:, None] * up, annihilation[:, None] * down])
+        # tocsr() returns views into arrays sized for every in-band entry,
+        # about twice the nonzeros; the copy holds the nonzeros only
+        return _dia(offsets, weights, rep.dim).tocsr().copy()
+
+    return [(csr(plus[kk], minus[kk]), csr(minus[kk], plus[kk])) for kk in range(n)]
 
 
 def _finite_array(values, name: str, ndim: int) -> np.ndarray:

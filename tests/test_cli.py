@@ -432,9 +432,9 @@ class TestVerify:
         assert payload["max_abs_deviation"] <= 1e-9
 
     def test_fermion_mode_operators_n12_under_memory_cap(self):
-        # the guard edge n = 12 builds its CSR ladders, and the transformed
-        # modes from them, in a 1.5 GB address space; each dense ladder alone
-        # took 128 MB there
+        # the guard edge n = 12 builds the transformed modes from its ladder
+        # diagonals in a 1.5 GB address space; each dense ladder alone took
+        # 128 MB there
         code = CAP_CHILD + (
             "import bogodiag as bd, scipy.sparse as sp\n"
             "from bogodiag import fock\n"
@@ -591,16 +591,37 @@ class TestOutputContract:
         assert json.loads(out.read_text())["k0"] == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("args", [
-        ["fermion_pair.json"], ["boson_oscillator.json", "--count", "500"],
-    ], ids=["fermion", "boson"])
+        ["spectrum", "fermion_pair.json"], ["spectrum", "boson_oscillator.json", "--count", "500"],
+        ["validate", "fermion_pair.json"], ["diagonalize", "boson_oscillator.json"],
+        ["verify", "fermion_pair.json"], ["morse", "sphere.json"],
+        ["lemmas", "--n", "2", "--trials", "2"],
+    ], ids=["fermion", "boson", "validate", "diagonalize", "verify", "morse", "lemmas"])
     def test_out_file_equals_stdout(self, runner, tmp_path, args):
-        args = ["spectrum", str(FIXTURES / args[0]), *args[1:]]
-        out = tmp_path / "spectrum.json"
+        args = [str(FIXTURES / arg) if arg.endswith(".json") else arg for arg in args]
+        out = tmp_path / "out.json"
         printed = runner.invoke(main, args)
         written = runner.invoke(main, [*args, "--out", str(out)])
         assert printed.exit_code == written.exit_code == 0
         assert written.output == ""
         assert out.read_text(encoding="utf-8") == printed.stdout
+
+    DEEP = "[" * 100000 + "]" * 100000  # beyond the JSON parser's recursion limit
+
+    @pytest.mark.parametrize("command", ["validate", "diagonalize", "spectrum", "verify", "morse"])
+    @pytest.mark.parametrize("document", [b"\xff\xfe{}", DEEP.encode(), None],
+                             ids=["not_utf8", "too_deep", "too_deep_inside"])
+    def test_undecodable_document_exits_3(self, runner, tmp_path, command, document):
+        if document is None:
+            inside = ('{"n": 1, "chi": 1, "points": [{"label": "p", "jacobian": %s}]}'
+                      if command == "morse" else
+                      '{"statistics": "boson", "n": 1, "U": [[0]], "V": %s, "const": 0}')
+            document = (inside % self.DEEP).encode()
+        path = tmp_path / "unreadable.json"
+        path.write_bytes(document)
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("i/o error: ") and result.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("command, out", [
         ("validate", "missing/dir/x.json"), ("spectrum", "."),
