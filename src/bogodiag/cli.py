@@ -193,7 +193,7 @@ def spectrum(form_file, count):
 @main.command()
 @click.argument("form_file")
 @click.option("--cutoff", type=click.IntRange(min=1), default=40, show_default=True,
-              help="Per-mode bosonic truncation of the oracle.")
+              help="Bosonic truncation of the oracle: largest total occupation.")
 @click.option("--count", type=click.IntRange(min=1), default=10, show_default=True,
               help="Number of bosonic eigenvalues to compare.")
 @click.option("--tol", type=float, default=1e-9, show_default=True,

@@ -29,12 +29,13 @@ The chiral operator X = x_0 x_1 ... x_{n-1}, x_i = a_i + a_i^+, flips every
 bit with a sign and sends H to 2 k0 - H, so the dense solves shrink: for odd
 n the odd spectrum mirrors the even one, and for n = 0 mod 4 each sector
 folds to a singular-value problem of half its dimension
-(:func:`sector_spectra`).  Bosons live on a per-mode truncated space of
-dimension (cutoff+1)^n, where [a_i^+, a_j] = delta_ij holds below the top
-occupation rung; their buffer of diagonals is H itself, as a scipy DIA
-matrix, and spectra are checked by cutoff doubling
-(:func:`truncation_stable_spectrum`, which returns the stable prefix as an
-array).
+(:func:`sector_spectra`).  Bosons are assembled on a per-mode truncated
+box of dimension (cutoff+1)^n, where [a_i^+, a_j] = delta_ij holds below the
+top occupation rung; their buffer of diagonals is H itself, as a scipy DIA
+matrix.  Their spectra are solved on the states of total occupation at most
+the cutoff, a principal submatrix of the box H gathered into CSR, and
+checked by cutoff doubling (:func:`truncation_stable_spectrum`, which
+returns the stable prefix as an array).
 Every eigensolve of a sparse matrix goes through :func:`lowest_eigenvalues`.
 Callers reach the oracle only as ``bogodiag.fock``: importing the package
 does not load it.  scipy is imported only inside the functions that build or
@@ -56,11 +57,13 @@ from .forms import BogoliubovTransform, QuadraticForm, StandardForm, Statistics
 #: Largest fermionic Fock dimension the oracle will build (2^12).
 FERMION_DIM_GUARD = 4096
 
-#: Guard on the truncated bosonic Fock dimension (cutoff+1)^n.
+#: Guard on the dimension (cutoff+1)^n of the per-mode box on which bosonic
+#: forms are assembled.
 BOSON_DIM_GUARD = 200_000
 
-#: Above this dimension eigenvalue prefixes switch from dense to Lanczos.
-DENSE_EIG_LIMIT = 1200
+#: Above this dimension eigenvalue prefixes switch from dense to Lanczos: at
+#: k = 10 with eigenvectors the two take about as long near dimension 200.
+DENSE_EIG_LIMIT = 200
 
 #: Largest estimated working set of one eigensolve (2 GiB): a dense solve
 #: reaches dimension 8192.
@@ -280,7 +283,7 @@ def _check_rep(rep, statistics: Statistics, n: int) -> None:
 
 
 def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors: bool = False):
-    """The k smallest eigenvalues of a symmetric DIA matrix, ascending (k =
+    """The k smallest eigenvalues of a symmetric sparse matrix, ascending (k =
     dim gives the whole spectrum); with `vectors`, the pair (values, vectors)
     with eigenvector j in column j.
 
@@ -289,14 +292,15 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
     that is not symmetric within 1e-10; the rest implicitly restarted Lanczos
     (ARPACK) on H + sigma*I, sigma the largest absolute row sum (a bound on
     ||H||_2), so that ARPACK's stopping rule tol*|Ritz value| is relative to
-    ||H|| even where an eigenvalue of H is 0.  sigma is read from the
-    diagonals of H, the DIA matrix that :func:`build_hamiltonian` returns,
-    without a copy of H.  H itself multiplies each Lanczos vector as it is.
-    Its basis holds max(2k + 4, 20) vectors, and it starts from `v0`, by
-    default a fixed-seed Gaussian vector, so results are deterministic.  The
-    working set is estimated first and refused with ResourceLimitError above
-    EIGENSOLVE_BYTES_GUARD, before anything is allocated; a Lanczos solve
-    that uses up its budget of 100 * dim iterations raises it too.
+    ||H|| even where an eigenvalue of H is 0.  Lanczos multiplies by the CSR
+    form of H, the matrix itself when it is CSR (as the restricted H of
+    :func:`truncation_stable_spectrum` is), and sigma is read from its
+    stored entries.  Its basis holds max(2k + 4, 20) vectors, and it starts
+    from `v0`, by default a fixed-seed Gaussian vector, so results are
+    deterministic.  The working set is estimated first and refused with
+    ResourceLimitError above EIGENSOLVE_BYTES_GUARD, before anything is
+    allocated; a Lanczos solve that uses up its budget of 100 * dim
+    iterations raises it too.
     """
     dim = matrix.shape[0]
     k = min(k, dim)
@@ -326,6 +330,7 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
         # one misses, for one, the states antisymmetric under a mode swap
         v0 = np.random.default_rng(0).standard_normal(dim)
     import scipy.sparse.linalg as spla
+    matrix = matrix.tocsr()
     sigma = _row_sum_bound(matrix)
     shifted = spla.LinearOperator(matrix.shape, dtype=float,
                                   matvec=lambda x: matrix @ x + sigma * x)
@@ -342,14 +347,14 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
 
 
 def _row_sum_bound(matrix) -> float:
-    """max_i sum_j |H_ij| of a DIA matrix, an upper bound on ||H||_2, from its
-    diagonals: each row's sum runs over them in the order stored, and no
-    copy of H is made."""
-    dim = matrix.shape[0]
-    sums = np.zeros(dim)
-    for k, diagonal in zip(matrix.offsets.tolist(), matrix.data):
-        lo, hi = max(0, -k), min(dim, dim - k)  # rows r whose column r + k exists
-        sums[lo:hi] += np.abs(diagonal[lo + k : hi + k])
+    """max_i sum_j |H_ij| of a CSR matrix, an upper bound on ||H||_2, from its
+    stored entries: each row's sum runs over them in the order stored, one
+    entry of every row at a time, so no row is summed pairwise."""
+    lengths = np.diff(matrix.indptr)
+    sums = np.zeros(matrix.shape[0])
+    for p in range(lengths.max(initial=0)):
+        rows = np.flatnonzero(lengths > p)
+        sums[rows] += np.abs(matrix.data[matrix.indptr[rows] + p])
     return float(sums.max(initial=0.0))
 
 
@@ -436,38 +441,75 @@ def sector_spectra(form: QuadraticForm, rep: FockRep) -> tuple[np.ndarray, np.nd
     return spectra[0], spectra[1]
 
 
+def _principal_csr(matrix, keep: np.ndarray):
+    """The principal submatrix of a DIA matrix on the ascending indices
+    `keep`, as a CSR matrix: row r takes diagonal k at column r + k where
+    that column is kept, so each row holds its nonzero entries in column
+    order, the order in which the DIA product sums them."""
+    import scipy.sparse as sp
+    dim = matrix.shape[0]
+    position = np.full(dim, -1)
+    position[keep] = np.arange(len(keep))
+    cols = keep[:, None] + matrix.offsets  # shape (rows, diagonals)
+    inside = (cols >= 0) & (cols < dim)
+    np.clip(cols, 0, dim - 1, out=cols)
+    values = matrix.data[np.arange(len(matrix.offsets)), cols]
+    cols = position[cols]
+    inside &= (cols >= 0) & (values != 0.0)
+    indptr = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
+    return sp.csr_matrix((values[inside], cols[inside], indptr), shape=(len(keep),) * 2)
+
+
+def _simplex_hamiltonian(form: QuadraticForm, cutoff: int) -> tuple:
+    """(H, occupations): the form on the states of total occupation at most
+    `cutoff` as a CSR matrix, and the occupation of every mode in each of
+    them, shape (n, dim), in the box order of :class:`FockRep`.
+
+    H is assembled on the box of base cutoff + 1 (guarded there) and
+    restricted; the box matrix and its representation are freed on return.
+    """
+    rep = build_boson_rep(form.n, cutoff)
+    keep = np.flatnonzero(rep.occupations() <= cutoff)
+    return _principal_csr(build_hamiltonian(form, rep), keep), rep._digits[:, keep]
+
+
 def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
                                tol: float) -> np.ndarray:
     """The k smallest oracle eigenvalues that survive doubling the cutoff.
 
-    Eigenvalues are computed at `cutoff` and `2*cutoff`; the returned
+    The cutoff bounds the total occupation: eigenvalues are computed on the
+    states with sum_i m_i <= `cutoff` and <= `2*cutoff`; the returned
     ascending array, at most k long, is the prefix where both agree within
-    `tol` (values from the finer basis).  A prefix shorter than k is not an
-    error: the caller decides what it means.
+    `tol` (values from the finer space).  A prefix shorter than k is not an
+    error: the caller decides what it means.  Each H is assembled on the
+    per-mode box of base cutoff + 1 or 2*cutoff + 1, so BOSON_DIM_GUARD
+    applies to the fine box (2*cutoff + 1)^n.
 
-    Every term of a form passes through states no more occupied than its end
-    states, so the coarse Hamiltonian is the principal submatrix of the fine
-    one on the embedded occupation box: the fine eigenvalues interlace below
-    the coarse ones.  The coarse solve starts cold from the fixed-seed
-    Gaussian vector of :func:`lowest_eigenvalues` and stays an independent
-    witness; the fine Lanczos solve starts from the embedded sum of the
-    coarse Ritz vectors.  A level it missed would disagree with the witness
-    and shorten the prefix, never lengthen it.
+    Every term of a form passes only through states between its end states,
+    so each truncated H is a principal submatrix of the untruncated operator
+    and the coarse H one of the fine H: by the min-max principle every
+    eigenvalue bounds the true level from above, and the fine eigenvalues
+    interlace below the coarse ones.  The coarse solve starts cold from the
+    fixed-seed Gaussian vector of :func:`lowest_eigenvalues` and stays an
+    independent witness; the fine Lanczos solve starts from the sum of the
+    coarse Ritz vectors, embedded by the mixed-radix key of each state's
+    occupations.  A level it missed would disagree with the witness and
+    shorten the prefix, never lengthen it.
     """
     if form.statistics is not Statistics.BOSON:
         raise ValueError("truncation control applies to bosonic forms only")
     if k == 0:
         return np.zeros(0)
-    rep_lo = build_boson_rep(form.n, cutoff)
-    rep_hi = build_boson_rep(form.n, 2 * cutoff)
-    lo, ritz = lowest_eigenvalues(build_hamiltonian(form, rep_lo), k, vectors=True)
+    build_boson_rep(form.n, 2 * cutoff)  # refuses an oversized fine box before any work
+    h_lo, occ_lo = _simplex_hamiltonian(form, cutoff)
+    lo, ritz = lowest_eigenvalues(h_lo, k, vectors=True)
     start = ritz.sum(axis=1)
-    inside = np.ravel_multi_index(tuple(rep_lo._digits), (rep_hi.base,) * form.n)
-    del ritz, rep_lo  # the fine assembly is the memory peak; add nothing to it
-    h_hi = build_hamiltonian(form, rep_hi)
-    del rep_hi  # its cached ladders and digits are no use to the solve
+    del h_lo, ritz  # the fine assembly is the memory peak; add nothing to it
+    h_hi, occ_hi = _simplex_hamiltonian(form, 2 * cutoff)
+    radix = (2 * cutoff + 1,) * form.n
     v0 = np.zeros(h_hi.shape[0])
-    v0[inside] = start
+    v0[np.searchsorted(np.ravel_multi_index(tuple(occ_hi), radix),
+                       np.ravel_multi_index(tuple(occ_lo), radix))] = start
     hi = lowest_eigenvalues(h_hi, k, v0=v0)
     m = min(len(lo), len(hi))
     stable = 0

@@ -360,9 +360,11 @@ def _is_number_type(kind: type) -> bool:
 def _number_array(value) -> np.ndarray:
     """`value`, a number or nested lists of numbers, as a float array.  An
     entry that is not a number (a string, a bool or null) raises TypeError,
-    ragged lists ValueError and an integer beyond the float range
-    OverflowError; NaN and infinities pass."""
+    ragged lists or lists nested deeper than a matrix ValueError and an
+    integer beyond the float range OverflowError; NaN and infinities pass."""
     entries = np.array(value, dtype=object)
+    if entries.ndim > 2:  # and so before .flat, which refuses more than 32
+        raise ValueError(f"entries nested {entries.ndim} deep")
     if not all(map(_is_number_type, set(map(type, entries.flat)))):
         raise TypeError("entries must be numbers")
     return entries.astype(float)

@@ -364,7 +364,7 @@ class TestVerify:
         ([[1.0, 0.5], [0.5, 1.0]], 1.0),
     ], ids=["zero-ground", "swap-symmetric", "swap-symmetric-const"])
     def test_boson_lanczos_keeps_every_level(self, runner, tmp_path, v, const):
-        # at cutoff 40 both solves (dimensions 1681 and 6561) run Lanczos
+        # at cutoff 40 both solves (simplices of 861 and 3321 states) run Lanczos
         path = write_json(tmp_path / "b2.json", {
             "statistics": "boson", "n": 2, "U": np.zeros((2, 2)).tolist(), "V": v, "const": const,
         })
@@ -389,8 +389,8 @@ class TestVerify:
         assert result.exit_code == 2
         assert json.loads(result.output) == {
             "error": "ResourceLimitError",
-            "detail": "Lanczos eigensolve of 10 eigenvalues at dimension 1681 did not converge "
-                      "in 168100 iterations",
+            "detail": "Lanczos eigensolve of 10 eigenvalues at dimension 861 did not converge "
+                      "in 86100 iterations",
         }
 
     def test_unbounded_boson_warns(self, runner, tmp_path):
@@ -449,16 +449,16 @@ class TestVerify:
         assert int(count) == 12 and float(worst) <= 1e-12
 
     def test_oversized_eigensolve_exits_2_under_memory_cap(self, tmp_path):
-        # at n = 3, cutoff 28 (fine dimension 57^3 = 185193, inside the
-        # dimension guard) a count of 30000 asks for a dense solve of the
-        # 24389-dimensional coarse matrix, about 4.8 GB per copy; the refusal
-        # must come before any of it is allocated, so a 1.5 GB cap never trips
-        n = 3
-        path = write_json(tmp_path / "b3.json", {
+        # at n = 2, cutoff 200 (fine box 401^2 = 160801, inside the dimension
+        # guard) a count of 30000 asks for a dense solve of the coarse
+        # simplex of 20301 states, about 3.3 GB per copy; the refusal must
+        # come before any of it is allocated, so a 1.5 GB cap never trips
+        n = 2
+        path = write_json(tmp_path / "b2.json", {
             "statistics": "boson", "n": n,
-            "U": np.zeros((n, n)).tolist(), "V": np.diag([1.0, 1.1, 1.2]).tolist(), "const": 0.0,
+            "U": np.zeros((n, n)).tolist(), "V": np.diag([1.0, 1.1]).tolist(), "const": 0.0,
         })
-        proc = run_capped_cli(1536 * 2**20, "verify", path, "--cutoff", "28", "--count", "30000")
+        proc = run_capped_cli(1536 * 2**20, "verify", path, "--cutoff", "200", "--count", "30000")
         assert proc.returncode == 2, proc.stderr[-2000:]
         assert json.loads(proc.stdout)["error"] == "ResourceLimitError"
 
@@ -766,6 +766,22 @@ class TestOutputContract:
         assert result.exit_code == 1
         payload = strict_json(result.stdout)
         assert (payload["error"], payload["detail"]) == ("ValidationError", detail)
+
+    @pytest.mark.parametrize("depth", [3, 32, 33, 64, 65, 900])
+    @pytest.mark.parametrize("command", ["validate", "morse"])
+    def test_matrix_nested_too_deep_exits_1(self, runner, tmp_path, command, depth):
+        # numpy stops at 64 dimensions and iterates at most 32; 900 is just
+        # inside the JSON parser's recursion limit
+        nested = "[" * depth + "1" + "]" * depth
+        text = self.POINT % (1, nested) if command == "morse" else self.FORM_1 % (nested, "0")
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 1
+        payload = strict_json(result.stdout)
+        assert (payload["error"], payload["detail"]) == ("ValidationError", (
+            "each point requires 'label' and a square 'jacobian'" if command == "morse"
+            else "missing or malformed matrix 'V'"))
 
     @pytest.mark.parametrize("command, text", [
         ("validate", '{"statistics": "boson", "n": 2.0, "U": [[0, 0], [0, 0]],'

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,6 +22,17 @@ def box_embedding(n, cutoff, fine_cutoff):
         idx = idx // (cutoff + 1)
         weight *= fine_cutoff + 1
     return out
+
+
+def simplex_states(n, cutoff):
+    """Occupation tuples of total at most cutoff, in box order."""
+    return [m for m in itertools.product(range(cutoff + 1), repeat=n) if sum(m) <= cutoff]
+
+
+def simplex_embedding(n, cutoff, fine_cutoff):
+    """Position in the fine simplex of each state of the coarse one."""
+    fine = {m: i for i, m in enumerate(simplex_states(n, fine_cutoff))}
+    return np.array([fine[m] for m in simplex_states(n, cutoff)])
 
 
 def safe_states(n, cutoff):
@@ -311,12 +324,14 @@ class TestOracleMemory:
         assert peak < 2 * h.data.nbytes
 
     def test_cutoff_doubling_peak(self):
-        # (3, 16) at k = 10: the fine Lanczos basis and H, without the
-        # FockReps or a CSR copy (25.2 MiB with both, 19.8 MiB without)
+        # (3, 18) at k = 10: the fine box assembly (dimension 50653), then
+        # the simplex H of dimension 9139 and its Lanczos basis; 17.2 MiB.
+        # This squeezed form needs total occupation 18: at 16 its fifth
+        # level moves by 1.2e-6 between the simplices (9.7e-7 on the boxes)
         f = bounded_boson_form(np.random.default_rng(110), 3, seed=3)
         tracemalloc.start()
         try:
-            out = fock.truncation_stable_spectrum(f, cutoff=16, k=10, tol=1e-6)
+            out = fock.truncation_stable_spectrum(f, cutoff=18, k=10, tol=1e-6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -379,6 +394,16 @@ class TestTruncationStable:
         with pytest.raises(ValueError):
             fock.truncation_stable_spectrum(f, cutoff=10, k=1, tol=1e-9)
 
+    def test_fine_box_guard_refuses_before_any_solve(self, monkeypatch):
+        # 31^3 passes the guard, the fine box 61^3 does not
+        def solve(*args, **kwargs):
+            raise AssertionError("solved before the guard refused")
+
+        monkeypatch.setattr(fock, "lowest_eigenvalues", solve)
+        f = bd.QuadraticForm(Statistics.BOSON, U=np.zeros((3, 3)), V=np.eye(3), const=0.0)
+        with pytest.raises(bd.ResourceLimitError, match="226981"):
+            fock.truncation_stable_spectrum(f, cutoff=30, k=10, tol=1e-6)
+
 
 class TestWarmStart:
     @pytest.mark.parametrize("n, cutoff", [(1, 10), (2, 8), (3, 5)])
@@ -404,12 +429,12 @@ class TestWarmStart:
     def test_matches_cold_fine_solve(self, n, cutoff, k):
         f = bounded_boson_form(np.random.default_rng(80 + n), n, seed=n, spread=0.15)
         out = fock.truncation_stable_spectrum(f, cutoff=cutoff, k=k, tol=1e-6)
-        cold = fock.lowest_eigenvalues(fock.build_hamiltonian(f, fock.build_boson_rep(n, 2 * cutoff)), k)
+        cold = fock.lowest_eigenvalues(fock._simplex_hamiltonian(f, 2 * cutoff)[0], k)
         assert len(out) == k
         assert np.max(np.abs(out - cold)) <= 1e-10
 
-    def test_fine_start_lives_in_the_coarse_box(self, monkeypatch):
-        n, cutoff = 2, 40  # both solves above DENSE_EIG_LIMIT, so both run Lanczos
+    def test_fine_start_lives_in_the_coarse_simplex(self, monkeypatch):
+        n, cutoff = 2, 40  # simplices of 861 and 3321 states, both solved by Lanczos
         starts = []
         eigsh = spla.eigsh
 
@@ -421,11 +446,73 @@ class TestWarmStart:
         f = bounded_boson_form(np.random.default_rng(90), n, seed=5)
         fock.truncation_stable_spectrum(f, cutoff=cutoff, k=5, tol=1e-6)
         coarse, fine = starts
-        assert np.array_equal(coarse, np.random.default_rng(0).standard_normal((cutoff + 1) ** n))
-        inside = np.zeros((2 * cutoff + 1) ** n, dtype=bool)
-        inside[box_embedding(n, cutoff, 2 * cutoff)] = True
+        assert np.array_equal(coarse, np.random.default_rng(0).standard_normal(861))
+        inside = np.zeros(3321, dtype=bool)
+        inside[simplex_embedding(n, cutoff, 2 * cutoff)] = True
         assert np.all(fine[~inside] == 0.0)
         assert np.linalg.norm(fine[inside]) > 0.5
+
+
+class TestSimplex:
+    @pytest.mark.parametrize("n, cutoff", [(1, 10), (2, 8), (3, 5)])
+    def test_states_are_the_simplex_in_box_order(self, n, cutoff):
+        h, occupations = fock._simplex_hamiltonian(random_boson_form(np.random.default_rng(n), n),
+                                                   cutoff)
+        states = simplex_states(n, cutoff)
+        assert len(states) == math.comb(cutoff + n, n) == h.shape[0]
+        assert np.array_equal(occupations.T, states)
+
+    @pytest.mark.parametrize("n, cutoff", [(1, 10), (2, 8), (3, 5)])
+    def test_coarse_hamiltonian_is_principal_submatrix(self, n, cutoff):
+        f = random_boson_form(np.random.default_rng(160 + n), n)
+        coarse = fock._simplex_hamiltonian(f, cutoff)[0].toarray()
+        fine = fock._simplex_hamiltonian(f, 2 * cutoff)[0].toarray()
+        e = simplex_embedding(n, cutoff, 2 * cutoff)
+        assert np.array_equal(coarse, fine[np.ix_(e, e)])
+
+    @pytest.mark.parametrize("n, cutoff", [(1, 10), (2, 8), (3, 5)])
+    def test_restriction_of_the_box(self, n, cutoff):
+        # the simplex H holds the box H's entries among simplex states, each
+        # row in column order, and no explicit zeros
+        f = random_boson_form(np.random.default_rng(170 + n), n)
+        rep = fock.build_boson_rep(n, cutoff)
+        box = fock.build_hamiltonian(f, rep).toarray()
+        keep = np.flatnonzero(rep.occupations() <= cutoff)
+        h = fock._simplex_hamiltonian(f, cutoff)[0]
+        assert sp.isspmatrix_csr(h) and h.has_sorted_indices
+        assert np.all(h.data != 0.0)
+        assert np.array_equal(h.toarray(), box[np.ix_(keep, keep)])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_eigenvalues_bound_the_closed_form_from_above(self, n):
+        # min-max: a principal submatrix of the untruncated operator has
+        # every eigenvalue above the true level of the same rank, within
+        # the rounding of a dense solve; at the fine cutoffs the two agree
+        # to about 1e-12
+        cutoff = {1: 12, 2: 8, 3: 5}[n]
+        for seed in range(3):
+            f = bounded_boson_form(np.random.default_rng(180 + 10 * n + seed), n, seed=seed)
+            closed = bd.boson_spectrum(bd.diagonalize_boson(bd.to_standard(f)), 10).energies
+            for c in (cutoff, 2 * cutoff):
+                h = fock._simplex_hamiltonian(f, c)[0]
+                rounding = h.shape[0] * np.finfo(float).eps * abs(h).sum(axis=1).max()
+                assert np.all(fock.lowest_eigenvalues(h, 10) >= closed - rounding)
+
+    @pytest.mark.parametrize("cutoff", [40, 150])
+    def test_n1_is_the_box_bit_for_bit(self, cutoff):
+        # at n = 1 every box state has total occupation <= cutoff
+        f = random_boson_form(np.random.default_rng(190), 1)
+        box = fock.build_hamiltonian(f, fock.build_boson_rep(1, cutoff))
+        h = fock._simplex_hamiltonian(f, cutoff)[0]
+        assert np.array_equal(h.toarray(), box.toarray())
+        x = np.random.default_rng(191).standard_normal(cutoff + 1)
+        assert np.array_equal(h @ x, box @ x)
+
+    @pytest.mark.parametrize("n, cutoff", [(2, 20), (3, 8)])
+    def test_row_sum_bound_sums_each_row_in_column_order(self, n, cutoff):
+        h = fock._simplex_hamiltonian(random_boson_form(np.random.default_rng(n), n), cutoff)[0]
+        rows = (h.data[h.indptr[r]:h.indptr[r + 1]] for r in range(h.shape[0]))
+        assert fock._row_sum_bound(h) == max(sum(abs(v) for v in row) for row in rows)
 
 
 class TestEigensolveGuard:
@@ -448,7 +535,7 @@ class TestEigensolveGuard:
     def test_lanczos_estimate_bounds_the_traced_peak(self, vectors):
         # (3, 32): dimension 35937, a 24-vector basis at k = 10
         f = bounded_boson_form(np.random.default_rng(100), 3, seed=3)
-        h = fock.build_hamiltonian(f, fock.build_boson_rep(3, 32))
+        h = fock.build_hamiltonian(f, fock.build_boson_rep(3, 32)).tocsr()
         dim, ncv, k = h.shape[0], 24, 10
         estimate = 8 * dim * (2 * ncv + 5 + (k if vectors else 0))
         tracemalloc.start()
