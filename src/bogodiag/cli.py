@@ -37,8 +37,13 @@ EXIT_IO = 3
 
 
 def _read_json(path: str) -> dict:
+    """The parsed file.  Any file the parser refuses exits 3, among them an
+    integer literal past Python's int-string limit (a bare ValueError)."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            _exit_io(exc)
 
 
 def _emit(payload, out: str | None) -> None:
@@ -88,9 +93,7 @@ def _run(body, out):
         # backstop: validation should refuse every input that LAPACK cannot
         # handle, but a failure still gets a payload
         payload, code = {"error": type(exc).__name__, "detail": str(exc)}, EXIT_MATH
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # a file that is not UTF-8, or JSON nested beyond the parser's
-        # recursion limit, is as unreadable as malformed JSON
+    except OSError as exc:
         _exit_io(exc)
     try:
         _emit(payload, out)

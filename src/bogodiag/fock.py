@@ -33,9 +33,9 @@ folds to a singular-value problem of half its dimension
 box of dimension (cutoff+1)^n, where [a_i^+, a_j] = delta_ij holds below the
 top occupation rung; their buffer of diagonals is H itself, as a scipy DIA
 matrix.  Their spectra are solved on the states of total occupation at most
-the cutoff, a principal submatrix of the box H gathered into CSR, and
-checked by cutoff doubling (:func:`truncation_stable_spectrum`, which
-returns the stable prefix as an array).
+the cutoff and twice the cutoff, principal submatrices of one box H (base
+2*cutoff + 1) gathered into CSR, and checked by cutoff doubling
+(:func:`truncation_stable_spectrum`, which returns the stable prefix).
 Every eigensolve of a sparse matrix goes through :func:`lowest_eigenvalues`.
 Callers reach the oracle only as ``bogodiag.fock``: importing the package
 does not load it.  scipy is imported only inside the functions that build or
@@ -132,7 +132,7 @@ def build_fermion_rep(n: int) -> FockRep:
     """Exact fermionic representation; guarded at dimension FERMION_DIM_GUARD."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if 2 ** n > FERMION_DIM_GUARD:
+    if n > FERMION_DIM_GUARD.bit_length() - 1:  # n, not 2^n: n may be huge
         raise ResourceLimitError(f"fermionic Fock dimension 2^{n} exceeds the guard")
     return FockRep(Statistics.FERMION, n, 2)
 
@@ -143,9 +143,10 @@ def build_boson_rep(n: int, cutoff: int) -> FockRep:
         raise ValueError("n and cutoff must be at least 1")
     dim = (cutoff + 1) ** n
     if dim > BOSON_DIM_GUARD:
-        raise ResourceLimitError(
-            f"bosonic Fock dimension {dim} = ({cutoff}+1)^{n} exceeds the guard {BOSON_DIM_GUARD}"
-        )
+        # str() refuses integers past 4300 digits: a huge box is sized in bits
+        size = (f"{dim} = ({cutoff}+1)^{n}" if dim < 2**64
+                else f"(cutoff+1)^{n} >= 2^{dim.bit_length() - 1}")
+        raise ResourceLimitError(f"bosonic Fock dimension {size} exceeds the guard {BOSON_DIM_GUARD}")
     return FockRep(Statistics.BOSON, n, cutoff + 1)
 
 
@@ -460,17 +461,17 @@ def _principal_csr(matrix, keep: np.ndarray):
     return sp.csr_matrix((values[inside], cols[inside], indptr), shape=(len(keep),) * 2)
 
 
-def _simplex_hamiltonian(form: QuadraticForm, cutoff: int) -> tuple:
-    """(H, occupations): the form on the states of total occupation at most
-    `cutoff` as a CSR matrix, and the occupation of every mode in each of
-    them, shape (n, dim), in the box order of :class:`FockRep`.
-
-    H is assembled on the box of base cutoff + 1 (guarded there) and
-    restricted; the box matrix and its representation are freed on return.
-    """
-    rep = build_boson_rep(form.n, cutoff)
-    keep = np.flatnonzero(rep.occupations() <= cutoff)
-    return _principal_csr(build_hamiltonian(form, rep), keep), rep._digits[:, keep]
+def _simplex_hamiltonians(form: QuadraticForm, cutoff: int) -> tuple:
+    """(coarse H, fine H, inner): the form on the states of total occupation
+    at most `cutoff` and 2*`cutoff` as CSR matrices, gathered from one H on
+    the box of base 2*cutoff + 1 (guarded there, freed on return), and the
+    fine-list position of each coarse state; both lists are in box order."""
+    rep = build_boson_rep(form.n, 2 * cutoff)
+    total = rep.occupations()
+    fine = np.flatnonzero(total <= 2 * cutoff)
+    inner = np.flatnonzero(total[fine] <= cutoff)
+    box = build_hamiltonian(form, rep)
+    return _principal_csr(box, fine[inner]), _principal_csr(box, fine), inner
 
 
 def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
@@ -481,9 +482,9 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
     states with sum_i m_i <= `cutoff` and <= `2*cutoff`; the returned
     ascending array, at most k long, is the prefix where both agree within
     `tol` (values from the finer space).  A prefix shorter than k is not an
-    error: the caller decides what it means.  Each H is assembled on the
-    per-mode box of base cutoff + 1 or 2*cutoff + 1, so BOSON_DIM_GUARD
-    applies to the fine box (2*cutoff + 1)^n.
+    error: the caller decides what it means.  Both H are gathered from one
+    assembly on the per-mode box of base 2*cutoff + 1, so BOSON_DIM_GUARD
+    applies to that box (2*cutoff + 1)^n and refuses before any work.
 
     Every term of a form passes only through states between its end states,
     so each truncated H is a principal submatrix of the untruncated operator
@@ -492,24 +493,19 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
     interlace below the coarse ones.  The coarse solve starts cold from the
     fixed-seed Gaussian vector of :func:`lowest_eigenvalues` and stays an
     independent witness; the fine Lanczos solve starts from the sum of the
-    coarse Ritz vectors, embedded by the mixed-radix key of each state's
-    occupations.  A level it missed would disagree with the witness and
-    shorten the prefix, never lengthen it.
+    coarse Ritz vectors, placed at the coarse states' positions in the fine
+    list.  A level it missed would disagree with the witness and shorten
+    the prefix, never lengthen it.
     """
     if form.statistics is not Statistics.BOSON:
         raise ValueError("truncation control applies to bosonic forms only")
     if k == 0:
         return np.zeros(0)
-    build_boson_rep(form.n, 2 * cutoff)  # refuses an oversized fine box before any work
-    h_lo, occ_lo = _simplex_hamiltonian(form, cutoff)
+    h_lo, h_hi, inner = _simplex_hamiltonians(form, cutoff)
     lo, ritz = lowest_eigenvalues(h_lo, k, vectors=True)
-    start = ritz.sum(axis=1)
-    del h_lo, ritz  # the fine assembly is the memory peak; add nothing to it
-    h_hi, occ_hi = _simplex_hamiltonian(form, 2 * cutoff)
-    radix = (2 * cutoff + 1,) * form.n
     v0 = np.zeros(h_hi.shape[0])
-    v0[np.searchsorted(np.ravel_multi_index(tuple(occ_hi), radix),
-                       np.ravel_multi_index(tuple(occ_lo), radix))] = start
+    v0[inner] = ritz.sum(axis=1)
+    del h_lo, ritz  # the fine solve needs neither; free them before its basis
     hi = lowest_eigenvalues(h_hi, k, v0=v0)
     m = min(len(lo), len(hi))
     stable = 0

@@ -462,6 +462,21 @@ class TestVerify:
         assert proc.returncode == 2, proc.stderr[-2000:]
         assert json.loads(proc.stdout)["error"] == "ResourceLimitError"
 
+    @pytest.mark.parametrize("digits", [4000, 4300])
+    def test_huge_cutoff_exits_2(self, runner, tmp_path, digits):
+        # the fine box (2 cutoff + 1)^2 has about 8000 digits, past what
+        # str() converts, so the guard's message must not spell it out
+        path = write_json(tmp_path / "b2.json", {
+            "statistics": "boson", "n": 2, "U": [[0.0, 0.0], [0.0, 0.0]],
+            "V": [[1.0, 0.0], [0.0, 1.3]], "const": 0.0,
+        })
+        result = runner.invoke(main, ["verify", path, "--cutoff", "9" * digits])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        payload = json.loads(result.stdout)
+        assert payload["error"] == "ResourceLimitError"
+        assert payload["detail"].endswith("exceeds the guard 200000")
+
 
 class TestMorse:
     def test_sphere(self, runner, tmp_path):
@@ -620,6 +635,26 @@ class TestOutputContract:
         path.write_bytes(document)
         result = runner.invoke(main, [command, str(path)])
         assert result.exit_code == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith("i/o error: ") and result.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["validate", "diagonalize", "spectrum", "verify", "morse"])
+    @pytest.mark.parametrize("field", ["n", "matrix"])
+    def test_integer_past_the_string_limit_exits_3(self, runner, tmp_path, command, field):
+        # json raises a bare ValueError for an integer literal of more than
+        # 4300 digits, Python's limit on int-string conversion
+        huge = "9" * 5000
+        n, matrix = (huge, "[[1]]") if field == "n" else ("1", f"[[{huge}]]")
+        if command == "morse":
+            document = f'{{"n": {n}, "chi": 1, "points": [{{"label": "p", "jacobian": {matrix}}}]}}'
+        else:
+            document = (f'{{"statistics": "boson", "n": {n}, "U": [[0]], "V": {matrix}, '
+                        f'"const": 0}}')
+        path = tmp_path / "huge.json"
+        path.write_text(document)
+        result = runner.invoke(main, [command, str(path)])
+        assert result.exit_code == 3
+        assert isinstance(result.exception, SystemExit)
         assert result.stdout == ""
         assert result.stderr.startswith("i/o error: ") and result.stderr.count("\n") == 1
 

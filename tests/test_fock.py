@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from conftest import bounded_boson_form, random_boson_form, random_fermion_form
+from conftest import bounded_boson_form, random_boson_form, random_fermion_form, refusal_peak
 
 import bogodiag as bd
 from bogodiag import Statistics, fock
@@ -87,6 +87,11 @@ class TestFermionRep:
         with pytest.raises(ValueError):
             fock.build_fermion_rep(0)
 
+    def test_guard_compares_n_not_the_dimension(self):
+        # 2^(10^9) alone would take seconds and hundreds of MB to compute
+        assert fock.build_fermion_rep(12).dim == fock.FERMION_DIM_GUARD
+        assert refusal_peak(fock.build_fermion_rep, 10**9) < 2**20
+
     def test_fermion_base_other_than_2_rejected(self):
         # sign strings on three occupation levels are no fermionic ladder
         with pytest.raises(ValueError, match="base 2"):
@@ -118,6 +123,13 @@ class TestBosonRep:
         for n, cutoff in [(0, 5), (1, 0)]:
             with pytest.raises(ValueError):
                 fock.build_boson_rep(n, cutoff)
+
+    def test_guard_message_of_a_huge_box(self):
+        # 10^10000 is past str()'s 4300 digits, so the message sizes it in bits
+        with pytest.raises(bd.ResourceLimitError, match=r"\(cutoff\+1\)\^2 >= 2\^33219 "):
+            fock.build_boson_rep(2, 10**5000 - 1)
+        with pytest.raises(bd.ResourceLimitError, match=r"226981 = \(60\+1\)\^3 exceeds"):
+            fock.build_boson_rep(3, 60)
 
 
 class TestBuildHamiltonian:
@@ -324,8 +336,9 @@ class TestOracleMemory:
         assert peak < 2 * h.data.nbytes
 
     def test_cutoff_doubling_peak(self):
-        # (3, 18) at k = 10: the fine box assembly (dimension 50653), then
-        # the simplex H of dimension 9139 and its Lanczos basis; 17.2 MiB.
+        # (3, 18) at k = 10: the one box assembly (dimension 50653), both
+        # simplex H gathered from it (1330 and 9139 states), then the fine
+        # simplex's Lanczos basis; 17.8 MiB.
         # This squeezed form needs total occupation 18: at 16 its fifth
         # level moves by 1.2e-6 between the simplices (9.7e-7 on the boxes)
         f = bounded_boson_form(np.random.default_rng(110), 3, seed=3)
@@ -404,6 +417,20 @@ class TestTruncationStable:
         with pytest.raises(bd.ResourceLimitError, match="226981"):
             fock.truncation_stable_spectrum(f, cutoff=30, k=10, tol=1e-6)
 
+    @pytest.mark.parametrize("n, cutoff", [(1, 40), (2, 8), (3, 5)])
+    def test_one_assembly_on_the_fine_box(self, monkeypatch, n, cutoff):
+        bases = []
+        build = fock.build_hamiltonian
+
+        def spy(form, rep):
+            bases.append(rep.base)
+            return build(form, rep)
+
+        monkeypatch.setattr(fock, "build_hamiltonian", spy)
+        f = bounded_boson_form(np.random.default_rng(95 + n), n, seed=n)
+        fock.truncation_stable_spectrum(f, cutoff=cutoff, k=5, tol=1e-6)
+        assert bases == [2 * cutoff + 1]
+
 
 class TestWarmStart:
     @pytest.mark.parametrize("n, cutoff", [(1, 10), (2, 8), (3, 5)])
@@ -429,7 +456,7 @@ class TestWarmStart:
     def test_matches_cold_fine_solve(self, n, cutoff, k):
         f = bounded_boson_form(np.random.default_rng(80 + n), n, seed=n, spread=0.15)
         out = fock.truncation_stable_spectrum(f, cutoff=cutoff, k=k, tol=1e-6)
-        cold = fock.lowest_eigenvalues(fock._simplex_hamiltonian(f, 2 * cutoff)[0], k)
+        cold = fock.lowest_eigenvalues(fock._simplex_hamiltonians(f, cutoff)[1], k)
         assert len(out) == k
         assert np.max(np.abs(out - cold)) <= 1e-10
 
@@ -456,17 +483,16 @@ class TestWarmStart:
 class TestSimplex:
     @pytest.mark.parametrize("n, cutoff", [(1, 10), (2, 8), (3, 5)])
     def test_states_are_the_simplex_in_box_order(self, n, cutoff):
-        h, occupations = fock._simplex_hamiltonian(random_boson_form(np.random.default_rng(n), n),
-                                                   cutoff)
-        states = simplex_states(n, cutoff)
-        assert len(states) == math.comb(cutoff + n, n) == h.shape[0]
-        assert np.array_equal(occupations.T, states)
+        coarse, fine, inner = fock._simplex_hamiltonians(
+            random_boson_form(np.random.default_rng(n), n), cutoff)
+        assert len(simplex_states(n, cutoff)) == math.comb(cutoff + n, n) == coarse.shape[0]
+        assert len(simplex_states(n, 2 * cutoff)) == math.comb(2 * cutoff + n, n) == fine.shape[0]
+        assert np.array_equal(inner, simplex_embedding(n, cutoff, 2 * cutoff))
 
     @pytest.mark.parametrize("n, cutoff", [(1, 10), (2, 8), (3, 5)])
     def test_coarse_hamiltonian_is_principal_submatrix(self, n, cutoff):
         f = random_boson_form(np.random.default_rng(160 + n), n)
-        coarse = fock._simplex_hamiltonian(f, cutoff)[0].toarray()
-        fine = fock._simplex_hamiltonian(f, 2 * cutoff)[0].toarray()
+        coarse, fine = (h.toarray() for h in fock._simplex_hamiltonians(f, cutoff)[:2])
         e = simplex_embedding(n, cutoff, 2 * cutoff)
         assert np.array_equal(coarse, fine[np.ix_(e, e)])
 
@@ -478,10 +504,23 @@ class TestSimplex:
         rep = fock.build_boson_rep(n, cutoff)
         box = fock.build_hamiltonian(f, rep).toarray()
         keep = np.flatnonzero(rep.occupations() <= cutoff)
-        h = fock._simplex_hamiltonian(f, cutoff)[0]
+        h = fock._simplex_hamiltonians(f, cutoff)[0]
         assert sp.isspmatrix_csr(h) and h.has_sorted_indices
         assert np.all(h.data != 0.0)
         assert np.array_equal(h.toarray(), box[np.ix_(keep, keep)])
+
+    @pytest.mark.parametrize("n, cutoff", [(1, 10), (2, 8), (3, 5)])
+    def test_coarse_csr_is_the_coarse_box_restriction(self, n, cutoff):
+        # gathered from the fine box, the coarse H stores the entries of the
+        # coarse box's restriction in the same order, so solves on it give
+        # the same bits
+        f = random_boson_form(np.random.default_rng(175 + n), n)
+        for c, h in zip((cutoff, 2 * cutoff), fock._simplex_hamiltonians(f, cutoff)):
+            rep = fock.build_boson_rep(n, c)
+            keep = np.flatnonzero(rep.occupations() <= c)
+            own = fock._principal_csr(fock.build_hamiltonian(f, rep), keep)
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(h, part), getattr(own, part))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_eigenvalues_bound_the_closed_form_from_above(self, n):
@@ -493,8 +532,7 @@ class TestSimplex:
         for seed in range(3):
             f = bounded_boson_form(np.random.default_rng(180 + 10 * n + seed), n, seed=seed)
             closed = bd.boson_spectrum(bd.diagonalize_boson(bd.to_standard(f)), 10).energies
-            for c in (cutoff, 2 * cutoff):
-                h = fock._simplex_hamiltonian(f, c)[0]
+            for h in fock._simplex_hamiltonians(f, cutoff)[:2]:
                 rounding = h.shape[0] * np.finfo(float).eps * abs(h).sum(axis=1).max()
                 assert np.all(fock.lowest_eigenvalues(h, 10) >= closed - rounding)
 
@@ -503,14 +541,14 @@ class TestSimplex:
         # at n = 1 every box state has total occupation <= cutoff
         f = random_boson_form(np.random.default_rng(190), 1)
         box = fock.build_hamiltonian(f, fock.build_boson_rep(1, cutoff))
-        h = fock._simplex_hamiltonian(f, cutoff)[0]
+        h = fock._simplex_hamiltonians(f, cutoff)[0]
         assert np.array_equal(h.toarray(), box.toarray())
         x = np.random.default_rng(191).standard_normal(cutoff + 1)
         assert np.array_equal(h @ x, box @ x)
 
     @pytest.mark.parametrize("n, cutoff", [(2, 20), (3, 8)])
     def test_row_sum_bound_sums_each_row_in_column_order(self, n, cutoff):
-        h = fock._simplex_hamiltonian(random_boson_form(np.random.default_rng(n), n), cutoff)[0]
+        h = fock._simplex_hamiltonians(random_boson_form(np.random.default_rng(n), n), cutoff)[0]
         rows = (h.data[h.indptr[r]:h.indptr[r + 1]] for r in range(h.shape[0]))
         assert fock._row_sum_bound(h) == max(sum(abs(v) for v in row) for row in rows)
 
