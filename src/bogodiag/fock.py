@@ -36,7 +36,12 @@ matrix.  Their spectra are solved on the states of total occupation at most
 the cutoff and twice the cutoff, principal submatrices of one box H (base
 2*cutoff + 1) gathered into CSR, and checked by cutoff doubling
 (:func:`truncation_stable_spectrum`, which returns the stable prefix).
-Every eigensolve of a sparse matrix goes through :func:`lowest_eigenvalues`.
+Every eigensolve of a sparse matrix goes through :func:`lowest_eigenvalues`,
+whose dense solves run on scipy's LAPACK, the one its Lanczos (ARPACK) links:
+numpy and scipy each bundle an OpenBLAS with its own thread pool, and a
+bosonic verify that used both would have the two pools take turns on the
+same cores.  The fermionic sector solves stay on numpy, the only pool a
+process that never loads scipy has.
 Callers reach the oracle only as ``bogodiag.fock``: importing the package
 does not load it.  scipy is imported only inside the functions that build or
 solve sparse matrices, so fermionic verification and the operator identities
@@ -61,8 +66,10 @@ FERMION_DIM_GUARD = 4096
 #: forms are assembled.
 BOSON_DIM_GUARD = 200_000
 
-#: Above this dimension eigenvalue prefixes switch from dense to Lanczos: at
-#: k = 10 with eigenvectors the two take about as long near dimension 200.
+#: Above this dimension eigenvalue prefixes switch from dense to Lanczos.  At
+#: k = 10 with eigenvectors, in a process that has run Lanczos, the two take
+#: about as long near dimension 160; the dense solve is 1.1-1.3x slower at
+#: 190 and 11-12x slower at 861 (2-vCPU x86, scipy 1.17).
 DENSE_EIG_LIMIT = 200
 
 #: Largest estimated working set of one eigensolve (2 GiB): a dense solve
@@ -290,13 +297,16 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
 
     Matrices up to DENSE_EIG_LIMIT and requests for (nearly) every
     eigenvalue take a dense solve, which raises ValueError for a matrix
-    that is not symmetric within 1e-10; the rest implicitly restarted Lanczos
-    (ARPACK) on H + sigma*I, sigma the largest absolute row sum (a bound on
-    ||H||_2), so that ARPACK's stopping rule tol*|Ritz value| is relative to
-    ||H|| even where an eigenvalue of H is 0.  Lanczos multiplies by the CSR
-    form of H, the matrix itself when it is CSR (as the restricted H of
-    :func:`truncation_stable_spectrum` is), and sigma is read from its
-    stored entries.  Its basis holds max(2k + 4, 20) vectors, and it starts
+    that is not symmetric within 1e-10 and runs LAPACK's syevd through
+    scipy, not numpy: numpy bundles a second OpenBLAS whose thread pool
+    would contend with the one of scipy's ARPACK.  The rest implicitly
+    restarted Lanczos (ARPACK) on H + sigma*I, sigma the largest absolute
+    row sum (a bound on ||H||_2), so that ARPACK's stopping rule
+    tol*|Ritz value| is relative to ||H|| even where an eigenvalue of H is
+    0.  Lanczos multiplies by the CSR form of H, the matrix itself when it
+    is CSR (as the restricted H of :func:`truncation_stable_spectrum` is),
+    and sigma is read from its stored entries.  Its basis holds
+    max(2k + 4, 20) vectors, and it starts
     from `v0`, by default a fixed-seed Gaussian vector, so results are
     deterministic.  The working set is estimated first and refused with
     ResourceLimitError above EIGENSOLVE_BYTES_GUARD, before anything is
@@ -315,10 +325,11 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
             raise ValueError(f"matrix is not symmetric (deviation {dev:.3e})")
         np.add(dense, dense.T, out=sym)
         sym /= 2.0
+        from scipy.linalg import eigh
         if vectors:
-            vals, vecs = np.linalg.eigh(sym)
+            vals, vecs = eigh(sym, driver="evd")
             return vals[:k], vecs[:, :k]
-        return np.linalg.eigvalsh(sym)[:k]
+        return eigh(sym, driver="evd", eigvals_only=True)[:k]
     ncv = min(dim - 1, max(2 * k + 4, 20))
     # the start vector, then what scipy's ARPACK allocates: the Lanczos
     # basis, the dim x ncv array of its extraction step (made even when no

@@ -364,6 +364,42 @@ class TestExactSpectrum:
             fock.lowest_eigenvalues(sp.diags([1.0], [1], shape=(2, 2)), 2)
 
 
+def forbid_numpy_eigensolvers(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle called a numpy.linalg eigensolver")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
+class TestDenseSolveOnScipyLapack:
+    """Dense bosonic solves run on scipy's LAPACK, the one ARPACK links, so a
+    verify never alternates between numpy's and scipy's OpenBLAS pools."""
+
+    def test_lowest_eigenvalues(self, monkeypatch):
+        a = np.random.default_rng(26).uniform(-1.0, 1.0, (150, 150))
+        h = sp.csr_matrix(a + a.T)
+        dense = h.toarray()
+        expected = np.linalg.eigvalsh(dense)[:10]
+        scale = 1e-12 * np.linalg.norm(dense, 2)
+        forbid_numpy_eigensolvers(monkeypatch)
+        assert np.max(np.abs(fock.lowest_eigenvalues(h, 10) - expected)) <= scale
+        vals, vecs = fock.lowest_eigenvalues(h, 10, vectors=True)
+        assert np.max(np.abs(vals - expected)) <= scale
+        assert vecs.shape == (150, 10)
+        assert np.max(np.abs(dense @ vecs - vecs * vals)) <= 10 * scale
+
+    def test_truncation_stable_spectrum_at_cutoff_60(self, monkeypatch):
+        # n = 1: simplices of 61 and 121 states, both below DENSE_EIG_LIMIT
+        f = bounded_boson_form(np.random.default_rng(61), 1, seed=1)
+        fine = fock._simplex_hamiltonians(f, 60)[1].toarray()
+        expected = np.linalg.eigvalsh(fine)[:10]
+        forbid_numpy_eigensolvers(monkeypatch)
+        out = fock.truncation_stable_spectrum(f, cutoff=60, k=10, tol=1e-6)
+        assert len(out) == 10
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.linalg.norm(fine, 2)
+
+
 class TestParitySectors:
     def test_n1(self):
         parity = fock.build_fermion_rep(1).occupations() % 2
