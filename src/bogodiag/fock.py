@@ -9,33 +9,41 @@ wedge/contraction anticommutator and the algebraic cross term, on the
 fermionic space (the exterior algebra).  It knows nothing about
 :mod:`bogodiag.spectral` and is its ground truth.
 
-Basis vectors are indexed by occupation numbers, mode 0 most significant,
-so every ladder operator moves basis vector c to c +/- step_i and is one
-shifted diagonal: a weight vector over c, sqrt(m+1) up and sqrt(m) down,
-times the Jordan-Wigner sign for fermions.  A product L_i R_j is again one
-shifted diagonal, so a pair sum sum_ij c_ij L_i R_j is n vectorised
-products, each added as it is made into one buffer holding a row per
-offset (:func:`_diagonals`), and a form is H = M + M^t + const with the
-transpose added in place.  A transposed product is a product too:
-(c_ij L_i R_j)^t = c_ij R_j^t L_i^t with a_i^t = a_i^+, so a transposed
-term is an ordinary term on the adjoint ladders.  Coefficients may carry
-leading batch axes, which lead the buffer, so a stack of forms on one
-representation is one pass of the same per-diagonal loops (the operator
-identities).
+Basis vectors are indexed by occupation numbers, mode 0 most significant.
 
-Fermions live on the exact 2^n-dimensional space; their spectra come from
-the even and odd parity blocks, filled straight from the diagonals of M.
-The chiral operator X = x_0 x_1 ... x_{n-1}, x_i = a_i + a_i^+, flips every
-bit with a sign and sends H to 2 k0 - H, so the dense solves shrink: for odd
-n the odd spectrum mirrors the even one, and for n = 0 mod 4 each sector
-folds to a singular-value problem of half its dimension
-(:func:`sector_spectra`).  Bosons are assembled on a per-mode truncated
-box of dimension (cutoff+1)^n, where [a_i^+, a_j] = delta_ij holds below the
-top occupation rung; their buffer of diagonals is H itself, as a scipy DIA
-matrix.  Their spectra are solved on the states of total occupation at most
-the cutoff and twice the cutoff, principal submatrices of one box H (base
-2*cutoff + 1) gathered into CSR, and checked by cutoff doubling
-(:func:`truncation_stable_spectrum`, which returns the stable prefix).
+Fermions live on the exact 2^n-dimensional space, where every ladder
+operator moves basis vector c to c +/- step_i and is one shifted diagonal: a
+0/1 weight vector over c times the Jordan-Wigner sign.  A
+product L_i R_j is again one shifted diagonal, so a pair sum
+sum_ij c_ij L_i R_j is n vectorised products, each added as it is made into
+one buffer holding a row per offset (:func:`_diagonals`), and a form is
+H = M + M^t + const with the transpose added in place.  A transposed product
+is a product too: (c_ij L_i R_j)^t = c_ij R_j^t L_i^t with a_i^t = a_i^+, so
+a transposed term is an ordinary term on the adjoint ladders.  Coefficients
+may carry leading batch axes, which lead the buffer, so a stack of forms on
+one representation is one pass of the same per-diagonal loops (the operator
+identities).  Fermionic spectra come from the even and odd parity blocks,
+filled straight from the diagonals of M.  The chiral operator
+X = x_0 x_1 ... x_{n-1}, x_i = a_i + a_i^+, flips every bit with a sign and
+sends H to 2 k0 - H, so the dense solves shrink: for odd n the odd spectrum
+mirrors the even one, and for n = 0 mod 4 each sector folds to a
+singular-value problem of half its dimension (:func:`sector_spectra`).
+
+Bosons live on the states of total occupation sum_i m_i at most a cutoff,
+listed in the same order, C(cutoff + n, n) of them.  A bosonic operator is
+assembled straight into CSR (:func:`_simplex_matrix`): its entries fall into
+classes by the displacement between row and column state, 0, e_j - e_i and
++/-(e_i + e_j) for a quadratic form (2n^2 + 1 classes), and every entry of a
+class is its coefficient times a square root of occupation factors.  Rows
+are counted, then filled class by class in lexicographic order of the
+displacement, so each row holds its columns in order; a column is found by
+the index maps of m -> m -/+ e_i, which count states, so unlike a
+mixed-radix key of the occupations they cannot overflow at any n.  The
+entries are those of the untruncated operator, so each H is a principal
+submatrix of it.  Spectra are solved on the lists of cutoff c and 2c and
+checked by cutoff doubling (:func:`truncation_stable_spectrum`, which
+returns the stable prefix).
+
 Every eigensolve of a sparse matrix goes through :func:`lowest_eigenvalues`,
 whose dense solves run on scipy's LAPACK, the one its Lanczos (ARPACK) links:
 numpy and scipy each bundle an OpenBLAS with its own thread pool, and a
@@ -50,6 +58,8 @@ never load it.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -62,8 +72,8 @@ from .forms import BogoliubovTransform, QuadraticForm, StandardForm, Statistics
 #: Largest fermionic Fock dimension the oracle will build (2^12).
 FERMION_DIM_GUARD = 4096
 
-#: Guard on the dimension (cutoff+1)^n of the per-mode box on which bosonic
-#: forms are assembled.
+#: Guard on the number C(cutoff + n, n) of bosonic states of total occupation
+#: at most the cutoff; cutoff doubling applies it to the fine list.
 BOSON_DIM_GUARD = 200_000
 
 #: Above this dimension eigenvalue prefixes switch from dense to Lanczos.  At
@@ -72,8 +82,8 @@ BOSON_DIM_GUARD = 200_000
 #: 190 and 11-12x slower at 861 (2-vCPU x86, scipy 1.17).
 DENSE_EIG_LIMIT = 200
 
-#: Largest estimated working set of one eigensolve (2 GiB): a dense solve
-#: reaches dimension 8192.
+#: Largest estimated working set of one eigensolve or one bosonic assembly
+#: (2 GiB): a dense solve reaches dimension 8192.
 EIGENSOLVE_BYTES_GUARD = 2 ** 31
 
 #: Coefficient turning the jacobian's antisymmetric part into the 2-form
@@ -86,53 +96,111 @@ IDENTITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class FockRep:
-    """Ladder matrices on the occupation basis of n modes with `base` levels
-    each, mode 0 most significant: base 2 is the exact fermionic space (the
-    only base a fermionic rep accepts), base cutoff + 1 the truncated
-    bosonic one."""
+    """The occupation basis of n modes, mode 0 most significant.  Fermionic:
+    every 0/1 pattern, the exact 2^n-dimensional space.  Bosonic: the states
+    of total occupation sum_i m_i <= `cutoff`, C(cutoff + n, n) of them, in
+    the same (box) order."""
 
     statistics: Statistics
     n: int
-    base: int
+    cutoff: Optional[int] = None
 
     def __post_init__(self):
-        if self.statistics is Statistics.FERMION and self.base != 2:
-            raise ValueError(f"a fermionic representation has base 2, not {self.base}")
+        if (self.cutoff is None) != (self.statistics is Statistics.FERMION):
+            raise ValueError("a bosonic representation needs a cutoff on the total occupation, "
+                             f"a fermionic one takes none; got {self.cutoff}")
 
-    @property
+    @cached_property
     def dim(self) -> int:
-        return self.base ** self.n
+        if self.statistics is Statistics.FERMION:
+            return 2 ** self.n
+        return math.comb(self.cutoff + self.n, self.n)
 
     @cached_property
     def _digits(self) -> np.ndarray:
         """Occupation of every mode in every basis vector, shape (n, dim)."""
-        return np.array(np.unravel_index(np.arange(self.dim), (self.base,) * self.n))
+        if self.statistics is Statistics.FERMION:
+            return np.array(np.unravel_index(np.arange(self.dim), (2,) * self.n))
+        return _simplex_states(self.n, self.cutoff)
 
     @cached_property
     def _ladders(self) -> tuple[tuple, tuple]:
-        """(creation, annihilation) operators as diagonals (offsets, weights):
-        operator i moves basis vector c to c + offsets[i] with amplitude
-        weights[i, c].  Fermions carry (-1)^(occupation of modes 0..i-1)."""
+        """Fermions: (creation, annihilation) operators as diagonals (offsets,
+        weights): operator i moves basis vector c to c + offsets[i] with
+        amplitude weights[i, c], times (-1)^(occupation of modes 0..i-1)."""
         occ = self._digits
-        steps = self.dim // self.base ** np.arange(1, self.n + 1)
-        up, down = np.sqrt(occ + 1.0) * (occ < self.base - 1), np.sqrt(occ)
-        if self.statistics is Statistics.FERMION:
-            sign = 1 - 2 * ((np.cumsum(occ, axis=0) - occ) % 2)
-            up, down = up * sign, down * sign
-        return (steps, up), (-steps, down)
+        steps = self.dim // 2 ** np.arange(1, self.n + 1)
+        up, down = np.sqrt(occ + 1.0) * (occ < 1), np.sqrt(occ)
+        sign = 1 - 2 * ((np.cumsum(occ, axis=0) - occ) % 2)
+        return (steps, up * sign), (-steps, down * sign)
+
+    @cached_property
+    def _index_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bosons: (lowered, raised), the positions of m - e_i and m + e_i for
+        every mode i and state m, 4-byte integers of shape (n, dim) each;
+        meaningful where m_i >= 1 and where sum_i m_i < cutoff.
+
+        With P_k = m_0 + ... + m_k and c the cutoff, the states before m
+        number dim - 1 - sum_k C(c - P_k + n-1-k, n-k).  Lowering m_i lowers
+        P_k for every k >= i, so by Pascal's rule its position drops by
+        sum_{k >= i} C(c - P_k + n-1-k, n-1-k), the count of states of modes
+        k+1..n-1 with total at most c - P_k; raising m_i adds the same sum
+        at c - P_k - 1.  These counts are at most dim, so nothing overflows.
+        """
+        occ = self._digits
+        # C(r + n-1-k, n-1-k) at index r + 1 (0 at r = -1), from k = n-1 down
+        level = np.ones(self.cutoff + 2, dtype=np.intp)
+        level[0] = 0
+        left = self.cutoff - occ.sum(axis=0)
+        down, up = np.arange(self.dim), np.arange(self.dim)
+        lowered, raised = (np.empty(occ.shape, dtype=np.int32) for _ in range(2))
+        for k in range(self.n - 1, -1, -1):
+            down -= level[left + 1]
+            up += level[left]
+            lowered[k], raised[k] = down, up
+            left += occ[k]
+            level = np.cumsum(level)
+        return lowered, raised
 
     def occupations(self) -> np.ndarray:
-        """Total occupation of each basis vector (digit sum of its index)."""
+        """Total occupation of each basis vector."""
         return self._digits.sum(axis=0)
 
     def a(self, i: int):
         """CSR creation operator for mode i: entries sqrt(m+1), times the
         sign string over lower modes for fermions (so exactly 0 or +/-1)."""
+        if self.statistics is Statistics.BOSON:
+            return _simplex_matrix(self, {((i, -1),): 1.0})
         return _dia(*(part[i : i + 1] for part in self._ladders[0]), self.dim).tocsr()
 
     def a_dag(self, i: int):
         """CSR annihilation operator for mode i (kills the vacuum)."""
+        if self.statistics is Statistics.BOSON:
+            return _simplex_matrix(self, {((i, 1),): 1.0})
         return _dia(*(part[i : i + 1] for part in self._ladders[1]), self.dim).tocsr()
+
+
+def _simplex_states(n: int, total: int) -> np.ndarray:
+    """Occupations, shape (n, dim), of the states of n modes with
+    sum_i m_i <= total in box order: every prefix of modes 0..i is followed
+    by each occupation of mode i + 1 that its remaining budget allows,
+    ascending.  The prefixes of each mode are kept with their parents and
+    the digits read back from the last mode."""
+    digits, parents = [], []
+    used = np.zeros(1, dtype=np.intp)
+    for _ in range(n):
+        counts = total + 1 - used
+        parent = np.repeat(np.arange(len(used)), counts)
+        digit = np.arange(len(parent)) - np.repeat(np.cumsum(counts) - counts, counts)
+        digits.append(digit)
+        parents.append(parent)
+        used = used[parent] + digit
+    out = np.empty((n, len(used)), dtype=np.intp)
+    state = np.arange(len(used))
+    for i in range(n - 1, -1, -1):
+        out[i] = digits[i][state]
+        state = parents[i][state]
+    return out
 
 
 def build_fermion_rep(n: int) -> FockRep:
@@ -141,20 +209,26 @@ def build_fermion_rep(n: int) -> FockRep:
         raise ValueError("n must be at least 1")
     if n > FERMION_DIM_GUARD.bit_length() - 1:  # n, not 2^n: n may be huge
         raise ResourceLimitError(f"fermionic Fock dimension 2^{n} exceeds the guard")
-    return FockRep(Statistics.FERMION, n, 2)
+    return FockRep(Statistics.FERMION, n)
 
 
 def build_boson_rep(n: int, cutoff: int) -> FockRep:
-    """Truncated bosonic representation; guarded at (cutoff+1)^n <= BOSON_DIM_GUARD."""
+    """Bosonic representation on the states of total occupation at most
+    `cutoff`; guarded at C(cutoff + n, n) <= BOSON_DIM_GUARD, which is
+    refused before anything is allocated."""
     if n < 1 or cutoff < 1:
         raise ValueError("n and cutoff must be at least 1")
-    dim = (cutoff + 1) ** n
-    if dim > BOSON_DIM_GUARD:
-        # str() refuses integers past 4300 digits: a huge box is sized in bits
-        size = (f"{dim} = ({cutoff}+1)^{n}" if dim < 2**64
-                else f"(cutoff+1)^{n} >= 2^{dim.bit_length() - 1}")
-        raise ResourceLimitError(f"bosonic Fock dimension {size} exceeds the guard {BOSON_DIM_GUARD}")
-    return FockRep(Statistics.BOSON, n, cutoff + 1)
+    dim = 1
+    for k in range(1, n + 1):
+        dim = dim * (cutoff + k) // k  # C(cutoff + k, k); n and cutoff may be huge
+        if dim > BOSON_DIM_GUARD:
+            # str() refuses integers past 4300 digits: a huge count is sized in bits
+            relation = "=" if k == n else ">="
+            size = (f"C({cutoff}+{n}, {n}) {relation} {dim}" if dim < 2**64
+                    else f"C(cutoff+{n}, {n}) >= 2^{dim.bit_length() - 1}")
+            raise ResourceLimitError(
+                f"bosonic Fock dimension {size} exceeds the guard {BOSON_DIM_GUARD}")
+    return FockRep(Statistics.BOSON, n, cutoff)
 
 
 def _products(coeff: np.ndarray, left: tuple, right: tuple):
@@ -244,13 +318,149 @@ def _dia(offsets: np.ndarray, weights: np.ndarray, dim: int):
     return sp.dia_matrix((weights, -offsets), shape=(dim, dim))
 
 
-def build_hamiltonian(form: QuadraticForm, rep):
-    """Assemble the quadratic form as an explicit symmetric DIA matrix.
+def _check_assembly(rep: FockRep, moved: dict) -> None:
+    """Refuse, with ResourceLimitError, an assembly on the bosonic states of
+    `rep` whose working set exceeds EIGENSOLVE_BYTES_GUARD; `moved` counts
+    the classes by the quanta they move.  A class moving q quanta has an
+    entry in each row of total at most cutoff - q."""
+    n, dim = rep.n, rep.dim
+    nnz = dim + sum(count * math.comb(rep.cutoff - q + n, n) for q, count in moved.items())
+    # the occupations, both index maps and two row masks per mode, (n, dim)
+    # each, 18 bytes a state and mode; the CSR arrays of 8-byte values and
+    # 4-byte columns; ten vectors over the states
+    _check_bytes(18 * n * dim + 12 * nnz + 80 * dim,
+                 f"bosonic assembly of up to {nnz} entries at dimension {dim}")
 
-    Its diagonals are stored in ascending scipy offset, so a product H @ x
-    sums each row in column order, as the CSR matrix ``H.tocsr()`` does:
-    both give the same bits.
+
+def _quanta(delta: tuple) -> int:
+    """Quanta a class moves: its rows need that many in its lowered modes, or
+    that much room below the cutoff."""
+    return max(sum(s for _, s in delta if s > 0), -sum(s for _, s in delta if s < 0))
+
+
+def _simplex_matrix(rep: FockRep, classes: dict, const: float = 0.0,
+                    number: Optional[np.ndarray] = None):
+    """CSR matrix on the bosonic states of `rep`: const + sum_i number_i m_i
+    on the diagonal and, for each class delta -> coeff of `classes`,
+    coeff * sqrt(amplitude^2) at row m, column m + delta.
+
+    A class is a tuple of (mode, shift) steps, shift in {-2, -1, 1, 2},
+    ascending in mode: the displacement from a row (target) state to its
+    column (source) state, which holds for every entry of the class.  Its
+    squared amplitude is the product over its steps of m (m - 1) ... down
+    |shift| factors for a lowered mode and (m + 1) ... (m + shift) for a
+    raised one: exact integers, in any order, so an operator whose classes
+    delta and -delta share a coefficient is exactly symmetric.
+
+    The working set is estimated first and refused above
+    EIGENSOLVE_BYTES_GUARD, before anything is allocated: the rows of a
+    class moving q quanta are the states of total at most cutoff - q.  Then
+    the entries are counted per row, class by class, and the rows filled in
+    ascending key offset of the classes (lexicographic in the displacement,
+    mode 0 first), so every row holds its columns in order; each column is
+    found by the index maps of :attr:`FockRep._index_maps`.  Exact zeros on
+    the diagonal and classes of coefficient 0 are not stored.
     """
+    import scipy.sparse as sp
+    n, dim = rep.n, rep.dim
+    classes = {delta: coeff for delta, coeff in classes.items() if coeff != 0.0}
+    _check_assembly(rep, Counter(map(_quanta, classes)))
+    occ = rep._digits
+    lowered, raised = rep._index_maps
+    total = occ.sum(axis=0)
+    diagonal = np.full(dim, float(const))
+    if number is not None:
+        for i in np.flatnonzero(number).tolist():
+            diagonal += number[i] * occ[i]
+
+    masks = {}  # rows with room for q more quanta, (None, q), or q in mode i, (i, q)
+
+    def mask(i, q):
+        if (i, q) not in masks:
+            masks[i, q] = total <= rep.cutoff - q if i is None else occ[i] >= q
+        return masks[i, q]
+
+    def rows(delta):
+        if not delta:
+            return diagonal != 0.0
+        need = [mask(i, -s) for i, s in delta if s < 0]
+        gained = sum(s for _, s in delta)
+        if gained > 0:
+            need.append(mask(None, gained))
+        return need[0] if len(need) == 1 else np.logical_and(*need)
+
+    # the key offset of a displacement in base 5 > 2 * 2, which orders
+    # displacements lexicographically; Python integers do not overflow
+    order = sorted([(), *classes], key=lambda delta: sum(s * 5 ** (n - 1 - i) for i, s in delta))
+    # the working-set guard keeps the entries below 2^31: 4-byte offsets
+    at = np.zeros(dim, dtype=np.int32)
+    for delta in order:
+        at += rows(delta)
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(at, out=indptr[1:])
+    at[:] = indptr[:-1]  # next free slot of each row
+    indices, data = np.empty(indptr[-1], dtype=np.int32), np.empty(indptr[-1])
+    for delta in order:
+        ok = rows(delta)
+        r = np.flatnonzero(ok)
+        slots = at[r]
+        at += ok
+        if not delta:
+            indices[slots], data[slots] = r, diagonal[r]
+            continue
+        cols, squared = r, 1.0
+        # lowered modes first, so that every intermediate state is in the list
+        for i, s in sorted(delta, key=lambda step: step[1]):
+            m, step = occ[i][r], (lowered if s < 0 else raised)[i]
+            for t in range(abs(s)):
+                cols = step[cols]
+                squared = squared * (m - t if s < 0 else m + t + 1)
+        indices[slots], data[slots] = cols, classes[delta] * np.sqrt(squared)
+    return sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+
+
+def _pair_classes(rep: FockRep, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> dict:
+    """Classes of the off-diagonal part of sum_ij a_ij a_i a_j^+ +
+    b_ij a_i^+ a_j^+ + c_ij a_i a_j (its diagonal is sum_i a_ii m_i) on the
+    states of `rep`, whose assembly is checked first: the n^2 classes are
+    counted from the coefficients before any is made.  The column of an
+    entry is its source state: m + e_j - e_i, m + e_i + e_j and
+    m - e_i - e_j for the row (target) m."""
+    n = len(a)
+    # b + b^t and c + c^t are symmetric: their upper triangles hold half of
+    # the off-diagonal nonzeros and all of the diagonal ones
+    sym_b, sym_c = b + b.T, c + c.T
+    pairs = (np.count_nonzero(sym_b) + np.count_nonzero(sym_b.diagonal())
+             + np.count_nonzero(sym_c) + np.count_nonzero(sym_c.diagonal())) // 2
+    _check_assembly(rep, {1: np.count_nonzero(a) - np.count_nonzero(a.diagonal()), 2: pairs})
+    a, b, c = a.tolist(), b.tolist(), c.tolist()
+    classes = {}
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                classes[tuple(sorted(((i, -1), (j, 1))))] = a[i][j]
+        classes[((i, 2),)], classes[((i, -2),)] = b[i][i], c[i][i]
+        for j in range(i + 1, n):
+            classes[((i, 1), (j, 1))] = b[i][j] + b[j][i]
+            classes[((i, -1), (j, -1))] = c[i][j] + c[j][i]
+    return classes
+
+
+def build_hamiltonian(form: QuadraticForm, rep):
+    """Assemble the quadratic form as an explicit symmetric sparse matrix.
+
+    Fermions: a DIA matrix whose diagonals are stored in ascending scipy
+    offset, so a product H @ x sums each row in column order, as the CSR
+    matrix ``H.tocsr()`` does: both give the same bits.  Bosons: the CSR
+    matrix of H = M + M^t + const on the states of `rep`, M = sum U_ij
+    a_i^+ a_j^+ + V_ij a_i a_j^+, whose classes (:func:`_simplex_matrix`)
+    pair the coefficients V + V^t, U and U^t; each row in column order.
+    """
+    if form.statistics is Statistics.BOSON:
+        _check_rep(rep, form.statistics, form.n)
+        pair = form.V + form.V.T
+        return _simplex_matrix(rep, _pair_classes(rep, pair, form.U, form.U.T), form.const,
+                               np.diag(pair))
     return _dia(*_diagonals([_half_term(form, rep)], form.const, symmetric=True), rep.dim)
 
 
@@ -268,20 +478,19 @@ def _xz_term(c: np.ndarray, rep) -> tuple:
     return np.tile(c, (2, 2)) * -_y_signs(c.shape[-1]), rep._ladders, rep._ladders
 
 
-def _standard_terms(std: StandardForm, rep) -> list:
-    """Terms of a normal form without k0: sum C_ij x_i z_j (fermions,
-    :func:`_xz_term`) or sum T_ij x_i x_j + R_ij y_i y_j (bosons)."""
+def build_standard_hamiltonian(std: StandardForm, rep):
+    """Assemble a normal form as a CSR matrix: sum C_ij x_i z_j + k0 for
+    fermions (:func:`_xz_term`), sum T_ij x_i x_j + R_ij y_i y_j + k0 for
+    bosons.  In normal order x_i x_j and y_i y_j share their two-creation
+    and two-annihilation parts, their number parts are +/-(a_i a_j^+ +
+    a_j a_i^+), and [a_i^+, a_j] = delta_ij leaves Tr T - Tr R."""
     _check_rep(rep, std.statistics, std.n)
     if std.statistics is Statistics.FERMION:
-        return [_xz_term(std.C, rep)]
-    y = _y_signs(std.n)
-    return [(np.tile(std.T, (2, 2)), rep._ladders, rep._ladders),
-            (np.tile(std.R, (2, 2)) * np.outer(y, y), rep._ladders, rep._ladders)]
-
-
-def build_standard_hamiltonian(std: StandardForm, rep):
-    """Assemble a normal form (see :func:`_standard_terms`) as a CSR matrix."""
-    return _dia(*_diagonals(_standard_terms(std, rep), std.k0), rep.dim).tocsr()
+        return _dia(*_diagonals([_xz_term(std.C, rep)], std.k0), rep.dim).tocsr()
+    t, r = std.T, std.R
+    pair, number = t + r, (t + t.T) - (r + r.T)
+    return _simplex_matrix(rep, _pair_classes(rep, number, pair, pair),
+                           std.k0 + np.trace(t) - np.trace(r), np.diag(number))
 
 
 def _check_rep(rep, statistics: Statistics, n: int) -> None:
@@ -304,10 +513,9 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
     row sum (a bound on ||H||_2), so that ARPACK's stopping rule
     tol*|Ritz value| is relative to ||H|| even where an eigenvalue of H is
     0.  Lanczos multiplies by the CSR form of H, the matrix itself when it
-    is CSR (as the restricted H of :func:`truncation_stable_spectrum` is),
-    and sigma is read from its stored entries.  Its basis holds
-    max(2k + 4, 20) vectors, and it starts
-    from `v0`, by default a fixed-seed Gaussian vector, so results are
+    is CSR (as every bosonic H is), and sigma is read from its stored
+    entries.  Its basis holds max(2k + 4, 20) vectors, and it starts from
+    `v0`, by default a fixed-seed Gaussian vector, so results are
     deterministic.  The working set is estimated first and refused with
     ResourceLimitError above EIGENSOLVE_BYTES_GUARD, before anything is
     allocated; a Lanczos solve that uses up its budget of 100 * dim
@@ -317,7 +525,7 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
     k = min(k, dim)
     if dim <= DENSE_EIG_LIMIT or k >= dim - 1:
         # the matrix, its symmetrized copy, LAPACK's copy and the eigenvectors
-        _check_eigensolve_bytes(4 * 8 * dim * dim, f"dense eigensolve of dimension {dim}")
+        _check_bytes(4 * 8 * dim * dim, f"dense eigensolve of dimension {dim}")
         dense = matrix.toarray()
         sym = np.subtract(dense, dense.T)
         dev = float(np.abs(sym, out=sym).max(initial=0.0))
@@ -335,7 +543,7 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
     # basis, the dim x ncv array of its extraction step (made even when no
     # vectors are returned), 3 work vectors, the residual and the returned
     # vectors
-    _check_eigensolve_bytes(8 * dim * (2 * ncv + 5 + (k if vectors else 0)),
+    _check_bytes(8 * dim * (2 * ncv + 5 + (k if vectors else 0)),
                             f"Lanczos eigensolve of {k} eigenvalues at dimension {dim}")
     if v0 is None:
         # a Gaussian start overlaps every symmetry sector of a form; a uniform
@@ -370,7 +578,7 @@ def _row_sum_bound(matrix) -> float:
     return float(sums.max(initial=0.0))
 
 
-def _check_eigensolve_bytes(estimate: int, what: str) -> None:
+def _check_bytes(estimate: int, what: str) -> None:
     if estimate > EIGENSOLVE_BYTES_GUARD:
         raise ResourceLimitError(
             f"{what} needs about {estimate / 2**30:.1f} GiB, "
@@ -453,36 +661,16 @@ def sector_spectra(form: QuadraticForm, rep: FockRep) -> tuple[np.ndarray, np.nd
     return spectra[0], spectra[1]
 
 
-def _principal_csr(matrix, keep: np.ndarray):
-    """The principal submatrix of a DIA matrix on the ascending indices
-    `keep`, as a CSR matrix: row r takes diagonal k at column r + k where
-    that column is kept, so each row holds its nonzero entries in column
-    order, the order in which the DIA product sums them."""
-    import scipy.sparse as sp
-    dim = matrix.shape[0]
-    position = np.full(dim, -1)
-    position[keep] = np.arange(len(keep))
-    cols = keep[:, None] + matrix.offsets  # shape (rows, diagonals)
-    inside = (cols >= 0) & (cols < dim)
-    np.clip(cols, 0, dim - 1, out=cols)
-    values = matrix.data[np.arange(len(matrix.offsets)), cols]
-    cols = position[cols]
-    inside &= (cols >= 0) & (values != 0.0)
-    indptr = np.concatenate([[0], np.cumsum(inside.sum(axis=1))])
-    return sp.csr_matrix((values[inside], cols[inside], indptr), shape=(len(keep),) * 2)
-
-
 def _simplex_hamiltonians(form: QuadraticForm, cutoff: int) -> tuple:
     """(coarse H, fine H, inner): the form on the states of total occupation
-    at most `cutoff` and 2*`cutoff` as CSR matrices, gathered from one H on
-    the box of base 2*cutoff + 1 (guarded there, freed on return), and the
-    fine-list position of each coarse state; both lists are in box order."""
-    rep = build_boson_rep(form.n, 2 * cutoff)
-    total = rep.occupations()
-    fine = np.flatnonzero(total <= 2 * cutoff)
-    inner = np.flatnonzero(total[fine] <= cutoff)
-    box = build_hamiltonian(form, rep)
-    return _principal_csr(box, fine[inner]), _principal_csr(box, fine), inner
+    at most `cutoff` and 2*`cutoff` as CSR matrices, each assembled on its
+    own state list, the fine one first so that its guards refuse before
+    anything is built, and the fine-list position of each coarse state;
+    both lists are in box order."""
+    fine = build_boson_rep(form.n, 2 * cutoff)
+    h_hi = build_hamiltonian(form, fine)
+    h_lo = build_hamiltonian(form, FockRep(Statistics.BOSON, form.n, cutoff))
+    return h_lo, h_hi, np.flatnonzero(fine.occupations() <= cutoff)
 
 
 def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
@@ -493,13 +681,12 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
     states with sum_i m_i <= `cutoff` and <= `2*cutoff`; the returned
     ascending array, at most k long, is the prefix where both agree within
     `tol` (values from the finer space).  A prefix shorter than k is not an
-    error: the caller decides what it means.  Both H are gathered from one
-    assembly on the per-mode box of base 2*cutoff + 1, so BOSON_DIM_GUARD
-    applies to that box (2*cutoff + 1)^n and refuses before any work.
+    error: the caller decides what it means.  BOSON_DIM_GUARD applies to the
+    fine list of C(2*cutoff + n, n) states and refuses before any work.
 
-    Every term of a form passes only through states between its end states,
-    so each truncated H is a principal submatrix of the untruncated operator
-    and the coarse H one of the fine H: by the min-max principle every
+    Each truncated H holds the untruncated operator's entries among its
+    states, so it is a principal submatrix of that operator and the coarse H
+    one of the fine H: by the min-max principle every
     eigenvalue bounds the true level from above, and the fine eigenvalues
     interlace below the coarse ones.  The coarse solve starts cold from the
     fixed-seed Gaussian vector of :func:`lowest_eigenvalues` and stays an
@@ -531,18 +718,26 @@ def bogoliubov_mode_operators(rep, b: BogoliubovTransform) -> list:
     b_k, b_k^+ = (x_k -/+ z_k) / 2 with x_k = sum_i p_ki x_i and
     z_k = sum_i q_ki z_i, where x_i = a_i + a_i^+ and z_i = a_i^+ - a_i.  So
     b_k weights the 2n ladders of `rep` by (p_ki + q_ki) / 2 (creation) and
-    (p_ki - q_ki) / 2 (annihilation), b_k^+ swaps the two weights, and each
-    is one DIA matrix of 2n diagonals.  Building the transformed normal form
-    of :func:`bogodiag.forms.apply_transform` with them reproduces the
-    original operator matrix (exactly for fermions, below the truncation
-    rungs for bosons).
+    (p_ki - q_ki) / 2 (annihilation), and b_k^+ swaps the two weights.  For
+    fermions each is one DIA matrix of 2n diagonals, for bosons one
+    assembly of 2n classes on the states of `rep`.  Building the
+    transformed normal form of :func:`bogodiag.forms.apply_transform` with
+    them reproduces the original operator matrix (exactly for fermions, for
+    bosons on the states two quanta below the cutoff, whose products never
+    leave the list).
     """
     n = b.n
     _check_rep(rep, b.statistics, n)
-    if b.statistics is Statistics.FERMION:
-        p, q = b.o_plus, b.o_minus.T
-    else:
+    if b.statistics is Statistics.BOSON:
         p, q = np.linalg.inv(b.S).T, b.S
+        plus, minus = ((p + q) / 2.0).tolist(), ((p - q) / 2.0).tolist()
+
+        def simplex(creation, annihilation):
+            return _simplex_matrix(rep, {**{((i, -1),): creation[i] for i in range(n)},
+                                         **{((i, 1),): annihilation[i] for i in range(n)}})
+
+        return [(simplex(plus[kk], minus[kk]), simplex(minus[kk], plus[kk])) for kk in range(n)]
+    p, q = b.o_plus, b.o_minus.T
     (up_off, up), (down_off, down) = rep._ladders
     offsets = np.concatenate([up_off, down_off])
     plus, minus = (p + q) / 2.0, (p - q) / 2.0

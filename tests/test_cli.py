@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -374,6 +375,38 @@ class TestVerify:
         payload = json.loads(result.output)
         assert payload["compared"] == 10 and payload["max_abs_deviation"] <= 1e-6
 
+    def test_boson_40_modes_at_cutoff_1(self, runner, tmp_path):
+        # simplices of 41 and 861 states; mixed-radix keys of base 5 would
+        # pass 2^63 on the fine one
+        n = 40
+        path = write_json(tmp_path / "b40.json", {
+            "statistics": "boson", "n": n, "U": np.zeros((n, n)).tolist(),
+            "V": np.diag(1.0 + 0.01 * np.arange(n)).tolist(), "const": 0.0,
+        })
+        result = runner.invoke(main, ["verify", path, "--cutoff", "1", "--count", "10",
+                                      "--tol", "1e-6"])
+        assert result.exit_code == 0, result.output
+        payload = strict_json(result.stdout)
+        assert payload["compared"] == 10 and payload["max_abs_deviation"] <= 1e-6
+
+    def test_boson_100_modes_at_cutoff_1_ends_in_a_payload(self, tmp_path):
+        # the fine simplex of 5151 states passes the dimension guard and a
+        # dense form puts about a million entries on it: verify either
+        # finishes or refuses, in a payload, well within 10 s
+        n = 100
+        rng = np.random.default_rng(100)
+        u, v = rng.uniform(-0.01, 0.01, (2, n, n))
+        path = write_json(tmp_path / "b100.json", {
+            "statistics": "boson", "n": n, "U": ((u + u.T) / 2).tolist(),
+            "V": (np.diag(1.0 + 0.01 * np.arange(n)) + (v + v.T) / 2).tolist(), "const": 0.0,
+        })
+        start = time.perf_counter()
+        proc = run_capped_cli(1536 * 2**20, "verify", path, "--cutoff", "1")
+        assert time.perf_counter() - start < 10.0
+        assert proc.returncode in (0, 1, 2), proc.stderr[-2000:]
+        assert "Traceback" not in proc.stderr
+        strict_json(proc.stdout)
+
     def test_lanczos_no_convergence_exits_2(self, runner, tmp_path, monkeypatch):
         import scipy.sparse.linalg as spla
 
@@ -449,8 +482,8 @@ class TestVerify:
         assert int(count) == 12 and float(worst) <= 1e-12
 
     def test_oversized_eigensolve_exits_2_under_memory_cap(self, tmp_path):
-        # at n = 2, cutoff 200 (fine box 401^2 = 160801, inside the dimension
-        # guard) a count of 30000 asks for a dense solve of the coarse
+        # at n = 2, cutoff 200 (fine simplex of C(402, 2) = 80601 states,
+        # inside the dimension guard) a count of 30000 asks for a dense solve of the coarse
         # simplex of 20301 states, about 3.3 GB per copy; the refusal must
         # come before any of it is allocated, so a 1.5 GB cap never trips
         n = 2
@@ -464,8 +497,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("digits", [4000, 4300])
     def test_huge_cutoff_exits_2(self, runner, tmp_path, digits):
-        # the fine box (2 cutoff + 1)^2 has about 8000 digits, past what
-        # str() converts, so the guard's message must not spell it out
+        # the fine simplex C(2 cutoff + 2, 2) has about 8000 digits, past
+        # what str() converts, so the guard's message must not spell it out
         path = write_json(tmp_path / "b2.json", {
             "statistics": "boson", "n": 2, "U": [[0.0, 0.0], [0.0, 0.0]],
             "V": [[1.0, 0.0], [0.0, 1.3]], "const": 0.0,

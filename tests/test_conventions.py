@@ -55,6 +55,19 @@ def check_normal_ordering_constants():
         dev_wrong = np.max(np.abs(fock.build_hamiltonian(f, rep)
                                   - fock.build_standard_hamiltonian(wrong, rep)))
         assert dev_wrong > 0.1
+        # bosons on the simplex that verify solves on, whose H holds the
+        # untruncated operator's entries, so the two agree on every state
+        a = rng.uniform(-1, 1, (n, n))
+        g = bd.QuadraticForm(Statistics.BOSON, U=(a + a.T) / 2, V=(b + b.T) / 2, const=0.7)
+        rep = fock.build_boson_rep(n, 12)
+        std = bd.to_standard(g)
+        dev = np.max(np.abs(fock.build_hamiltonian(g, rep)
+                            - fock.build_standard_hamiltonian(std, rep)))
+        assert dev <= 1e-12
+        wrong = bd.StandardForm(statistics=Statistics.BOSON, T=std.T, R=std.R, k0=g.const)
+        dev_wrong = np.max(np.abs(fock.build_hamiltonian(g, rep)
+                                  - fock.build_standard_hamiltonian(wrong, rep)))
+        assert dev_wrong > 0.1
 
 
 def check_level_coefficient():

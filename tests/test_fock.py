@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import tracemalloc
@@ -12,18 +13,6 @@ import bogodiag as bd
 from bogodiag import Statistics, fock
 
 
-def box_embedding(n, cutoff, fine_cutoff):
-    """Fine-basis index of each coarse basis vector, digit by digit."""
-    idx = np.arange((cutoff + 1) ** n)
-    out = np.zeros_like(idx)
-    weight = 1
-    for _ in range(n):  # least significant digit (mode n-1) first
-        out += (idx % (cutoff + 1)) * weight
-        idx = idx // (cutoff + 1)
-        weight *= fine_cutoff + 1
-    return out
-
-
 def simplex_states(n, cutoff):
     """Occupation tuples of total at most cutoff, in box order."""
     return [m for m in itertools.product(range(cutoff + 1), repeat=n) if sum(m) <= cutoff]
@@ -35,15 +24,16 @@ def simplex_embedding(n, cutoff, fine_cutoff):
     return np.array([fine[m] for m in simplex_states(n, cutoff)])
 
 
+def box_keep(n, cutoff):
+    """Box indices (base cutoff + 1) of the states of total at most cutoff."""
+    return np.flatnonzero([sum(m) <= cutoff for m in itertools.product(range(cutoff + 1), repeat=n)])
+
+
 def safe_states(n, cutoff):
-    """Box indices whose every occupation is at most cutoff - 2: a quadratic
-    term moves an occupation by at most 2, so truncation leaves them exact."""
-    idx = np.arange((cutoff + 1) ** n)
-    safe = np.ones(len(idx), dtype=bool)
-    for _ in range(n):
-        safe &= (idx % (cutoff + 1)) <= cutoff - 2
-        idx = idx // (cutoff + 1)
-    return np.flatnonzero(safe)
+    """Simplex positions of the states of total occupation at most
+    cutoff - 2: a quadratic term moves the total by at most 2, so products
+    of truncated ladders are exact on them."""
+    return np.flatnonzero([sum(m) <= cutoff - 2 for m in simplex_states(n, cutoff)])
 
 
 class TestFermionRep:
@@ -93,10 +83,14 @@ class TestFermionRep:
         assert refusal_peak(fock.build_fermion_rep, 10**9) < 2**20
 
     def test_fermion_base_other_than_2_rejected(self):
-        # sign strings on three occupation levels are no fermionic ladder
-        with pytest.raises(ValueError, match="base 2"):
+        # sign strings on more occupation levels than 0 and 1 are no
+        # fermionic ladder: a fermionic representation takes no cutoff, and a
+        # bosonic one needs a bound on its total occupation
+        with pytest.raises(ValueError, match="cutoff"):
             fock.FockRep(Statistics.FERMION, 2, 3)
-        assert fock.FockRep(Statistics.BOSON, 2, 3).dim == 9
+        with pytest.raises(ValueError, match="cutoff"):
+            fock.FockRep(Statistics.BOSON, 2)
+        assert fock.FockRep(Statistics.BOSON, 2, 3).dim == 10
 
 
 class TestBosonRep:
@@ -113,23 +107,38 @@ class TestBosonRep:
         assert np.allclose(comm[:40, :40], np.eye(40))
 
     def test_dimension(self):
-        assert fock.build_boson_rep(2, 5).dim == 36
+        assert fock.build_boson_rep(2, 5).dim == 21
+        for n, cutoff in [(1, 7), (2, 5), (3, 4), (5, 2)]:
+            rep = fock.build_boson_rep(n, cutoff)
+            states = simplex_states(n, cutoff)
+            assert rep.dim == math.comb(cutoff + n, n) == len(states)
+            assert np.array_equal(rep._digits.T, states)
+            assert np.array_equal(rep.occupations(), [sum(m) for m in states])
 
     def test_guard(self, monkeypatch):
+        fock.build_boson_rep(3, 104)  # C(107, 3) = 198485
         with pytest.raises(bd.ResourceLimitError):
-            fock.build_boson_rep(3, 60)  # 61^3 > 200000
+            fock.build_boson_rep(3, 105)  # C(108, 3) = 204156 > 200000
         monkeypatch.setattr(fock, "BOSON_DIM_GUARD", 300_000)
-        fock.build_boson_rep(3, 60)
+        fock.build_boson_rep(3, 105)
         for n, cutoff in [(0, 5), (1, 0)]:
             with pytest.raises(ValueError):
                 fock.build_boson_rep(n, cutoff)
 
-    def test_guard_message_of_a_huge_box(self):
-        # 10^10000 is past str()'s 4300 digits, so the message sizes it in bits
-        with pytest.raises(bd.ResourceLimitError, match=r"\(cutoff\+1\)\^2 >= 2\^33219 "):
+    def test_guard_refuses_before_allocation(self):
+        assert refusal_peak(fock.build_boson_rep, 3, 105) < 2**20
+        assert refusal_peak(fock.build_boson_rep, 10**6, 10**4000) < 2**20
+
+    def test_guard_message_of_a_huge_simplex(self):
+        # 10^5000 is past str()'s 4300 digits, so the message sizes it in bits
+        bits = (10**5000).bit_length() - 1
+        with pytest.raises(bd.ResourceLimitError, match=rf"C\(cutoff\+2, 2\) >= 2\^{bits} "):
             fock.build_boson_rep(2, 10**5000 - 1)
-        with pytest.raises(bd.ResourceLimitError, match=r"226981 = \(60\+1\)\^3 exceeds"):
-            fock.build_boson_rep(3, 60)
+        with pytest.raises(bd.ResourceLimitError, match=r"C\(105\+3, 3\) = 204156 exceeds"):
+            fock.build_boson_rep(3, 105)
+        # the count stops once past the guard: C(10^6 + 1, 1) already is
+        with pytest.raises(bd.ResourceLimitError, match=r"C\(1000000\+5, 5\) >= 1000001 exceeds"):
+            fock.build_boson_rep(5, 10**6)
 
 
 class TestBuildHamiltonian:
@@ -181,22 +190,15 @@ class TestBuildHamiltonian:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_standard_form_operator_equality_boson(self, n):
-        # agreement holds on the subspace untouched by the cutoff
+        # both hold the untruncated operator's entries, so they agree on
+        # every state of the list, the top rung included
         rng = np.random.default_rng(20 + n)
         f = random_boson_form(rng, n)
-        cutoff = 40
-        rep = fock.build_boson_rep(n, cutoff)
-        h1 = fock.build_hamiltonian(f, rep).toarray()
-        h2 = fock.build_standard_hamiltonian(bd.to_standard(f), rep).toarray()
-        base = cutoff + 1
-        idx = np.arange(rep.dim)
-        safe = np.ones(rep.dim, dtype=bool)
-        for _ in range(n):
-            safe &= (idx % base) <= cutoff - 2
-            idx = idx // base
-        sel = np.flatnonzero(safe)
-        dev = np.max(np.abs((h1 - h2)[np.ix_(sel, sel)]))
-        assert dev <= 1e-10
+        rep = fock.build_boson_rep(n, 40)
+        h1 = fock.build_hamiltonian(f, rep)
+        h2 = fock.build_standard_hamiltonian(bd.to_standard(f), rep)
+        assert sp.isspmatrix_csr(h2) and h2.has_sorted_indices
+        assert np.max(np.abs((h1 - h2).toarray())) <= 1e-10
 
 
 def kron_ladders(n, levels, signed):
@@ -215,14 +217,59 @@ def kron_ladders(n, levels, signed):
 
 
 def termwise_hamiltonian(form, creators, annihilators):
-    """H = sum U_ij (d_i d_j + transpose) + V_ij (a_i d_j + transpose) + const, term by term."""
+    """H = sum U_ij (d_i d_j + transpose) + V_ij (a_i d_j + transpose) + const,
+    term by term, on dense or sparse ladders."""
     dim = creators[0].shape[0]
-    h = form.const * np.eye(dim)
+    h = form.const * (sp.identity(dim, format="csr") if sp.issparse(creators[0]) else np.eye(dim))
     for i in range(form.n):
         for j in range(form.n):
             y = form.U[i, j] * (annihilators[i] @ annihilators[j])
             x = form.V[i, j] * (creators[i] @ annihilators[j])
             h += y + y.T + x + x.T
+    return h
+
+
+def box_restriction(form, cutoff):
+    """The form's H from termwise products of sparse Kronecker ladders on the
+    box of cutoff + 1 levels per mode, restricted to the states of total
+    occupation at most cutoff, as CSR without explicit zeros: every term
+    passes only through states between its end states, all in that box."""
+    step = sp.diags(np.sqrt(np.arange(1.0, cutoff + 1)), -1)
+    eye = sp.identity(cutoff + 1)
+    creators = [functools.reduce(sp.kron, [step if k == i else eye for k in range(form.n)]).tocsr()
+                for i in range(form.n)]
+    h = termwise_hamiltonian(form, creators, [c.T.tocsr() for c in creators]).tocsr()
+    keep = box_keep(form.n, cutoff)
+    out = h[keep][:, keep].tocsr()
+    out.eliminate_zeros()
+    out.sort_indices()
+    return out
+
+
+def state_by_state_hamiltonian(form, states):
+    """The form's H on a list of occupation tuples, applying each nonzero term
+    of M = sum U_ij a_i^+ a_j^+ + V_ij a_i a_j^+ to each state and adding M^t:
+    no ladder matrix and no index arithmetic."""
+    position = {m: p for p, m in enumerate(states)}
+    h = form.const * np.eye(len(states))
+
+    def annihilate(m, i):
+        return (None, 0.0) if m[i] == 0 else (m[:i] + (m[i] - 1,) + m[i + 1:], np.sqrt(m[i]))
+
+    def create(m, i):
+        return m[:i] + (m[i] + 1,) + m[i + 1:], np.sqrt(m[i] + 1)
+
+    for col, m in enumerate(states):
+        for kind, coeff in (("U", form.U), ("V", form.V)):
+            for i, j in zip(*np.nonzero(coeff)):
+                mid, amp = annihilate(m, j)
+                if mid is None:
+                    continue
+                end, amp2 = annihilate(mid, i) if kind == "U" else create(mid, i)
+                if end in position:
+                    value = coeff[i, j] * amp * amp2
+                    h[position[end], col] += value
+                    h[col, position[end]] += value
     return h
 
 
@@ -244,33 +291,40 @@ class TestAssemblyEngine:
 
     @pytest.mark.parametrize("n, cutoff", [(1, 6), (2, 4), (3, 3)])
     def test_boson_hamiltonian_matches_termwise_products(self, n, cutoff):
+        # the ladders and H on the simplex are the box's restricted to it
         rep = fock.build_boson_rep(n, cutoff)
         creators, annihilators = kron_ladders(n, cutoff + 1, signed=False)
+        keep = np.ix_(box_keep(n, cutoff), box_keep(n, cutoff))
         for i in range(n):
-            assert np.max(np.abs(rep.a(i).toarray() - creators[i])) <= 1e-15
-            assert np.max(np.abs(rep.a_dag(i).toarray() - annihilators[i])) <= 1e-15
-        dense_a = [rep.a(i).toarray() for i in range(n)]
-        dense_d = [rep.a_dag(i).toarray() for i in range(n)]
+            assert np.max(np.abs(rep.a(i).toarray() - creators[i][keep])) <= 1e-15
+            assert np.max(np.abs(rep.a_dag(i).toarray() - annihilators[i][keep])) <= 1e-15
         for seed in range(3):
             f = random_boson_form(np.random.default_rng(200 * n + seed), n)
             h = fock.build_hamiltonian(f, rep)
-            assert sp.isspmatrix_dia(h)
-            assert np.max(np.abs(h.toarray() - termwise_hamiltonian(f, dense_a, dense_d))) <= 1e-13
+            assert sp.isspmatrix_csr(h) and h.has_sorted_indices
+            box = termwise_hamiltonian(f, creators, annihilators)
+            assert np.max(np.abs(h.toarray() - box[keep])) <= 1e-13
 
     @pytest.mark.parametrize("statistics, n, cutoff", [
         (Statistics.FERMION, 3, None), (Statistics.FERMION, 6, None),
         (Statistics.BOSON, 1, 12), (Statistics.BOSON, 2, 8), (Statistics.BOSON, 3, 5),
     ])
     def test_matvec_sums_rows_in_csr_column_order(self, statistics, n, cutoff):
-        # Lanczos multiplies by the DIA matrix; its diagonals are stored in
-        # ascending scipy offset, so every row is summed as the CSR sums it
+        # a fermionic H is DIA with its diagonals in ascending scipy offset,
+        # so every row is summed as the CSR sums it; a bosonic H is CSR with
+        # each row in column order
         rng = np.random.default_rng(500 + n)
         if statistics is Statistics.FERMION:
             f, rep = random_fermion_form(rng, n), fock.build_fermion_rep(n)
         else:
             f, rep = random_boson_form(rng, n), fock.build_boson_rep(n, cutoff)
         h = fock.build_hamiltonian(f, rep)
-        assert np.all(np.diff(h.offsets) > 0)
+        if statistics is Statistics.FERMION:
+            assert np.all(np.diff(h.offsets) > 0)
+        else:
+            assert sp.isspmatrix_csr(h) and h.has_sorted_indices
+            assert all(np.all(np.diff(h.indices[h.indptr[r]:h.indptr[r + 1]]) > 0)
+                       for r in range(rep.dim))
         for _ in range(3):
             x = rng.standard_normal(rep.dim)
             assert np.array_equal(h @ x, h.tocsr() @ x)
@@ -322,25 +376,26 @@ class TestOracleMemory:
             tracemalloc.stop()
         assert peak < 32 * 2**20
 
-    def test_boson_assembly_peak_within_twice_its_diagonals(self):
-        # (3, 32), dimension 35937: the stage stacks of the earlier engine
-        # peaked at 15.5 MiB here, three times the 5.2 MiB of diagonals
+    def test_fine_simplex_assembly_peak(self):
+        # the fine list of cutoff 24 at n = 3: 20825 states and 359513
+        # entries, 4.2 MiB of CSR arrays; with the state list, its index maps
+        # and the fill's per-class vectors the peak is near 6.8 MiB here
         f = bounded_boson_form(np.random.default_rng(110), 3, seed=3)
-        rep = fock.build_boson_rep(3, 32)
+        rep = fock.build_boson_rep(3, 48)
         tracemalloc.start()
         try:
             h = fock.build_hamiltonian(f, rep)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * h.data.nbytes
+        assert h.shape == (20825, 20825) and h.nnz == 359513
+        assert peak < 12 * 2**20
 
     def test_cutoff_doubling_peak(self):
-        # (3, 18) at k = 10: the one box assembly (dimension 50653), both
-        # simplex H gathered from it (1330 and 9139 states), then the fine
-        # simplex's Lanczos basis; 17.8 MiB.
+        # (3, 18) at k = 10: both simplex H (1330 and 9139 states), then the
+        # fine simplex's Lanczos basis; 5.5 MiB.
         # This squeezed form needs total occupation 18: at 16 its fifth
-        # level moves by 1.2e-6 between the simplices (9.7e-7 on the boxes)
+        # level moves by 1.2e-6 between the simplices
         f = bounded_boson_form(np.random.default_rng(110), 3, seed=3)
         tracemalloc.start()
         try:
@@ -349,7 +404,7 @@ class TestOracleMemory:
         finally:
             tracemalloc.stop()
         assert len(out) == 10
-        assert peak < 22.5 * 2**20
+        assert peak < 7 * 2**20
 
 
 class TestExactSpectrum:
@@ -443,29 +498,54 @@ class TestTruncationStable:
         with pytest.raises(ValueError):
             fock.truncation_stable_spectrum(f, cutoff=10, k=1, tol=1e-9)
 
-    def test_fine_box_guard_refuses_before_any_solve(self, monkeypatch):
-        # 31^3 passes the guard, the fine box 61^3 does not
-        def solve(*args, **kwargs):
-            raise AssertionError("solved before the guard refused")
+    def test_fine_simplex_guard_refuses_before_any_assembly(self, monkeypatch):
+        # the coarse list C(56, 3) = 27720 passes the guard, the fine list
+        # C(109, 3) = 209934 does not
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembled or solved before the guard refused")
 
-        monkeypatch.setattr(fock, "lowest_eigenvalues", solve)
+        monkeypatch.setattr(fock, "lowest_eigenvalues", refuse)
+        monkeypatch.setattr(fock, "build_hamiltonian", refuse)
         f = bd.QuadraticForm(Statistics.BOSON, U=np.zeros((3, 3)), V=np.eye(3), const=0.0)
-        with pytest.raises(bd.ResourceLimitError, match="226981"):
-            fock.truncation_stable_spectrum(f, cutoff=30, k=10, tol=1e-6)
+        with pytest.raises(bd.ResourceLimitError, match="209934"):
+            fock.truncation_stable_spectrum(f, cutoff=53, k=10, tol=1e-6)
 
     @pytest.mark.parametrize("n, cutoff", [(1, 40), (2, 8), (3, 5)])
-    def test_one_assembly_on_the_fine_box(self, monkeypatch, n, cutoff):
-        bases = []
+    def test_one_assembly_per_simplex(self, monkeypatch, n, cutoff):
+        # the fine list first, so that its guards refuse before any work
+        cutoffs = []
         build = fock.build_hamiltonian
 
         def spy(form, rep):
-            bases.append(rep.base)
+            cutoffs.append(rep.cutoff)
             return build(form, rep)
 
         monkeypatch.setattr(fock, "build_hamiltonian", spy)
         f = bounded_boson_form(np.random.default_rng(95 + n), n, seed=n)
         fock.truncation_stable_spectrum(f, cutoff=cutoff, k=5, tol=1e-6)
-        assert bases == [2 * cutoff + 1]
+        assert cutoffs == [2 * cutoff, cutoff]
+
+    def test_assembly_working_set_refused_before_allocation(self, monkeypatch):
+        # 600 modes at cutoff 1: the fine list C(602, 2) = 180901 passes the
+        # dimension guard, but its index maps and the 216 million entries of
+        # a dense form need about 4.3 GiB.  The refusal comes before the
+        # 720 thousand classes are made; what is traced is the form's
+        # coefficient sums, 2.7 MiB each
+        def refuse(*args, **kwargs):
+            raise AssertionError("solved before the guard refused")
+
+        monkeypatch.setattr(fock, "lowest_eigenvalues", refuse)
+        n = 600
+        u = np.random.default_rng(600).uniform(-0.01, 0.01, (n, n))
+        f = bd.QuadraticForm(Statistics.BOSON, U=u + u.T, V=np.eye(n) + u @ u.T, const=0.0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(bd.ResourceLimitError, match="bosonic assembly"):
+                fock.truncation_stable_spectrum(f, cutoff=1, k=10, tol=1e-6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestWarmStart:
@@ -474,8 +554,8 @@ class TestWarmStart:
         f = random_boson_form(np.random.default_rng(60 + n), n)
         coarse = fock.build_hamiltonian(f, fock.build_boson_rep(n, cutoff)).toarray()
         fine = fock.build_hamiltonian(f, fock.build_boson_rep(n, 2 * cutoff))
-        e = box_embedding(n, cutoff, 2 * cutoff)
-        assert np.array_equal(coarse, fine.tocsr()[e][:, e].toarray())
+        e = simplex_embedding(n, cutoff, 2 * cutoff)
+        assert np.array_equal(coarse, fine[e][:, e].toarray())
 
     @pytest.mark.parametrize("n, cutoff", [(2, 20), (3, 8)])
     def test_interlacing(self, n, cutoff):
@@ -534,29 +614,43 @@ class TestSimplex:
 
     @pytest.mark.parametrize("n, cutoff", [(1, 10), (2, 8), (3, 5)])
     def test_restriction_of_the_box(self, n, cutoff):
-        # the simplex H holds the box H's entries among simplex states, each
+        # the simplex H holds the entries of a box H among simplex states
+        # (the box of termwise Kronecker products, within rounding), each
         # row in column order, and no explicit zeros
         f = random_boson_form(np.random.default_rng(170 + n), n)
-        rep = fock.build_boson_rep(n, cutoff)
-        box = fock.build_hamiltonian(f, rep).toarray()
-        keep = np.flatnonzero(rep.occupations() <= cutoff)
+        box = box_restriction(f, cutoff).toarray()
         h = fock._simplex_hamiltonians(f, cutoff)[0]
         assert sp.isspmatrix_csr(h) and h.has_sorted_indices
         assert np.all(h.data != 0.0)
-        assert np.array_equal(h.toarray(), box[np.ix_(keep, keep)])
+        assert np.max(np.abs(h.toarray() - box)) <= 1e-13 * np.abs(box).max()
 
     @pytest.mark.parametrize("n, cutoff", [(1, 10), (2, 8), (3, 5)])
     def test_coarse_csr_is_the_coarse_box_restriction(self, n, cutoff):
-        # gathered from the fine box, the coarse H stores the entries of the
-        # coarse box's restriction in the same order, so solves on it give
-        # the same bits
+        # both simplex H store exactly the nonzero entries of the box's
+        # restriction, row by row in column order; the values agree within
+        # rounding
         f = random_boson_form(np.random.default_rng(175 + n), n)
         for c, h in zip((cutoff, 2 * cutoff), fock._simplex_hamiltonians(f, cutoff)):
-            rep = fock.build_boson_rep(n, c)
-            keep = np.flatnonzero(rep.occupations() <= c)
-            own = fock._principal_csr(fock.build_hamiltonian(f, rep), keep)
-            for part in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(h, part), getattr(own, part))
+            own = box_restriction(f, c)
+            assert np.array_equal(h.indptr, own.indptr)
+            assert np.array_equal(h.indices, own.indices)
+            assert np.max(np.abs(h.data - own.data)) <= 1e-13 * np.abs(own.data).max()
+
+    def test_matches_state_by_state_terms_at_40_modes(self):
+        # the fine list of cutoff 1 at n = 40 (861 states): mixed-radix keys
+        # of base 5 would pass 2^63 here; the index maps count states
+        n, cutoff = 40, 1
+        rng = np.random.default_rng(40)
+        hop, pair = rng.uniform(-0.1, 0.1, n - 1), rng.uniform(-0.1, 0.1, n)
+        f = bd.QuadraticForm(Statistics.BOSON, U=np.diag(pair[:-1], 1) + np.diag(pair[:-1], -1)
+                             + np.diag(pair), V=np.diag(1.0 + 0.01 * np.arange(n))
+                             + np.diag(hop, 1) + np.diag(hop, -1), const=0.25)
+        states = [tuple(m) for m in fock.build_boson_rep(n, 2 * cutoff)._digits.T]
+        assert len(set(states)) == len(states) == 861 and states == sorted(states)
+        assert all(sum(m) <= 2 and min(m) >= 0 for m in states)
+        h = fock._simplex_hamiltonians(f, cutoff)[1]
+        assert h.has_sorted_indices and np.all(h.data != 0.0)
+        assert np.max(np.abs(h.toarray() - state_by_state_hamiltonian(f, states))) <= 1e-14
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_eigenvalues_bound_the_closed_form_from_above(self, n):
@@ -574,9 +668,13 @@ class TestSimplex:
 
     @pytest.mark.parametrize("cutoff", [40, 150])
     def test_n1_is_the_box_bit_for_bit(self, cutoff):
-        # at n = 1 every box state has total occupation <= cutoff
+        # at n = 1 the simplex is the box, and H is the textbook one-mode
+        # matrix: <m|H|m> = const + 2 V m, <m|H|m+2> = U sqrt((m+1)(m+2))
         f = random_boson_form(np.random.default_rng(190), 1)
-        box = fock.build_hamiltonian(f, fock.build_boson_rep(1, cutoff))
+        (u,), (v,) = f.U[0], f.V[0]
+        m = np.arange(cutoff + 1.0)
+        two_up = u * np.sqrt((m[:-2] + 1.0) * (m[:-2] + 2.0))
+        box = sp.csr_matrix(np.diag(f.const + 2.0 * v * m) + np.diag(two_up, 2) + np.diag(two_up, -2))
         h = fock._simplex_hamiltonians(f, cutoff)[0]
         assert np.array_equal(h.toarray(), box.toarray())
         x = np.random.default_rng(191).standard_normal(cutoff + 1)
@@ -607,7 +705,7 @@ class TestEigensolveGuard:
 
     @pytest.mark.parametrize("vectors", [False, True])
     def test_lanczos_estimate_bounds_the_traced_peak(self, vectors):
-        # (3, 32): dimension 35937, a 24-vector basis at k = 10
+        # (3, 32): the simplex of 6545 states, a 24-vector basis at k = 10
         f = bounded_boson_form(np.random.default_rng(100), 3, seed=3)
         h = fock.build_hamiltonian(f, fock.build_boson_rep(3, 32)).tocsr()
         dim, ncv, k = h.shape[0], 24, 10

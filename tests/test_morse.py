@@ -31,15 +31,17 @@ def witten_tensor_oracle(lams, cutoff):
     """Independent tensor-product spectra of the localized operator, one per
     fermion occupation state f: the eigenvalues of the block of states with
     fermionic part f.  The fermionic terms are diagonal in the occupation
-    basis, so nothing couples two blocks."""
+    basis, so nothing couples two blocks.  The bosonic factor lives on the
+    box of cutoff + 1 levels per mode, built here from one-mode ladders."""
     lams = np.asarray(lams, dtype=float)
     n = len(lams)
-    brep = fock.build_boson_rep(n, cutoff)
+    levels = cutoff + 1
+    step = sp.diags(np.sqrt(np.arange(1.0, levels)), -1)
     frep = fock.build_fermion_rep(n)
-    db, df = brep.dim, frep.dim
+    db, df = levels ** n, frep.dim
     h = sp.csr_matrix((db * df, db * df))
     for i in range(n):
-        ab = brep.a(i)
+        ab = sp.kron(sp.kron(sp.identity(levels ** i), step), sp.identity(levels ** (n - 1 - i)))
         pos = (ab + ab.T) / np.sqrt(2.0)
         deriv = (ab - ab.T) / np.sqrt(2.0)
         oscillator = -deriv @ deriv + lams[i] ** 2 * (pos @ pos)
@@ -281,7 +283,8 @@ class TestOperatorIdentities:
     def test_wedge_detects_missing_sign_strings(self, n):
         # hard-core bosons: the fermionic ladders without Jordan-Wigner signs
         rep = fock.build_fermion_rep(n)
-        rep.__dict__["_ladders"] = fock.build_boson_rep(n, 1)._ladders
+        (up_off, up), (down_off, down) = rep._ladders
+        rep.__dict__["_ladders"] = (up_off, np.abs(up)), (down_off, np.abs(down))
         assert fock.wedge_contraction_identity(np.ones(n), rep) > 0.1
 
     def test_wedge_memory_guard_n13(self):
