@@ -17,7 +17,7 @@ operator moves basis vector c to c +/- step_i and is one shifted diagonal: a
 product L_i R_j is again one shifted diagonal, so a pair sum
 sum_ij c_ij L_i R_j is n vectorised products, each added as it is made into
 one buffer holding a row per offset (:func:`_diagonals`), and a form is
-H = M + M^t + const with the transpose added in place.  A transposed product
+H = M + M^t + const on the CSR of M (:func:`_csr`).  A transposed product
 is a product too: (c_ij L_i R_j)^t = c_ij R_j^t L_i^t with a_i^t = a_i^+, so
 a transposed term is an ordinary term on the adjoint ladders.  Coefficients
 may carry leading batch axes, which lead the buffer, so a stack of forms on
@@ -40,9 +40,10 @@ displacement, so each row holds its columns in order; a column is found by
 the index maps of m -> m -/+ e_i, which count states, so unlike a
 mixed-radix key of the occupations they cannot overflow at any n.  The
 entries are those of the untruncated operator, so each H is a principal
-submatrix of it.  Spectra are solved on the lists of cutoff c and 2c and
-checked by cutoff doubling (:func:`truncation_stable_spectrum`, which
-returns the stable prefix).
+submatrix of it.  Cutoff doubling assembles H on the list of cutoff 2c and
+gathers the one of cutoff c from it; spectra are solved on both and
+compared (:func:`truncation_stable_spectrum`, which returns the stable
+prefix).
 
 Every eigensolve of a sparse matrix goes through :func:`lowest_eigenvalues`,
 whose dense solves run on scipy's LAPACK, the one its Lanczos (ARPACK) links:
@@ -169,15 +170,11 @@ class FockRep:
     def a(self, i: int):
         """CSR creation operator for mode i: entries sqrt(m+1), times the
         sign string over lower modes for fermions (so exactly 0 or +/-1)."""
-        if self.statistics is Statistics.BOSON:
-            return _simplex_matrix(self, {((i, -1),): 1.0})
-        return _dia(*(part[i : i + 1] for part in self._ladders[0]), self.dim).tocsr()
+        return _ladder_sum(self, np.eye(self.n)[i], np.zeros(self.n))
 
     def a_dag(self, i: int):
         """CSR annihilation operator for mode i (kills the vacuum)."""
-        if self.statistics is Statistics.BOSON:
-            return _simplex_matrix(self, {((i, 1),): 1.0})
-        return _dia(*(part[i : i + 1] for part in self._ladders[1]), self.dim).tocsr()
+        return _ladder_sum(self, np.zeros(self.n), np.eye(self.n)[i])
 
 
 def _simplex_states(n: int, total: int) -> np.ndarray:
@@ -259,41 +256,29 @@ def _term_offsets(term: tuple) -> np.ndarray:
                         np.concatenate([off for off, _ in left])).ravel()
 
 
-def _diagonals(terms: list, const: Union[float, np.ndarray] = 0.0,
-               symmetric: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _diagonals(terms: list, const: Union[float, np.ndarray] = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Grouped diagonals (offsets, weights) of the pair sums of `terms`, each
-    (coeff, left, right) for sum_ij coeff_ij L_i R_j, plus with `symmetric`
-    the transpose of all that, plus `const` on the main diagonal.
+    (coeff, left, right) for sum_ij coeff_ij L_i R_j, plus `const` on the
+    main diagonal.
 
     One buffer of shape (..., len(offsets), dim) takes each product as it is
     made, in the order terms, right-hand rows, left-hand rows, so every
     diagonal is summed in that order.  The products of one right-hand row lie
     on distinct diagonals, so they are added in one fancy-indexed step.
-    Offsets descend, so scipy's offsets -s ascend.  `const` is a scalar or
-    one value per stack entry, of shape (...).
+    Offsets descend.  `const` is a scalar or one value per stack entry, of
+    shape (...).
     """
     own = np.concatenate([_term_offsets(t) for t in terms])
-    flipped = [-own] if symmetric else []
-    # sorted(set()) and not np.unique, whose default path imports numpy.ma
-    scipy_offsets = np.array(sorted(set((-np.concatenate([own, *flipped, [0]])).tolist())))
+    # negated, so that they ascend for searchsorted; sorted(set()) and not
+    # np.unique, whose default path imports numpy.ma
+    negated = np.array(sorted(set((-np.concatenate([own, [0]])).tolist())))
     dim = terms[0][2][0][1].shape[-1]
-    out = np.zeros((*terms[0][0].shape[:-2], len(scipy_offsets), dim))
-
-    def row(s):
-        return np.searchsorted(scipy_offsets, -s)
-
+    out = np.zeros((*terms[0][0].shape[:-2], len(negated), dim))
     for coeff, left, right in terms:
         for offsets, lo, weights in _products(coeff, left, right):
-            out[..., row(offsets), lo : lo + weights.shape[-1]] += weights
-    if symmetric:
-        for d in scipy_offsets[scipy_offsets > 0].tolist():  # offsets d and -d pair up
-            up, down = out[..., row(d), : dim - d], out[..., row(-d), d:]
-            moved = up.copy()
-            up += down
-            down += moved
-        out[..., row(0), :] *= 2.0  # the main diagonal is its own transpose
-    out[..., row(0), :] += np.asarray(const)[..., None]
-    return -scipy_offsets, out
+            out[..., np.searchsorted(negated, -offsets), lo : lo + weights.shape[-1]] += weights
+    out[..., np.searchsorted(negated, 0), :] += np.asarray(const)[..., None]
+    return -negated, out
 
 
 def _half_term(form: QuadraticForm, rep) -> tuple:
@@ -312,10 +297,13 @@ def _entries(offsets: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, ...]
     return cols + offsets[k], cols, weights[k, cols]
 
 
-def _dia(offsets: np.ndarray, weights: np.ndarray, dim: int):
+def _csr(offsets: np.ndarray, weights: np.ndarray, dim: int):
+    """CSR matrix of some diagonals: their nonzero entries, each row in
+    column order."""
     import scipy.sparse as sp
-    # scipy's diagonal k holds the entries (c - k, c), indexed by column c
-    return sp.dia_matrix((weights, -offsets), shape=(dim, dim))
+    rows, cols, values = _entries(offsets, weights)
+    # COO to CSR sorts each row; distinct diagonals leave no duplicates to sum
+    return sp.csr_matrix((values, (rows, cols)), shape=(dim, dim))
 
 
 def _check_assembly(rep: FockRep, moved: dict) -> None:
@@ -447,21 +435,21 @@ def _pair_classes(rep: FockRep, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> 
 
 
 def build_hamiltonian(form: QuadraticForm, rep):
-    """Assemble the quadratic form as an explicit symmetric sparse matrix.
-
-    Fermions: a DIA matrix whose diagonals are stored in ascending scipy
-    offset, so a product H @ x sums each row in column order, as the CSR
-    matrix ``H.tocsr()`` does: both give the same bits.  Bosons: the CSR
-    matrix of H = M + M^t + const on the states of `rep`, M = sum U_ij
-    a_i^+ a_j^+ + V_ij a_i a_j^+, whose classes (:func:`_simplex_matrix`)
-    pair the coefficients V + V^t, U and U^t; each row in column order.
+    """Assemble the quadratic form as an explicit symmetric CSR matrix,
+    H = M + M^t + const with M = sum U_ij a_i^+ a_j^+ + V_ij a_i a_j^+, each
+    row in column order and no explicit zeros.  Fermions: M is the CSR of
+    its diagonals (:func:`_csr`).  Bosons: H is assembled on the states of
+    `rep` from classes (:func:`_simplex_matrix`) that pair the coefficients
+    V + V^t, U and U^t.
     """
     if form.statistics is Statistics.BOSON:
         _check_rep(rep, form.statistics, form.n)
         pair = form.V + form.V.T
         return _simplex_matrix(rep, _pair_classes(rep, pair, form.U, form.U.T), form.const,
                                np.diag(pair))
-    return _dia(*_diagonals([_half_term(form, rep)], form.const, symmetric=True), rep.dim)
+    import scipy.sparse as sp
+    m = _csr(*_diagonals([_half_term(form, rep)]), rep.dim)
+    return m + m.T + form.const * sp.identity(rep.dim, format="csr")
 
 
 def _y_signs(n: int) -> np.ndarray:
@@ -486,7 +474,7 @@ def build_standard_hamiltonian(std: StandardForm, rep):
     a_j a_i^+), and [a_i^+, a_j] = delta_ij leaves Tr T - Tr R."""
     _check_rep(rep, std.statistics, std.n)
     if std.statistics is Statistics.FERMION:
-        return _dia(*_diagonals([_xz_term(std.C, rep)], std.k0), rep.dim).tocsr()
+        return _csr(*_diagonals([_xz_term(std.C, rep)], std.k0), rep.dim)
     t, r = std.T, std.R
     pair, number = t + r, (t + t.T) - (r + r.T)
     return _simplex_matrix(rep, _pair_classes(rep, number, pair, pair),
@@ -513,7 +501,7 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
     row sum (a bound on ||H||_2), so that ARPACK's stopping rule
     tol*|Ritz value| is relative to ||H|| even where an eigenvalue of H is
     0.  Lanczos multiplies by the CSR form of H, the matrix itself when it
-    is CSR (as every bosonic H is), and sigma is read from its stored
+    is CSR (as every assembled H is), and sigma is read from its stored
     entries.  Its basis holds max(2k + 4, 20) vectors, and it starts from
     `v0`, by default a fixed-seed Gaussian vector, so results are
     deterministic.  The working set is estimated first and refused with
@@ -662,15 +650,16 @@ def sector_spectra(form: QuadraticForm, rep: FockRep) -> tuple[np.ndarray, np.nd
 
 
 def _simplex_hamiltonians(form: QuadraticForm, cutoff: int) -> tuple:
-    """(coarse H, fine H, inner): the form on the states of total occupation
-    at most `cutoff` and 2*`cutoff` as CSR matrices, each assembled on its
-    own state list, the fine one first so that its guards refuse before
-    anything is built, and the fine-list position of each coarse state;
-    both lists are in box order."""
+    """(coarse H, fine H, inner): the form as CSR matrices on the states of
+    total occupation at most `cutoff` and 2*`cutoff`, and the fine-list
+    position of each coarse state; both lists are in box order.  Only the
+    fine H is assembled, so its guards refuse before anything is built; the
+    coarse H is its principal submatrix at `inner`, gathered row by row in
+    column order."""
     fine = build_boson_rep(form.n, 2 * cutoff)
     h_hi = build_hamiltonian(form, fine)
-    h_lo = build_hamiltonian(form, FockRep(Statistics.BOSON, form.n, cutoff))
-    return h_lo, h_hi, np.flatnonzero(fine.occupations() <= cutoff)
+    inner = np.flatnonzero(fine.occupations() <= cutoff)
+    return h_hi[inner][:, inner], h_hi, inner
 
 
 def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
@@ -684,15 +673,15 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
     error: the caller decides what it means.  BOSON_DIM_GUARD applies to the
     fine list of C(2*cutoff + n, n) states and refuses before any work.
 
-    Each truncated H holds the untruncated operator's entries among its
-    states, so it is a principal submatrix of that operator and the coarse H
-    one of the fine H: by the min-max principle every
-    eigenvalue bounds the true level from above, and the fine eigenvalues
-    interlace below the coarse ones.  The coarse solve starts cold from the
-    fixed-seed Gaussian vector of :func:`lowest_eigenvalues` and stays an
-    independent witness; the fine Lanczos solve starts from the sum of the
-    coarse Ritz vectors, placed at the coarse states' positions in the fine
-    list.  A level it missed would disagree with the witness and shorten
+    The fine H holds the untruncated operator's entries among its states, so
+    it is a principal submatrix of that operator, and the coarse H is taken
+    from it as one (:func:`_simplex_hamiltonians`): by the min-max principle
+    every eigenvalue bounds the true level from above, and the fine
+    eigenvalues interlace below the coarse ones.  The coarse solve starts
+    cold from the fixed-seed Gaussian vector of :func:`lowest_eigenvalues`
+    and stays an independent witness; the fine Lanczos solve starts from the
+    sum of the coarse Ritz vectors, placed at the coarse states' positions
+    in the fine list.  A level it missed would disagree with the witness and shorten
     the prefix, never lengthen it.
     """
     if form.statistics is not Statistics.BOSON:
@@ -712,43 +701,39 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
     return hi[:stable]
 
 
+def _ladder_sum(rep: FockRep, creation: np.ndarray, annihilation: np.ndarray):
+    """CSR matrix of sum_i creation_i a_i + annihilation_i a_i^+ on `rep`:
+    for fermions the 2n weighted ladder diagonals (:func:`_csr`), for bosons
+    2n classes of one step each (:func:`_simplex_matrix`)."""
+    if rep.statistics is Statistics.BOSON:
+        return _simplex_matrix(rep, {**{((i, -1),): c for i, c in enumerate(creation)},
+                                     **{((i, 1),): c for i, c in enumerate(annihilation)}})
+    (up_off, up), (down_off, down) = rep._ladders
+    weights = np.vstack([creation[:, None] * up, annihilation[:, None] * down])
+    return _csr(np.concatenate([up_off, down_off]), weights, rep.dim)
+
+
 def bogoliubov_mode_operators(rep, b: BogoliubovTransform) -> list:
     """CSR matrices of the transformed modes (b_k, b_k^+) on the original space.
 
     b_k, b_k^+ = (x_k -/+ z_k) / 2 with x_k = sum_i p_ki x_i and
-    z_k = sum_i q_ki z_i, where x_i = a_i + a_i^+ and z_i = a_i^+ - a_i.  So
-    b_k weights the 2n ladders of `rep` by (p_ki + q_ki) / 2 (creation) and
-    (p_ki - q_ki) / 2 (annihilation), and b_k^+ swaps the two weights.  For
-    fermions each is one DIA matrix of 2n diagonals, for bosons one
-    assembly of 2n classes on the states of `rep`.  Building the
-    transformed normal form of :func:`bogodiag.forms.apply_transform` with
-    them reproduces the original operator matrix (exactly for fermions, for
-    bosons on the states two quanta below the cutoff, whose products never
-    leave the list).
+    z_k = sum_i q_ki z_i, where x_i = a_i + a_i^+ and z_i = a_i^+ - a_i; p
+    and q are (S^-t, S) for bosons and (O_+, O_-^t) for fermions.  So b_k
+    weights the ladders of `rep` by (p_ki + q_ki) / 2 (creation) and
+    (p_ki - q_ki) / 2 (annihilation), and b_k^+ swaps the two weights
+    (:func:`_ladder_sum`).  Building the transformed normal form of
+    :func:`bogodiag.forms.apply_transform` with them reproduces the original
+    operator matrix (exactly for fermions, for bosons on the states two
+    quanta below the cutoff, whose products never leave the list).
     """
-    n = b.n
-    _check_rep(rep, b.statistics, n)
+    _check_rep(rep, b.statistics, b.n)
     if b.statistics is Statistics.BOSON:
         p, q = np.linalg.inv(b.S).T, b.S
-        plus, minus = ((p + q) / 2.0).tolist(), ((p - q) / 2.0).tolist()
-
-        def simplex(creation, annihilation):
-            return _simplex_matrix(rep, {**{((i, -1),): creation[i] for i in range(n)},
-                                         **{((i, 1),): annihilation[i] for i in range(n)}})
-
-        return [(simplex(plus[kk], minus[kk]), simplex(minus[kk], plus[kk])) for kk in range(n)]
-    p, q = b.o_plus, b.o_minus.T
-    (up_off, up), (down_off, down) = rep._ladders
-    offsets = np.concatenate([up_off, down_off])
+    else:
+        p, q = b.o_plus, b.o_minus.T
     plus, minus = (p + q) / 2.0, (p - q) / 2.0
-
-    def csr(creation, annihilation):
-        weights = np.vstack([creation[:, None] * up, annihilation[:, None] * down])
-        # tocsr() returns views into arrays sized for every in-band entry,
-        # about twice the nonzeros; the copy holds the nonzeros only
-        return _dia(offsets, weights, rep.dim).tocsr().copy()
-
-    return [(csr(plus[kk], minus[kk]), csr(minus[kk], plus[kk])) for kk in range(n)]
+    return [(_ladder_sum(rep, plus[k], minus[k]), _ladder_sum(rep, minus[k], plus[k]))
+            for k in range(b.n)]
 
 
 def _finite_array(values, name: str, ndim: int) -> np.ndarray:

@@ -50,6 +50,9 @@ TOL_SYM = 1e-9
 #: Tolerance for the orthogonality residual of a fermionic transform.
 TOL_CANON = 1e-9
 
+#: Bound on the log singular values of a random bosonic transform.
+CANONICAL_SPREAD = 0.45
+
 
 class Statistics(enum.Enum):
     """Particle statistics selecting the commutation relations."""
@@ -328,12 +331,13 @@ def _haar_special_orthogonal(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def random_canonical(statistics: Statistics, n: int, seed: int = 0,
-                     positive: bool = True, spread: float = 0.45) -> BogoliubovTransform:
+                     positive: bool = True) -> BogoliubovTransform:
     """Draw a random canonical transform, positive by default.
 
     Fermions: O_+ and O_- are Haar draws from SO(n) (O(n) if not positive).
-    Bosons: S = O1 diag(exp u) O2 with Haar SO factors and |u| <= spread, so
-    the conditioning stays moderate; det S > 0 gives a positive transform.
+    Bosons: S = O1 diag(exp u) O2 with Haar SO factors and
+    |u| <= CANONICAL_SPREAD, so the conditioning stays moderate; det S > 0
+    gives a positive transform.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -343,7 +347,7 @@ def random_canonical(statistics: Statistics, n: int, seed: int = 0,
         return BogoliubovTransform(Statistics.FERMION, o_plus=draw(rng, n), o_minus=draw(rng, n))
     o1 = _haar_special_orthogonal(rng, n)
     o2 = _haar_special_orthogonal(rng, n)
-    u = rng.uniform(-spread, spread, size=n)
+    u = rng.uniform(-CANONICAL_SPREAD, CANONICAL_SPREAD, size=n)
     s = o1 @ np.diag(np.exp(u)) @ o2
     if not positive and rng.random() < 0.5:
         s = s.copy()

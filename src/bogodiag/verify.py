@@ -3,6 +3,7 @@ which :func:`verify_form` imports only when it runs."""
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -44,11 +45,14 @@ def verify_form(form: QuadraticForm, cutoff: int, count: int, tol: float) -> Ver
     against the prefix stable under doubling `cutoff`, ok when all `count`
     are compared and within `tol`, with a warning that counts them when
     fewer are; a spectrum unbounded below compares nothing and is ok, with a
-    warning.  A `tol` that is not a finite number >= 0 raises
-    ValidationError before any work; otherwise this raises what
-    ``to_standard``, the spectra and the oracle raise (ResourceLimitError for
-    fermions from n = 13).
+    warning.  A `cutoff` or `count` that is not an integer >= 1, or a `tol`
+    that is not a finite number >= 0, raises ValidationError before any
+    work; otherwise this raises what ``to_standard``, the spectra and the
+    oracle raise (ResourceLimitError for fermions from n = 13).
     """
+    for name, value in (("cutoff", cutoff), ("count", count)):
+        if not (isinstance(value, numbers.Integral) and value >= 1):
+            raise ValidationError(f"{name} must be an integer >= 1, got {value}")
     if not 0.0 <= tol < np.inf:
         raise ValidationError(f"tol must be a finite number >= 0, got {tol}")
     from . import fock

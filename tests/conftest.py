@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import bogodiag as bd
+from bogodiag import forms
 
 
 def random_fermion_form(rng, n):
@@ -35,7 +36,9 @@ def bounded_boson_form(rng, n, seed, spread=0.3):
     through a random positive canonical transform.
 
     Frequencies and squeezing are kept moderate so that truncated-oracle
-    comparisons converge well below the test tolerances.
+    comparisons converge well below the test tolerances: the transform is
+    the draw of random_canonical(BOSON, n, seed) with log singular values
+    within `spread` instead of forms.CANONICAL_SPREAD.
     """
     nu = rng.uniform(0.8, 1.3, n)
     rho = rng.uniform(0.85, 1.2, n)
@@ -45,7 +48,10 @@ def bounded_boson_form(rng, n, seed, spread=0.3):
         R=np.diag(-nu / rho),
         k0=float(rng.uniform(-1.0, 1.0)),
     )
-    b = bd.random_canonical(bd.Statistics.BOSON, n, seed=seed, positive=True, spread=spread)
+    draw = np.random.default_rng(seed)
+    o1, o2 = (forms._haar_special_orthogonal(draw, n) for _ in range(2))
+    s = o1 @ np.diag(np.exp(draw.uniform(-spread, spread, size=n))) @ o2
+    b = bd.BogoliubovTransform(bd.Statistics.BOSON, S=s)
     return bd.from_standard(bd.apply_transform(std0, b))
 
 

@@ -286,7 +286,7 @@ class TestAssemblyEngine:
         for seed in range(3):
             f = random_fermion_form(np.random.default_rng(100 * n + seed), n)
             h = fock.build_hamiltonian(f, rep)
-            assert sp.isspmatrix_dia(h)
+            assert sp.isspmatrix_csr(h) and h.has_sorted_indices and np.all(h.data != 0.0)
             assert np.max(np.abs(h.toarray() - termwise_hamiltonian(f, dense_a, dense_d))) <= 1e-13
 
     @pytest.mark.parametrize("n, cutoff", [(1, 6), (2, 4), (3, 3)])
@@ -310,24 +310,18 @@ class TestAssemblyEngine:
         (Statistics.BOSON, 1, 12), (Statistics.BOSON, 2, 8), (Statistics.BOSON, 3, 5),
     ])
     def test_matvec_sums_rows_in_csr_column_order(self, statistics, n, cutoff):
-        # a fermionic H is DIA with its diagonals in ascending scipy offset,
-        # so every row is summed as the CSR sums it; a bosonic H is CSR with
-        # each row in column order
+        # every H is CSR with each row in column order and no explicit zeros,
+        # so the Lanczos matvec multiplies H itself and sums each row in
+        # column order
         rng = np.random.default_rng(500 + n)
         if statistics is Statistics.FERMION:
             f, rep = random_fermion_form(rng, n), fock.build_fermion_rep(n)
         else:
             f, rep = random_boson_form(rng, n), fock.build_boson_rep(n, cutoff)
         h = fock.build_hamiltonian(f, rep)
-        if statistics is Statistics.FERMION:
-            assert np.all(np.diff(h.offsets) > 0)
-        else:
-            assert sp.isspmatrix_csr(h) and h.has_sorted_indices
-            assert all(np.all(np.diff(h.indices[h.indptr[r]:h.indptr[r + 1]]) > 0)
-                       for r in range(rep.dim))
-        for _ in range(3):
-            x = rng.standard_normal(rep.dim)
-            assert np.array_equal(h @ x, h.tocsr() @ x)
+        assert sp.isspmatrix_csr(h) and h.has_sorted_indices and np.all(h.data != 0.0)
+        assert all(np.all(np.diff(h.indices[h.indptr[r]:h.indptr[r + 1]]) > 0)
+                   for r in range(rep.dim))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     def test_sector_blocks_are_parity_slices(self, n, monkeypatch):
@@ -379,7 +373,7 @@ class TestOracleMemory:
     def test_fine_simplex_assembly_peak(self):
         # the fine list of cutoff 24 at n = 3: 20825 states and 359513
         # entries, 4.2 MiB of CSR arrays; with the state list, its index maps
-        # and the fill's per-class vectors the peak is near 6.8 MiB here
+        # and the fill's per-class vectors the traced peak is 6.7 MiB
         f = bounded_boson_form(np.random.default_rng(110), 3, seed=3)
         rep = fock.build_boson_rep(3, 48)
         tracemalloc.start()
@@ -392,8 +386,9 @@ class TestOracleMemory:
         assert peak < 12 * 2**20
 
     def test_cutoff_doubling_peak(self):
-        # (3, 18) at k = 10: both simplex H (1330 and 9139 states), then the
-        # fine simplex's Lanczos basis; 5.5 MiB.
+        # (3, 18) at k = 10: the fine simplex H (9139 states), the coarse one
+        # (1330 states) gathered from it, then the fine simplex's Lanczos
+        # basis; the traced peak is 5.5 MiB.
         # This squeezed form needs total occupation 18: at 16 its fifth
         # level moves by 1.2e-6 between the simplices
         f = bounded_boson_form(np.random.default_rng(110), 3, seed=3)
@@ -511,8 +506,8 @@ class TestTruncationStable:
             fock.truncation_stable_spectrum(f, cutoff=53, k=10, tol=1e-6)
 
     @pytest.mark.parametrize("n, cutoff", [(1, 40), (2, 8), (3, 5)])
-    def test_one_assembly_per_simplex(self, monkeypatch, n, cutoff):
-        # the fine list first, so that its guards refuse before any work
+    def test_one_assembly_per_doubling(self, monkeypatch, n, cutoff):
+        # only the fine list is assembled; the coarse H is gathered from it
         cutoffs = []
         build = fock.build_hamiltonian
 
@@ -523,14 +518,14 @@ class TestTruncationStable:
         monkeypatch.setattr(fock, "build_hamiltonian", spy)
         f = bounded_boson_form(np.random.default_rng(95 + n), n, seed=n)
         fock.truncation_stable_spectrum(f, cutoff=cutoff, k=5, tol=1e-6)
-        assert cutoffs == [2 * cutoff, cutoff]
+        assert cutoffs == [2 * cutoff]
 
     def test_assembly_working_set_refused_before_allocation(self, monkeypatch):
         # 600 modes at cutoff 1: the fine list C(602, 2) = 180901 passes the
         # dimension guard, but its index maps and the 216 million entries of
         # a dense form need about 4.3 GiB.  The refusal comes before the
         # 720 thousand classes are made; what is traced is the form's
-        # coefficient sums, 2.7 MiB each
+        # coefficient sums, 2.7 MiB each, and the traced peak is 8.3 MiB
         def refuse(*args, **kwargs):
             raise AssertionError("solved before the guard refused")
 
@@ -628,13 +623,18 @@ class TestSimplex:
     def test_coarse_csr_is_the_coarse_box_restriction(self, n, cutoff):
         # both simplex H store exactly the nonzero entries of the box's
         # restriction, row by row in column order; the values agree within
-        # rounding
+        # rounding.  The coarse H gathered from the fine one is, array for
+        # array, the H assembled on the coarse list
         f = random_boson_form(np.random.default_rng(175 + n), n)
-        for c, h in zip((cutoff, 2 * cutoff), fock._simplex_hamiltonians(f, cutoff)):
+        simplices = fock._simplex_hamiltonians(f, cutoff)
+        for c, h in zip((cutoff, 2 * cutoff), simplices):
             own = box_restriction(f, c)
             assert np.array_equal(h.indptr, own.indptr)
             assert np.array_equal(h.indices, own.indices)
             assert np.max(np.abs(h.data - own.data)) <= 1e-13 * np.abs(own.data).max()
+        assembled = fock.build_hamiltonian(f, fock.build_boson_rep(n, cutoff))
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(simplices[0], part), getattr(assembled, part))
 
     def test_matches_state_by_state_terms_at_40_modes(self):
         # the fine list of cutoff 1 at n = 40 (861 states): mixed-radix keys

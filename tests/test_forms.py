@@ -240,7 +240,7 @@ class TestRandomCanonical:
             for seed in range(100):
                 b = bd.random_canonical(statistics, n, seed=seed, positive=True)
                 if statistics is Statistics.BOSON:
-                    # singular values exp(u) with |u| <= spread = 0.45
+                    # singular values exp(u) with |u| <= CANONICAL_SPREAD = 0.45
                     sing = np.linalg.svd(b.S, compute_uv=False)
                     assert sing[0] / sing[-1] <= np.exp(0.9) * (1 + 1e-10), (n, seed)
                 else:

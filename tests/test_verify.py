@@ -80,3 +80,19 @@ def test_tol_not_finite_nonnegative_refused_before_work(monkeypatch, name, tol):
     monkeypatch.setattr(forms, "to_standard", fail)
     with pytest.raises(bd.ValidationError, match="tol must be a finite number >= 0"):
         bd.verify_form(form, cutoff=40, count=10, tol=tol)
+
+
+@pytest.mark.parametrize("name", ["fermion_pair", "boson_oscillator"])
+@pytest.mark.parametrize("cutoff, count, bad", [(0, 10, "cutoff"), (-1, 10, "cutoff"),
+                                                (2.5, 10, "cutoff"), (40, 0, "count"),
+                                                (40, -3, "count"), (40, 2.5, "count")])
+def test_cutoff_and_count_not_positive_integers_refused(monkeypatch, name, cutoff, count, bad):
+    # refused for either statistics, as the CLI's option ranges refuse them;
+    # a bosonic count of 0 would compare nothing and pass
+    def fail(form):
+        raise AssertionError("the form was brought to standard form")
+
+    form = bd.form_from_dict(json.loads((FIXTURES / f"{name}.json").read_text()))
+    monkeypatch.setattr(forms, "to_standard", fail)
+    with pytest.raises(bd.ValidationError, match=f"{bad} must be an integer >= 1"):
+        bd.verify_form(form, cutoff=cutoff, count=count, tol=1e-6)
