@@ -200,7 +200,7 @@ def spectrum(form_file, count):
 @click.option("--count", type=click.IntRange(min=1), default=10, show_default=True,
               help="Number of bosonic eigenvalues to compare.")
 @click.option("--tol", type=float, default=1e-9, show_default=True,
-              help="Comparison tolerance.")
+              help="Comparison tolerance, relative to the largest absolute entry of U and V.")
 @_payload
 def verify(form_file, cutoff, count, tol):
     """Cross-check closed-form spectra against the brute-force oracle."""

@@ -60,7 +60,6 @@ never load it.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Union
@@ -128,12 +127,12 @@ class FockRep:
     def _ladders(self) -> tuple[tuple, tuple]:
         """Fermions: (creation, annihilation) operators as diagonals (offsets,
         weights): operator i moves basis vector c to c + offsets[i] with
-        amplitude weights[i, c], times (-1)^(occupation of modes 0..i-1)."""
+        weight 1 - m_i (creation) or m_i (annihilation) at c, times
+        (-1)^(occupation of modes 0..i-1)."""
         occ = self._digits
         steps = self.dim // 2 ** np.arange(1, self.n + 1)
-        up, down = np.sqrt(occ + 1.0) * (occ < 1), np.sqrt(occ)
-        sign = 1 - 2 * ((np.cumsum(occ, axis=0) - occ) % 2)
-        return (steps, up * sign), (-steps, down * sign)
+        sign = 1.0 - 2 * ((np.cumsum(occ, axis=0) - occ) % 2)
+        return (steps, (1 - occ) * sign), (-steps, occ * sign)
 
     @cached_property
     def _index_maps(self) -> tuple[np.ndarray, np.ndarray]:
@@ -320,12 +319,6 @@ def _check_assembly(rep: FockRep, moved: dict) -> None:
                  f"bosonic assembly of up to {nnz} entries at dimension {dim}")
 
 
-def _quanta(delta: tuple) -> int:
-    """Quanta a class moves: its rows need that many in its lowered modes, or
-    that much room below the cutoff."""
-    return max(sum(s for _, s in delta if s > 0), -sum(s for _, s in delta if s < 0))
-
-
 def _simplex_matrix(rep: FockRep, classes: dict, const: float = 0.0,
                     number: Optional[np.ndarray] = None):
     """CSR matrix on the bosonic states of `rep`: const + sum_i number_i m_i
@@ -340,19 +333,17 @@ def _simplex_matrix(rep: FockRep, classes: dict, const: float = 0.0,
     raised one: exact integers, in any order, so an operator whose classes
     delta and -delta share a coefficient is exactly symmetric.
 
-    The working set is estimated first and refused above
-    EIGENSOLVE_BYTES_GUARD, before anything is allocated: the rows of a
-    class moving q quanta are the states of total at most cutoff - q.  Then
-    the entries are counted per row, class by class, and the rows filled in
-    ascending key offset of the classes (lexicographic in the displacement,
-    mode 0 first), so every row holds its columns in order; each column is
-    found by the index maps of :attr:`FockRep._index_maps`.  Exact zeros on
-    the diagonal and classes of coefficient 0 are not stored.
+    The caller checks the working set (:func:`_check_assembly`) before it
+    makes the classes.  The entries are counted per row, class by class, and
+    the rows filled in ascending key offset of the classes (lexicographic in
+    the displacement, mode 0 first), so every row holds its columns in
+    order; each column is found by the index maps of
+    :attr:`FockRep._index_maps`.  Exact zeros on the diagonal and classes of
+    coefficient 0 are not stored.
     """
     import scipy.sparse as sp
     n, dim = rep.n, rep.dim
     classes = {delta: coeff for delta, coeff in classes.items() if coeff != 0.0}
-    _check_assembly(rep, Counter(map(_quanta, classes)))
     occ = rep._digits
     lowered, raised = rep._index_maps
     total = occ.sum(axis=0)
@@ -489,8 +480,8 @@ def _check_rep(rep, statistics: Statistics, n: int) -> None:
 
 def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors: bool = False):
     """The k smallest eigenvalues of a symmetric sparse matrix, ascending (k =
-    dim gives the whole spectrum); with `vectors`, the pair (values, vectors)
-    with eigenvector j in column j.
+    dim gives the whole spectrum, k = 0 none, and k < 0 raises ValueError);
+    with `vectors`, the pair (values, vectors) with eigenvector j in column j.
 
     Matrices up to DENSE_EIG_LIMIT and requests for (nearly) every
     eigenvalue take a dense solve, which raises ValueError for a matrix
@@ -509,8 +500,12 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
     allocated; a Lanczos solve that uses up its budget of 100 * dim
     iterations raises it too.
     """
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
     dim = matrix.shape[0]
     k = min(k, dim)
+    if k == 0:
+        return (np.zeros(0), np.zeros((dim, 0))) if vectors else np.zeros(0)
     if dim <= DENSE_EIG_LIMIT or k >= dim - 1:
         # the matrix, its symmetrized copy, LAPACK's copy and the eigenvectors
         _check_bytes(4 * 8 * dim * dim, f"dense eigensolve of dimension {dim}")
@@ -556,14 +551,13 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
 
 def _row_sum_bound(matrix) -> float:
     """max_i sum_j |H_ij| of a CSR matrix, an upper bound on ||H||_2, from its
-    stored entries: each row's sum runs over them in the order stored, one
-    entry of every row at a time, so no row is summed pairwise."""
-    lengths = np.diff(matrix.indptr)
-    sums = np.zeros(matrix.shape[0])
-    for p in range(lengths.max(initial=0)):
-        rows = np.flatnonzero(lengths > p)
-        sums[rows] += np.abs(matrix.data[matrix.indptr[rows] + p])
-    return float(sums.max(initial=0.0))
+    stored entries: their absolute values, on the matrix's own index arrays,
+    times a ones vector.  scipy's CSR product adds each row's entries in the
+    order stored, from 0.0, so no row is summed pairwise."""
+    import scipy.sparse as sp
+    magnitudes = sp.csr_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr),
+                               shape=matrix.shape)
+    return float((magnitudes @ np.ones(matrix.shape[1])).max(initial=0.0))
 
 
 def _check_bytes(estimate: int, what: str) -> None:
@@ -669,7 +663,8 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
     The cutoff bounds the total occupation: eigenvalues are computed on the
     states with sum_i m_i <= `cutoff` and <= `2*cutoff`; the returned
     ascending array, at most k long, is the prefix where both agree within
-    `tol` (values from the finer space).  A prefix shorter than k is not an
+    `tol` (values from the finer space); k = 0 returns it empty before any
+    work, and k < 0 raises ValueError.  A prefix shorter than k is not an
     error: the caller decides what it means.  BOSON_DIM_GUARD applies to the
     fine list of C(2*cutoff + n, n) states and refuses before any work.
 
@@ -686,6 +681,8 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
     """
     if form.statistics is not Statistics.BOSON:
         raise ValueError("truncation control applies to bosonic forms only")
+    if k < 0:
+        raise ValueError(f"k must be at least 0, got {k}")
     if k == 0:
         return np.zeros(0)
     h_lo, h_hi, inner = _simplex_hamiltonians(form, cutoff)
@@ -704,8 +701,10 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
 def _ladder_sum(rep: FockRep, creation: np.ndarray, annihilation: np.ndarray):
     """CSR matrix of sum_i creation_i a_i + annihilation_i a_i^+ on `rep`:
     for fermions the 2n weighted ladder diagonals (:func:`_csr`), for bosons
-    2n classes of one step each (:func:`_simplex_matrix`)."""
+    2n classes of one step each (:func:`_simplex_matrix`), whose working set
+    is checked, from the nonzero weights, before any class is made."""
     if rep.statistics is Statistics.BOSON:
+        _check_assembly(rep, {1: np.count_nonzero(creation) + np.count_nonzero(annihilation)})
         return _simplex_matrix(rep, {**{((i, -1),): c for i, c in enumerate(creation)},
                                      **{((i, 1),): c for i, c in enumerate(annihilation)}})
     (up_off, up), (down_off, down) = rep._ladders

@@ -99,6 +99,13 @@ class QuadraticForm:
     def n(self) -> int:
         return self.U.shape[0]
 
+    @property
+    def scale(self) -> float:
+        """Largest absolute entry of U and V, the scale that the symmetry
+        check of :func:`validate` and the tolerance of ``verify`` are
+        relative to."""
+        return float(max(np.abs(self.U).max(initial=0.0), np.abs(self.V).max(initial=0.0)))
+
     def to_dict(self) -> dict:
         return {
             "statistics": self.statistics.value,
@@ -212,7 +219,7 @@ def validate(form: QuadraticForm) -> list[Violation]:
     if not finite:
         out.append(Violation("finite", "non-finite entries", float("inf")))
         return out
-    limit = TOL_SYM * max(np.abs(form.U).max(initial=0.0), np.abs(form.V).max(initial=0.0))
+    limit = TOL_SYM * form.scale
     dev_v = _deviation(form.V, 1.0)
     if dev_v > limit:
         out.append(Violation("V_symmetric", "V not symmetric", dev_v))

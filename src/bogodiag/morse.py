@@ -132,9 +132,15 @@ def point_sign(point: SingularPoint) -> int:
     return _sign(_point_modes(point))
 
 
+def _zero_mode_sector(sign: int) -> Parity:
+    """Parity sector of the unique local zero mode at a point of this sign:
+    even iff det > 0."""
+    return Parity.EVEN if sign > 0 else Parity.ODD
+
+
 def zero_mode_parity(point: SingularPoint) -> Parity:
     """Parity sector of the unique local zero mode: even iff det > 0."""
-    return Parity.EVEN if point_sign(point) > 0 else Parity.ODD
+    return _zero_mode_sector(point_sign(point))
 
 
 def morse_report(fixture: VectorFieldFixture) -> MorseReport:
@@ -151,7 +157,7 @@ def morse_report(fixture: VectorFieldFixture) -> MorseReport:
             label=p.label,
             sign=sign,
             lambdas=tuple(float(v) for v in data.lambdas),
-            zero_mode_sector=Parity.EVEN if sign > 0 else Parity.ODD,
+            zero_mode_sector=_zero_mode_sector(sign),
         ))
     m_plus = sum(1 for r in reports if r.sign > 0)
     m_minus = len(reports) - m_plus

@@ -40,15 +40,18 @@ class VerifyReport:
 def verify_form(form: QuadraticForm, cutoff: int, count: int, tol: float) -> VerifyReport:
     """Compare the closed-form spectrum of a form with the oracle's.
 
-    Fermions: all 2^n levels against the exact even and odd sector spectra,
-    ok when each is within `tol`.  Bosons: the `count` smallest levels
-    against the prefix stable under doubling `cutoff`, ok when all `count`
-    are compared and within `tol`, with a warning that counts them when
-    fewer are; a spectrum unbounded below compares nothing and is ok, with a
-    warning.  A `cutoff` or `count` that is not an integer >= 1, or a `tol`
-    that is not a finite number >= 0, raises ValidationError before any
-    work; otherwise this raises what ``to_standard``, the spectra and the
-    oracle raise (ResourceLimitError for fermions from n = 13).
+    `tol` is relative to the form's scale, the largest absolute entry of U
+    and V, so a rescaled form keeps its verdict; `max_abs_deviation` stays
+    absolute.  Fermions: all 2^n levels against the exact even and odd
+    sector spectra, ok when each is within tol.  Bosons: the `count`
+    smallest levels against the prefix stable, within tol, under doubling
+    `cutoff`, ok when all `count` are compared and within tol, with a
+    warning that counts them when fewer are; a spectrum unbounded below
+    compares nothing and is ok, with a warning.  A `cutoff` or `count` that
+    is not an integer >= 1, or a `tol` that is not a finite number >= 0,
+    raises ValidationError before any work; otherwise this raises what
+    ``to_standard``, the spectra and the oracle raise (ResourceLimitError
+    for fermions from n = 13).
     """
     for name, value in (("cutoff", cutoff), ("count", count)):
         if not (isinstance(value, numbers.Integral) and value >= 1):
@@ -58,6 +61,7 @@ def verify_form(form: QuadraticForm, cutoff: int, count: int, tol: float) -> Ver
     from . import fock
 
     std = forms.to_standard(form)
+    tol = tol * form.scale  # absolute from here on
     if form.statistics is Statistics.FERMION:
         rep = fock.build_fermion_rep(form.n)  # refuses before the 2^n enumeration
         result = spectral.fermion_spectrum(spectral.diagonalize_fermion(std))

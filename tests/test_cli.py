@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import io
 import json
@@ -339,6 +340,42 @@ class TestVerify:
         assert payload["error"] == "ValidationError"
         assert payload["detail"] == f"tol must be a finite number >= 0, got {float(tol)}"
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    @pytest.mark.parametrize("statistics", ["fermion", "boson"])
+    def test_tol_is_relative_to_the_form_scale(self, runner, tmp_path, monkeypatch,
+                                               statistics, scale):
+        # U, V and const times the scale, at fixed cutoffs: the valid form
+        # exits 0, and a closed form of zeros, or for bosons one with a
+        # mutated LEVEL_COEFF, exits 1.  With an absolute tol the large
+        # valid forms failed and the tiny zeroed ones passed
+        from conftest import bounded_boson_form, random_fermion_form
+
+        if statistics == "fermion":
+            form, args = random_fermion_form(np.random.default_rng(16), 6), []
+        else:
+            form = bounded_boson_form(np.random.default_rng(15), 2, seed=3)
+            args = ["--cutoff", "20", "--count", "10", "--tol", "1e-6"]
+        path = write_json(tmp_path / "scaled.json", {
+            "statistics": statistics, "n": form.n, "U": (scale * form.U).tolist(),
+            "V": (scale * form.V).tolist(), "const": scale * form.const,
+        })
+
+        def exit_code():
+            return runner.invoke(main, ["verify", path, *args]).exit_code
+
+        assert exit_code() == 0
+        with monkeypatch.context() as patch:
+            for name in ("fermion_spectrum", "boson_spectrum"):
+                def zeroed(*data, spectrum=getattr(spectral, name)):
+                    result = spectrum(*data)
+                    return dataclasses.replace(result, energies=np.zeros_like(result.energies))
+
+                patch.setattr(spectral, name, zeroed)
+            assert exit_code() == 1
+        if statistics == "boson":
+            monkeypatch.setattr(spectral, "LEVEL_COEFF", -4.4)
+            assert exit_code() == 1
+
     def test_short_stable_prefix_warns_and_exits_1(self, runner, tmp_path):
         # the n = 1 oscillator at cutoff 4 has 5 coarse levels, so only 5 of
         # the 10 requested can agree with the cutoff-8 solve
@@ -538,6 +575,22 @@ class TestMorse:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["m_plus"] == 2 and payload["m_minus"] == 2
+
+    def test_zero_mode_sector_rule_reaches_the_payload(self, runner, monkeypatch):
+        # one helper maps a point's sign to its zero-mode sector, for
+        # zero_mode_parity and for the morse payload alike
+        from bogodiag import morse
+
+        args = ["morse", str(FIXTURES / "sphere.json")]
+        before = strict_json(runner.invoke(main, args).stdout)
+        rule = morse._zero_mode_sector
+        monkeypatch.setattr(morse, "_zero_mode_sector", lambda sign: rule(-sign))
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        after = strict_json(result.stdout)
+        assert [p["zero_mode_sector"] for p in before["points"]] == ["even", "even"]
+        assert [p["zero_mode_sector"] for p in after["points"]] == ["odd", "odd"]
+        assert bogodiag.zero_mode_parity(bogodiag.SingularPoint("p", np.eye(2))).value == "odd"
 
     def test_chi_mismatch_exits_1(self, runner, tmp_path):
         path = write_json(tmp_path / "bad.json", {

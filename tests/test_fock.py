@@ -358,6 +358,21 @@ class TestAssemblyEngine:
 
 
 class TestOracleMemory:
+    def test_ladder_sum_working_set_refused_before_the_classes(self, monkeypatch):
+        # 620 modes at cutoff 2: the 193131 states pass the dimension guard,
+        # but the occupations and index maps alone need about 2.0 GiB.  The
+        # ladder sum refuses from its nonzero weights before any class is
+        # made; what is traced is the row of the n x n identity it picks,
+        # and the traced peak is 2.9 MiB
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembled before the guard refused")
+
+        monkeypatch.setattr(fock, "_simplex_matrix", refuse)
+        rep = fock.build_boson_rep(620, 2)
+        assert refusal_peak(rep.a, 0) < 8 * 2**20
+        with pytest.raises(bd.ResourceLimitError, match="bosonic assembly"):
+            rep.a_dag(0)
+
     def test_n10_assembly_and_sector_solve_peak(self):
         # dense assembly peaked at ~656 MB here; the sparse path needs a few MB
         f = random_fermion_form(np.random.default_rng(50), 10)
@@ -412,6 +427,18 @@ class TestExactSpectrum:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             fock.lowest_eigenvalues(sp.diags([1.0], [1], shape=(2, 2)), 2)
+
+    @pytest.mark.parametrize("dim", [6, 300], ids=["dense", "lanczos"])
+    def test_k_below_one(self, dim):
+        # k < 0 used to slice a wrong prefix off the dense spectrum, and
+        # Lanczos refused k = 0 with scipy's own message
+        h = sp.diags(np.arange(dim, 0.0, -1.0), format="csr")
+        for k in (-1, -dim):
+            with pytest.raises(ValueError, match="k must be at least 0"):
+                fock.lowest_eigenvalues(h, k)
+        assert fock.lowest_eigenvalues(h, 0).shape == (0,)
+        vals, vecs = fock.lowest_eigenvalues(h, 0, vectors=True)
+        assert vals.shape == (0,) and vecs.shape == (dim, 0)
 
 
 def forbid_numpy_eigensolvers(monkeypatch):
@@ -487,6 +514,11 @@ class TestTruncationStable:
         f = bd.QuadraticForm(Statistics.BOSON, U=[[0.0]], V=[[1.0]], const=0.0)
         out = fock.truncation_stable_spectrum(f, cutoff=10, k=0, tol=1e-9)
         assert out.shape == (0,)
+
+    def test_k_negative_refused(self):
+        f = bd.QuadraticForm(Statistics.BOSON, U=[[0.0]], V=[[1.0]], const=0.0)
+        with pytest.raises(ValueError, match="k must be at least 0"):
+            fock.truncation_stable_spectrum(f, cutoff=5, k=-2, tol=1e-6)
 
     def test_fermion_rejected(self):
         f = bd.QuadraticForm(Statistics.FERMION, U=[[0.0]], V=[[1.0]], const=0.0)
@@ -680,11 +712,23 @@ class TestSimplex:
         x = np.random.default_rng(191).standard_normal(cutoff + 1)
         assert np.array_equal(h @ x, box @ x)
 
-    @pytest.mark.parametrize("n, cutoff", [(2, 20), (3, 8)])
-    def test_row_sum_bound_sums_each_row_in_column_order(self, n, cutoff):
-        h = fock._simplex_hamiltonians(random_boson_form(np.random.default_rng(n), n), cutoff)[0]
+    @pytest.mark.parametrize("n, cutoff, which, scale", [
+        pytest.param(2, 20, 0, 1.0, id="2-20"), pytest.param(3, 8, 0, 1.0, id="3-8"),
+        pytest.param(2, 20, 1, 1.0, id="2-20-fine"), pytest.param(3, 8, 1, 1.0, id="3-8-fine"),
+        pytest.param(2, 5, 1, 0.0, id="all-zero"),
+    ])
+    def test_row_sum_bound_sums_each_row_in_column_order(self, n, cutoff, which, scale):
+        # the fine H (which = 1) is assembled, the coarse one gathered from it
+        # by scipy's fancy indexing, which makes its index arrays anew; the
+        # zero form stores no entry, and its bound is 0.0
+        f = random_boson_form(np.random.default_rng(n), n)
+        f = bd.QuadraticForm(Statistics.BOSON, U=scale * f.U, V=scale * f.V, const=scale * f.const)
+        h = fock._simplex_hamiltonians(f, cutoff)[which]
+        assert (h.nnz == 0) == (scale == 0.0)
         rows = (h.data[h.indptr[r]:h.indptr[r + 1]] for r in range(h.shape[0]))
-        assert fock._row_sum_bound(h) == max(sum(abs(v) for v in row) for row in rows)
+        bound = fock._row_sum_bound(h)
+        assert bound == max(sum(abs(v) for v in row) for row in rows)
+        assert isinstance(bound, float)
 
 
 class TestEigensolveGuard:

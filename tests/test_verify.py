@@ -1,5 +1,6 @@
 """verify_form: closed-form spectra against the Fock-space oracle."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -96,3 +97,24 @@ def test_cutoff_and_count_not_positive_integers_refused(monkeypatch, name, cutof
     monkeypatch.setattr(forms, "to_standard", fail)
     with pytest.raises(bd.ValidationError, match=f"{bad} must be an integer >= 1"):
         bd.verify_form(form, cutoff=cutoff, count=count, tol=1e-6)
+
+
+def test_zero_scale_compares_exactly(monkeypatch):
+    # U = V = 0: tol times the scale 0 is 0.  The fermionic H is const * I,
+    # which both sides give exactly; a closed form one ulp off fails, and
+    # the bosonic form is not discrete
+    zero = np.zeros((2, 2))
+    form = bd.QuadraticForm(Statistics.FERMION, U=zero, V=zero, const=0.7)
+    report = bd.verify_form(form, cutoff=40, count=10, tol=1e-9)
+    assert report.ok and report.compared == 4 and report.max_abs_deviation == 0.0
+    fermion_spectrum = spectral.fermion_spectrum
+
+    def shifted(data):
+        result = fermion_spectrum(data)
+        return dataclasses.replace(result, energies=np.nextafter(result.energies, np.inf))
+
+    monkeypatch.setattr(spectral, "fermion_spectrum", shifted)
+    assert bd.verify_form(form, cutoff=40, count=10, tol=1e-9).ok is False
+    with pytest.raises(bd.ContinuousSpectrum):
+        bd.verify_form(bd.QuadraticForm(Statistics.BOSON, U=zero, V=zero, const=0.7),
+                       cutoff=40, count=10, tol=1e-9)
