@@ -203,7 +203,10 @@ def spectrum(form_file, count):
               help="Comparison tolerance, relative to the largest absolute entry of U and V.")
 @_payload
 def verify(form_file, cutoff, count, tol):
-    """Cross-check closed-form spectra against the brute-force oracle."""
+    """Cross-check closed-form spectra against the brute-force oracle.
+
+    The form's const shifts every level of both sides alike, so it does not
+    enter the comparison: both run with const 0."""
     form = forms.form_from_dict(_read_json(form_file))
     report = verify_form(form, cutoff, count, tol)
     return report.to_dict(), EXIT_OK if report.ok else EXIT_INVALID

@@ -45,6 +45,12 @@ gathers the one of cutoff c from it; spectra are solved on both and
 compared (:func:`truncation_stable_spectrum`, which returns the stable
 prefix).
 
+What returns numbers for a form (:func:`sector_spectra`,
+:func:`truncation_stable_spectrum`) builds and guards its own space, so a
+refusal comes before anything is allocated; what returns operators
+(:func:`build_hamiltonian`, :func:`build_standard_hamiltonian`,
+:func:`bogoliubov_mode_operators`) or checks an identity takes a FockRep.
+
 Every eigensolve of a sparse matrix goes through :func:`lowest_eigenvalues`,
 whose dense solves run on scipy's LAPACK, the one its Lanczos (ARPACK) links:
 numpy and scipy each bundle an OpenBLAS with its own thread pool, and a
@@ -67,7 +73,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .forms import BogoliubovTransform, QuadraticForm, StandardForm, Statistics
+from .forms import BogoliubovTransform, QuadraticForm, StandardForm, Statistics, Violation
 
 #: Largest fermionic Fock dimension the oracle will build (2^12).
 FERMION_DIM_GUARD = 4096
@@ -77,9 +83,11 @@ FERMION_DIM_GUARD = 4096
 BOSON_DIM_GUARD = 200_000
 
 #: Above this dimension eigenvalue prefixes switch from dense to Lanczos.  At
-#: k = 10 with eigenvectors, in a process that has run Lanczos, the two take
-#: about as long near dimension 160; the dense solve is 1.1-1.3x slower at
-#: 190 and 11-12x slower at 861 (2-vCPU x86, scipy 1.17).
+#: k = 10 with eigenvectors, in a process that has run Lanczos (medians of 21
+#: alternating samples, 2-vCPU x86, scipy 1.17), dense wins at n = 1 up to
+#: dimension 200 (3.1-3.3 against 4.5-5.5 ms there); at n = 2 the two break
+#: even near 171, and dense loses at 190 (3.6-3.8 against 3.0 ms) and is
+#: 11-12x slower at 861.  A limit of 160 would slow n = 1, so it stays 200.
 DENSE_EIG_LIMIT = 200
 
 #: Largest estimated working set of one eigensolve or one bosonic assembly
@@ -601,8 +609,12 @@ def _folded_spectrum(r: np.ndarray, c: np.ndarray, v: np.ndarray, signs: np.ndar
     return np.concatenate([k0 - sigma, k0 + sigma[::-1]])
 
 
-def sector_spectra(form: QuadraticForm, rep: FockRep) -> tuple[np.ndarray, np.ndarray]:
-    """Ascending eigenvalues of the fermionic form on the even and odd sectors.
+def sector_spectra(form: QuadraticForm) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of the fermionic form on the even and odd sectors
+    of the exact space, which it builds (ResourceLimitError from n = 13).
+    Every row sum of |H|, so every entry, sum and eigenvalue below, is at
+    most 2 (sum |U_ij| + sum |V_ij|) + |const|; a form whose bound overflows
+    is refused first (ValidationError, a derived_finite violation).
 
     Every quadratic term changes the particle number by 0 or 2, so H splits
     into two blocks of dimension 2^(n-1); b sits at position b >> 1 of its
@@ -616,6 +628,12 @@ def sector_spectra(form: QuadraticForm, rep: FockRep) -> tuple[np.ndarray, np.nd
     values of a block of dimension 2^(n-2) (:func:`_folded_spectrum`); for
     n = 2 mod 4 both blocks are solved.
     """
+    rep = build_fermion_rep(form.n)
+    with np.errstate(over="ignore"):
+        bound = 2.0 * (np.abs(form.U).sum() + np.abs(form.V).sum()) + abs(form.const)
+    if not np.isfinite(bound):
+        message = "oracle Hamiltonian not finite (overflow)"
+        raise ValidationError(message, [Violation("derived_finite", message, math.inf)])
     offsets, weights = _diagonals([_half_term(form, rep)])
     # H at the vacuum and at the fully occupied state, as a block holds them
     vacuum, full = 2.0 * weights[offsets.tolist().index(0)][[0, -1]] + form.const

@@ -4,7 +4,7 @@ which :func:`verify_form` imports only when it runs."""
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -42,16 +42,20 @@ def verify_form(form: QuadraticForm, cutoff: int, count: int, tol: float) -> Ver
 
     `tol` is relative to the form's scale, the largest absolute entry of U
     and V, so a rescaled form keeps its verdict; `max_abs_deviation` stays
-    absolute.  Fermions: all 2^n levels against the exact even and odd
-    sector spectra, ok when each is within tol.  Bosons: the `count`
+    absolute.  `const` shifts every level of both sides alike, so once the
+    form is validated as given, both sides run with const 0 and the verdict
+    does not depend on it.  Fermions: all 2^n levels against the exact even
+    and odd sector spectra, ok when each is within tol.  Bosons: the `count`
     smallest levels against the prefix stable, within tol, under doubling
     `cutoff`, ok when all `count` are compared and within tol, with a
     warning that counts them when fewer are; a spectrum unbounded below
-    compares nothing and is ok, with a warning.  A `cutoff` or `count` that
-    is not an integer >= 1, or a `tol` that is not a finite number >= 0,
-    raises ValidationError before any work; otherwise this raises what
-    ``to_standard``, the spectra and the oracle raise (ResourceLimitError
-    for fermions from n = 13).
+    compares nothing and is ok, with a warning.  No bosonic sector is
+    checked: `sector_mismatches` is always 0 for bosons.  A `cutoff` or
+    `count` that is not an integer >= 1, or a `tol` that is not a finite
+    number >= 0, raises ValidationError before any work; otherwise this
+    raises what ``to_standard``, the spectra and the oracle raise
+    (ResourceLimitError for fermions from n = 13, before the 2^n closed-form
+    levels are enumerated).
     """
     for name, value in (("cutoff", cutoff), ("count", count)):
         if not (isinstance(value, numbers.Integral) and value >= 1):
@@ -60,12 +64,13 @@ def verify_form(form: QuadraticForm, cutoff: int, count: int, tol: float) -> Ver
         raise ValidationError(f"tol must be a finite number >= 0, got {tol}")
     from . import fock
 
+    forms.to_standard(form)  # refuses an invalid form, one whose const overflows k0 too
+    form = replace(form, const=0.0)
     std = forms.to_standard(form)
     tol = tol * form.scale  # absolute from here on
     if form.statistics is Statistics.FERMION:
-        rep = fock.build_fermion_rep(form.n)  # refuses before the 2^n enumeration
+        sectors = fock.sector_spectra(form)  # refuses before the 2^n enumeration
         result = spectral.fermion_spectrum(spectral.diagonalize_fermion(std))
-        sectors = fock.sector_spectra(form, rep)
         closed = result.energies  # ascending, so each sector's subset is too
         max_dev = float(np.max(np.abs(closed - np.sort(np.concatenate(sectors)))))
         mismatches = sum(int(np.sum(np.abs(closed[result.sectors == p] - oracle) > tol))

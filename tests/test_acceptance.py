@@ -51,8 +51,7 @@ def test_criterion_1_fermion_oracle_equivalence():
     mismatches = 0
     forms = _fermion_suite()
     for form in forms:
-        rep = fock.build_fermion_rep(form.n)
-        even, odd = fock.sector_spectra(form, rep)
+        even, odd = fock.sector_spectra(form)
         result = bd.fermion_spectrum(bd.diagonalize_fermion(bd.to_standard(form)))
         closed_even = _sector_energies(result, 0)
         closed_odd = _sector_energies(result, 1)

@@ -95,8 +95,7 @@ def check_fermion_shift_and_parity():
     f2 = bd.QuadraticForm(Statistics.FERMION, U=[[0.0, 1.0], [-1.0, 0.0]], V=np.zeros((2, 2)))
     r2 = bd.fermion_spectrum(bd.diagonalize_fermion(bd.to_standard(f2)))
     assert r2.sectors.tolist() == [0, 1, 1, 0]
-    rep = fock.build_fermion_rep(2)
-    even, odd = fock.sector_spectra(f2, rep)
+    even, odd = fock.sector_spectra(f2)
     assert np.allclose(even, [-2.0, 2.0]) and np.allclose(odd, [0.0, 0.0])
     # drift checks: flipping the parity anchor or dropping the shift breaks
     # the n = 1 oracle (even sector {0}, odd sector {2})

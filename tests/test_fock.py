@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,25 @@ class TestFermionRep:
         # 2^(10^9) alone would take seconds and hundreds of MB to compute
         assert fock.build_fermion_rep(12).dim == fock.FERMION_DIM_GUARD
         assert refusal_peak(fock.build_fermion_rep, 10**9) < 2**20
+
+    def test_sector_spectra_guards_the_space_it_builds(self):
+        # the form alone decides: n = 13 is refused before any 2^13 array
+        n = 13
+        form = bd.QuadraticForm(Statistics.FERMION, U=np.zeros((n, n)), V=np.eye(n))
+        assert refusal_peak(fock.sector_spectra, form) < 2**20
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_sector_spectra_refuses_an_overflowing_hamiltonian(self, n):
+        # U_01 - U_10 = 3e308 is past the largest float: the even block held
+        # NaN at n = 2, and the folded SVD did not converge at n = 4
+        u = np.zeros((n, n))
+        u[0, 1], u[1, 0] = 1.5e308, -1.5e308
+        form = bd.QuadraticForm(Statistics.FERMION, U=u, V=np.zeros((n, n)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(bd.ValidationError) as info:
+                fock.sector_spectra(form)
+        assert [v.check for v in info.value.violations] == ["derived_finite"]
 
     def test_fermion_base_other_than_2_rejected(self):
         # sign strings on more occupation levels than 0 and 1 are no
@@ -338,9 +358,9 @@ class TestAssemblyEngine:
 
         monkeypatch.setattr(np.linalg, "eigvalsh", spy)
         f = random_fermion_form(np.random.default_rng(300 + n), n)
-        rep = fock.build_fermion_rep(n)
-        spectra = fock.sector_spectra(f, rep)
+        spectra = fock.sector_spectra(f)
         monkeypatch.undo()
+        rep = fock.build_fermion_rep(n)
         h = fock.build_hamiltonian(f, rep).toarray()
         parity = rep.occupations() % 2
         solved = {0: 0, 1: 1, 2: 2, 3: 1}[n % 4]
@@ -374,12 +394,12 @@ class TestOracleMemory:
             rep.a_dag(0)
 
     def test_n10_assembly_and_sector_solve_peak(self):
-        # dense assembly peaked at ~656 MB here; the sparse path needs a few MB
+        # dense assembly peaked at ~656 MB here; the sparse path needs a few
+        # MB, the space that sector_spectra builds for itself included
         f = random_fermion_form(np.random.default_rng(50), 10)
         tracemalloc.start()
         try:
-            rep = fock.build_fermion_rep(10)
-            fock.sector_spectra(f, rep)
+            fock.sector_spectra(f)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -78,8 +78,7 @@ class TestFermionSpectrum:
         assert result.energies.tolist() == pytest.approx([-2.0, 0.0, 0.0, 2.0])
         assert result.sectors.tolist() == [0, 1, 1, 0]
         # oracle cross-check with parity projectors
-        rep = fock.build_fermion_rep(2)
-        even, odd = fock.sector_spectra(f, rep)
+        even, odd = fock.sector_spectra(f)
         assert sector_energies(result, 0) == pytest.approx(list(even))
         assert sector_energies(result, 1) == pytest.approx(list(odd))
 
@@ -100,11 +99,10 @@ class TestFermionSpectrum:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_oracle_equivalence(self, n):
         rng = np.random.default_rng(60 + n)
-        rep = fock.build_fermion_rep(n)
         for trial in range(5):
             f = random_fermion_form(rng, n)
             result = bd.fermion_spectrum(bd.diagonalize_fermion(bd.to_standard(f)))
-            even, odd = fock.sector_spectra(f, rep)
+            even, odd = fock.sector_spectra(f)
             assert np.max(np.abs(sector_energies(result, 0) - even)) <= 1e-9
             assert np.max(np.abs(sector_energies(result, 1) - odd)) <= 1e-9
 

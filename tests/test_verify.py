@@ -101,8 +101,8 @@ def test_cutoff_and_count_not_positive_integers_refused(monkeypatch, name, cutof
 
 def test_zero_scale_compares_exactly(monkeypatch):
     # U = V = 0: tol times the scale 0 is 0.  The fermionic H is const * I,
-    # which both sides give exactly; a closed form one ulp off fails, and
-    # the bosonic form is not discrete
+    # which both sides give exactly (as 0, since verify drops const); a
+    # closed form one ulp off fails, and the bosonic form is not discrete
     zero = np.zeros((2, 2))
     form = bd.QuadraticForm(Statistics.FERMION, U=zero, V=zero, const=0.7)
     report = bd.verify_form(form, cutoff=40, count=10, tol=1e-9)
@@ -118,3 +118,40 @@ def test_zero_scale_compares_exactly(monkeypatch):
     with pytest.raises(bd.ContinuousSpectrum):
         bd.verify_form(bd.QuadraticForm(Statistics.BOSON, U=zero, V=zero, const=0.7),
                        cutoff=40, count=10, tol=1e-9)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1e6, -1e6, 1e9, -1e9, 1e12, -1e12])
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize("statistics", [Statistics.FERMION, Statistics.BOSON])
+def test_const_does_not_enter_the_comparison(monkeypatch, statistics, scale, ratio):
+    # U and V times `scale`, and a const of `ratio` times the form's scale:
+    # the valid form passes with the report of the same form without const,
+    # and a closed form of zeros, or for bosons one with a mutated
+    # LEVEL_COEFF, fails.  Compared with const in, a const far above U and V
+    # failed valid forms on rounding at the constant's magnitude
+    if statistics is Statistics.FERMION:
+        base, tol = random_fermion_form(np.random.default_rng(16), 6), 1e-9
+    else:
+        base, tol = bounded_boson_form(np.random.default_rng(15), 2, seed=3), 1e-6
+    free = bd.QuadraticForm(statistics, U=scale * base.U, V=scale * base.V)
+    form = dataclasses.replace(free, const=ratio * free.scale)
+
+    def report(f=form):
+        return bd.verify_form(f, cutoff=20, count=10, tol=tol)
+
+    valid = report()
+    assert valid.ok and valid.compared == (64 if statistics is Statistics.FERMION else 10)
+    assert valid == report(free)
+    name = "fermion_spectrum" if statistics is Statistics.FERMION else "boson_spectrum"
+    spectrum = getattr(spectral, name)
+
+    def zeroed(*data):
+        result = spectrum(*data)
+        return dataclasses.replace(result, energies=np.zeros_like(result.energies))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, name, zeroed)
+        assert report().ok is False
+    if statistics is Statistics.BOSON:
+        monkeypatch.setattr(spectral, "LEVEL_COEFF", -4.4)
+        assert report().ok is False
