@@ -51,16 +51,17 @@ refusal comes before anything is allocated; what returns operators
 (:func:`build_hamiltonian`, :func:`build_standard_hamiltonian`,
 :func:`bogoliubov_mode_operators`) or checks an identity takes a FockRep.
 
-Every eigensolve of a sparse matrix goes through :func:`lowest_eigenvalues`,
-whose dense solves run on scipy's LAPACK, the one its Lanczos (ARPACK) links:
-numpy and scipy each bundle an OpenBLAS with its own thread pool, and a
-bosonic verify that used both would have the two pools take turns on the
-same cores.  The fermionic sector solves stay on numpy, the only pool a
-process that never loads scipy has.
+Every eigensolve of a sparse matrix goes through :func:`lowest_eigenvalues`:
+a dense solve on numpy's LAPACK, or a thick-restart Lanczos with full
+reorthogonalization written in numpy (:func:`_lanczos`; Wu & Simon, SIAM J.
+Matrix Anal. Appl. 22(2), 2000), which in exact arithmetic is ARPACK's
+implicit restart with exact shifts.  So every BLAS call of the oracle goes
+through numpy's OpenBLAS, and scipy serves only to build and multiply CSR
+matrices (``scipy.sparse``).
 Callers reach the oracle only as ``bogodiag.fock``: importing the package
 does not load it.  scipy is imported only inside the functions that build or
-solve sparse matrices, so fermionic verification and the operator identities
-never load it.
+multiply sparse matrices, so fermionic verification and the operator
+identities never load it.
 """
 
 from __future__ import annotations
@@ -83,11 +84,13 @@ FERMION_DIM_GUARD = 4096
 BOSON_DIM_GUARD = 200_000
 
 #: Above this dimension eigenvalue prefixes switch from dense to Lanczos.  At
-#: k = 10 with eigenvectors, in a process that has run Lanczos (medians of 21
-#: alternating samples, 2-vCPU x86, scipy 1.17), dense wins at n = 1 up to
-#: dimension 200 (3.1-3.3 against 4.5-5.5 ms there); at n = 2 the two break
-#: even near 171, and dense loses at 190 (3.6-3.8 against 3.0 ms) and is
-#: 11-12x slower at 861.  A limit of 160 would slow n = 1, so it stays 200.
+#: k = 10 with eigenvectors, numpy's syevd against the numpy Lanczos, in a
+#: process that has run both (medians of 21 alternating samples in each of
+#: two runs, 2-vCPU x86, numpy 2.4), dense wins at n = 1 up to dimension 200
+#: (3.0-3.2 against 5.5-6.0 ms there); at n = 2 it wins or ties from 153 to
+#: 171, the runs disagree at 190 (3.1 against 2.9 ms, 3.4 against 4.0), and
+#: dense is 11x slower at 861.  A limit of 160 would slow n = 1, so it stays
+#: 200.
 DENSE_EIG_LIMIT = 200
 
 #: Largest estimated working set of one eigensolve or one bosonic assembly
@@ -492,21 +495,20 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
     with `vectors`, the pair (values, vectors) with eigenvector j in column j.
 
     Matrices up to DENSE_EIG_LIMIT and requests for (nearly) every
-    eigenvalue take a dense solve, which raises ValueError for a matrix
-    that is not symmetric within 1e-10 and runs LAPACK's syevd through
-    scipy, not numpy: numpy bundles a second OpenBLAS whose thread pool
-    would contend with the one of scipy's ARPACK.  The rest implicitly
-    restarted Lanczos (ARPACK) on H + sigma*I, sigma the largest absolute
-    row sum (a bound on ||H||_2), so that ARPACK's stopping rule
-    tol*|Ritz value| is relative to ||H|| even where an eigenvalue of H is
-    0.  Lanczos multiplies by the CSR form of H, the matrix itself when it
-    is CSR (as every assembled H is), and sigma is read from its stored
-    entries.  Its basis holds max(2k + 4, 20) vectors, and it starts from
-    `v0`, by default a fixed-seed Gaussian vector, so results are
-    deterministic.  The working set is estimated first and refused with
-    ResourceLimitError above EIGENSOLVE_BYTES_GUARD, before anything is
-    allocated; a Lanczos solve that uses up its budget of 100 * dim
-    iterations raises it too.
+    eigenvalue take a dense solve on numpy's LAPACK (syevd), which raises
+    ValueError for a matrix that is not symmetric within 1e-10.  The rest
+    run the thick-restart Lanczos of :func:`_lanczos` on the CSR form of H,
+    the matrix itself when it is CSR (as every assembled H is), with a
+    basis of min(dim - 1, max(2k + 4, 20)) vectors.  Its stopping rule is
+    ARPACK's on H + sigma*I, sigma the largest absolute row sum of H (a
+    bound on ||H||_2, read from the stored entries), so it is relative to
+    ||H|| even where an eigenvalue of H is 0; the shift enters only that
+    test.  It starts from `v0`, by default a fixed-seed Gaussian vector, so
+    results are deterministic.  The working set is estimated first and
+    refused with ResourceLimitError above EIGENSOLVE_BYTES_GUARD, before
+    anything is allocated; a Lanczos solve that uses up its budget of
+    100 * dim restarts raises it too, and one that meets a non-finite Ritz
+    value raises ValueError.
     """
     if k < 0:
         raise ValueError(f"k must be at least 0, got {k}")
@@ -524,37 +526,99 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
             raise ValueError(f"matrix is not symmetric (deviation {dev:.3e})")
         np.add(dense, dense.T, out=sym)
         sym /= 2.0
-        from scipy.linalg import eigh
         if vectors:
-            vals, vecs = eigh(sym, driver="evd")
+            vals, vecs = np.linalg.eigh(sym)
             return vals[:k], vecs[:, :k]
-        return eigh(sym, driver="evd", eigvals_only=True)[:k]
+        return np.linalg.eigvalsh(sym)[:k]
     ncv = min(dim - 1, max(2 * k + 4, 20))
-    # the start vector, then what scipy's ARPACK allocates: the Lanczos
-    # basis, the dim x ncv array of its extraction step (made even when no
-    # vectors are returned), 3 work vectors, the residual and the returned
-    # vectors
-    _check_bytes(8 * dim * (2 * ncv + 5 + (k if vectors else 0)),
-                            f"Lanczos eigensolve of {k} eigenvalues at dimension {dim}")
+    # the start vector, the basis with its residual, the last product, and
+    # the Ritz vectors that a restart keeps, made before they overwrite the
+    # basis
+    _check_bytes(8 * dim * (ncv + 3 + _kept(k, ncv)),
+                 f"Lanczos eigensolve of {k} eigenvalues at dimension {dim}")
     if v0 is None:
         # a Gaussian start overlaps every symmetry sector of a form; a uniform
         # one misses, for one, the states antisymmetric under a mode swap
         v0 = np.random.default_rng(0).standard_normal(dim)
-    import scipy.sparse.linalg as spla
     matrix = matrix.tocsr()
-    sigma = _row_sum_bound(matrix)
-    shifted = spla.LinearOperator(matrix.shape, dtype=float,
-                                  matvec=lambda x: matrix @ x + sigma * x)
-    try:
-        out = spla.eigsh(shifted, k=k, which="SA", v0=v0, ncv=ncv,
-                         maxiter=100 * dim, tol=1e-12, return_eigenvectors=vectors)
-    except spla.ArpackNoConvergence:
+    out = _lanczos(matrix, v0, k, ncv, _row_sum_bound(matrix), 100 * dim)
+    if out is None:
         raise ResourceLimitError(f"Lanczos eigensolve of {k} eigenvalues at dimension {dim} "
-                                 f"did not converge in {100 * dim} iterations") from None
-    if not vectors:
-        return np.sort(out) - sigma
-    order = np.argsort(out[0])
-    return out[0][order] - sigma, out[1][:, order]
+                                 f"did not converge in {100 * dim} iterations")
+    values, coeffs, basis = out
+    return (values, (coeffs.T @ basis).T) if vectors else values
+
+
+def _kept(k: int, ncv: int) -> int:
+    """Ritz vectors a Lanczos restart keeps: the k wanted and half the rest."""
+    return k + (ncv - k) // 2
+
+
+def _lanczos(matrix, v0: np.ndarray, k: int, ncv: int, sigma: float, iterations: int):
+    """Thick-restart Lanczos with full reorthogonalization (Wu & Simon, SIAM
+    J. Matrix Anal. Appl. 22(2), 2000) for the k smallest eigenpairs of the
+    symmetric CSR `matrix`, from `v0`, on a basis of `ncv` vectors.
+
+    Each pass extends the basis to `ncv` vectors, every new one
+    orthogonalized twice against all before it (classical Gram-Schmidt),
+    and takes the Ritz pairs (theta, y) of the projected matrix T.  A pair
+    has converged when beta |y_last| <= 1e-12 max(eps^(2/3), |theta + sigma|),
+    beta the norm of the residual and eps LAPACK's unit roundoff 2^-53:
+    ARPACK's rule on H + sigma*I.  Once the k smallest have, this returns
+    (their values, their coefficients y, the basis), the Ritz vectors being
+    basis^t y.  Otherwise it restarts from the `_kept` smallest Ritz vectors
+    and the residual, which couples to each of them through beta y_last, so
+    T becomes diagonal plus an arrow.  A residual at most 1e-14 sigma is a
+    breakdown (the basis spans an invariant subspace): the next vector is a
+    fresh Gaussian draw, seeded and orthogonalized, coupled by 0.  Returns
+    None after `iterations` passes without convergence, and raises ValueError
+    on a non-finite T, whose Ritz values are not finite either.
+    """
+    dim = len(v0)
+    basis = np.empty((ncv + 1, dim))
+    basis[0] = v0 / np.linalg.norm(v0)
+    t = np.zeros((ncv, ncv))
+    # seed 1: the default start is the first draw of seed 0
+    fresh = np.random.default_rng(1)
+    floor = (np.finfo(float).eps / 2) ** (2 / 3)
+    start = 0
+    for _ in range(iterations):
+        for j in range(start, ncv):
+            w = matrix @ basis[j]
+            t[j, j] = _orthogonalize(w, basis[: j + 1])[j]
+            beta = float(np.linalg.norm(w))
+            if beta <= 1e-14 * sigma:
+                w = fresh.standard_normal(dim)
+                _orthogonalize(w, basis[: j + 1])
+                beta, scale = 0.0, np.linalg.norm(w)
+            else:
+                scale = beta
+            np.divide(w, scale, out=basis[j + 1])
+            if j + 1 < ncv:
+                t[j, j + 1] = t[j + 1, j] = beta
+        if not np.isfinite(t).all():
+            raise ValueError("Lanczos met a non-finite Ritz value")
+        theta, y = np.linalg.eigh(t)
+        bounds = beta * np.abs(y[-1, :k])
+        if np.all(bounds <= 1e-12 * np.maximum(floor, np.abs(theta[:k] + sigma))):
+            return theta[:k], y[:, :k], basis[:ncv]
+        start = _kept(k, ncv)
+        basis[:start] = y[:, :start].T @ basis[:ncv]
+        basis[start] = basis[ncv]
+        t[:] = 0.0
+        t[np.diag_indices(start)] = theta[:start]
+        t[start, :start] = t[:start, start] = beta * y[-1, :start]
+    return None
+
+
+def _orthogonalize(w: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Remove from `w`, in place, its components along the orthonormal rows
+    of `basis`, twice over; returns the components removed."""
+    coeffs = basis @ w
+    w -= coeffs @ basis
+    again = basis @ w
+    w -= again @ basis
+    return coeffs + again
 
 
 def _row_sum_bound(matrix) -> float:
@@ -629,11 +693,7 @@ def sector_spectra(form: QuadraticForm) -> tuple[np.ndarray, np.ndarray]:
     n = 2 mod 4 both blocks are solved.
     """
     rep = build_fermion_rep(form.n)
-    with np.errstate(over="ignore"):
-        bound = 2.0 * (np.abs(form.U).sum() + np.abs(form.V).sum()) + abs(form.const)
-    if not np.isfinite(bound):
-        message = "oracle Hamiltonian not finite (overflow)"
-        raise ValidationError(message, [Violation("derived_finite", message, math.inf)])
+    _check_row_sums(form, 1)
     offsets, weights = _diagonals([_half_term(form, rep)])
     # H at the vacuum and at the fully occupied state, as a block holds them
     vacuum, full = 2.0 * weights[offsets.tolist().index(0)][[0, -1]] + form.const
@@ -661,14 +721,30 @@ def sector_spectra(form: QuadraticForm) -> tuple[np.ndarray, np.ndarray]:
     return spectra[0], spectra[1]
 
 
+def _check_row_sums(form: QuadraticForm, occupation: int) -> None:
+    """Refuse, with ValidationError (a derived_finite violation), a form
+    whose bound 2 N (sum |U_ij| + sum |V_ij|) + |const| on every row sum of
+    |H| overflows, N = `occupation` the largest total occupation of the
+    states (1 for fermions).  A quadratic term is a product of two ladders,
+    with at most one entry in each row and column, of size at most N on the
+    states; below the bound every entry, sum and eigenvalue of H is finite."""
+    with np.errstate(over="ignore"):
+        bound = 2.0 * occupation * (np.abs(form.U).sum() + np.abs(form.V).sum()) + abs(form.const)
+    if not np.isfinite(bound):
+        message = "oracle Hamiltonian not finite (overflow)"
+        raise ValidationError(message, [Violation("derived_finite", message, math.inf)])
+
+
 def _simplex_hamiltonians(form: QuadraticForm, cutoff: int) -> tuple:
     """(coarse H, fine H, inner): the form as CSR matrices on the states of
     total occupation at most `cutoff` and 2*`cutoff`, and the fine-list
     position of each coarse state; both lists are in box order.  Only the
-    fine H is assembled, so its guards refuse before anything is built; the
+    fine H is assembled, so its guards, and the refusal of a form whose H
+    overflows (:func:`_check_row_sums`), come before anything is built; the
     coarse H is its principal submatrix at `inner`, gathered row by row in
     column order."""
     fine = build_boson_rep(form.n, 2 * cutoff)
+    _check_row_sums(form, 2 * cutoff)
     h_hi = build_hamiltonian(form, fine)
     inner = np.flatnonzero(fine.occupations() <= cutoff)
     return h_hi[inner][:, inner], h_hi, inner
@@ -684,7 +760,10 @@ def truncation_stable_spectrum(form: QuadraticForm, cutoff: int, k: int,
     `tol` (values from the finer space); k = 0 returns it empty before any
     work, and k < 0 raises ValueError.  A prefix shorter than k is not an
     error: the caller decides what it means.  BOSON_DIM_GUARD applies to the
-    fine list of C(2*cutoff + n, n) states and refuses before any work.
+    fine list of C(2*cutoff + n, n) states and refuses before any work, and
+    so does the refusal (ValidationError, a derived_finite violation) of a
+    form whose bound 4 cutoff (sum |U_ij| + sum |V_ij|) + |const| on the row
+    sums of |H| over that list overflows.
 
     The fine H holds the untruncated operator's entries among its states, so
     it is a principal submatrix of that operator, and the coarse H is taken

@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from conftest import bounded_boson_form, random_boson_form, random_fermion_form, refusal_peak
 
 import bogodiag as bd
@@ -461,17 +460,22 @@ class TestExactSpectrum:
         assert vals.shape == (0,) and vecs.shape == (dim, 0)
 
 
-def forbid_numpy_eigensolvers(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the oracle called a numpy.linalg eigensolver")
+def spy_numpy_eigensolvers(monkeypatch) -> list:
+    """The names of numpy.linalg's symmetric eigensolvers, in the order
+    they are called from here on."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def spy(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append(_name)
+            return _solve(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
 
 
-class TestDenseSolveOnScipyLapack:
-    """Dense bosonic solves run on scipy's LAPACK, the one ARPACK links, so a
-    verify never alternates between numpy's and scipy's OpenBLAS pools."""
+class TestDenseSolveOnNumpyLapack:
+    """Dense bosonic solves run on numpy's LAPACK, the one OpenBLAS that the
+    Lanczos solver's products and Gram-Schmidt steps use too."""
 
     def test_lowest_eigenvalues(self, monkeypatch):
         a = np.random.default_rng(26).uniform(-1.0, 1.0, (150, 150))
@@ -479,22 +483,117 @@ class TestDenseSolveOnScipyLapack:
         dense = h.toarray()
         expected = np.linalg.eigvalsh(dense)[:10]
         scale = 1e-12 * np.linalg.norm(dense, 2)
-        forbid_numpy_eigensolvers(monkeypatch)
+        calls = spy_numpy_eigensolvers(monkeypatch)
         assert np.max(np.abs(fock.lowest_eigenvalues(h, 10) - expected)) <= scale
         vals, vecs = fock.lowest_eigenvalues(h, 10, vectors=True)
+        assert calls == ["eigvalsh", "eigh"]
         assert np.max(np.abs(vals - expected)) <= scale
         assert vecs.shape == (150, 10)
         assert np.max(np.abs(dense @ vecs - vecs * vals)) <= 10 * scale
 
     def test_truncation_stable_spectrum_at_cutoff_60(self, monkeypatch):
-        # n = 1: simplices of 61 and 121 states, both below DENSE_EIG_LIMIT
+        # n = 1: simplices of 61 and 121 states, both below DENSE_EIG_LIMIT;
+        # the coarse solve returns vectors for the fine start
         f = bounded_boson_form(np.random.default_rng(61), 1, seed=1)
         fine = fock._simplex_hamiltonians(f, 60)[1].toarray()
         expected = np.linalg.eigvalsh(fine)[:10]
-        forbid_numpy_eigensolvers(monkeypatch)
+        calls = spy_numpy_eigensolvers(monkeypatch)
         out = fock.truncation_stable_spectrum(f, cutoff=60, k=10, tol=1e-6)
+        assert calls == ["eigh", "eigvalsh"]
         assert len(out) == 10
         assert np.max(np.abs(out - expected)) <= 1e-12 * np.linalg.norm(fine, 2)
+
+
+def random_symmetric(rng, dim, per_row=6):
+    """A sparse symmetric CSR matrix with about 2 * per_row entries a row,
+    uniform in [0, 1), so its spectrum has both signs."""
+    a = sp.random(dim, dim, density=per_row / dim, random_state=rng, format="csr")
+    return (a + a.T).tocsr()
+
+
+def lanczos_case(name):
+    """A symmetric CSR matrix of dimension 201-2000 for the Lanczos solver."""
+    rng = np.random.default_rng(len(name))
+    if name.startswith("random"):
+        return random_symmetric(rng, int(name[len("random-"):]))
+    if name == "repeated":
+        # every eigenvalue three times, exactly: three copies of one block
+        return sp.block_diag([random_symmetric(rng, 150)] * 3, format="csr")
+    if name == "zero":
+        # a positive definite block beside 4 rows and columns of zeros: the
+        # lowest eigenvalue is exactly 0, four times
+        a = random_symmetric(rng, 400)
+        shift = abs(a).sum(axis=1).max() + 1.0
+        return sp.block_diag([sp.csr_matrix((4, 4)), a + shift * sp.identity(400)],
+                             format="csr")
+    # "negative-zero": a state alone on the diagonal with the value 0, in a
+    # spectrum of both signs
+    a = random_symmetric(rng, 700).tolil()
+    a[350, :] = 0.0
+    a[:, 350] = 0.0
+    return a.tocsr()
+
+
+class TestLanczos:
+    """The thick-restart Lanczos solver (dimensions above DENSE_EIG_LIMIT)."""
+
+    @pytest.mark.parametrize("name", ["random-201", "random-500", "random-2000", "repeated",
+                                      "zero", "negative-zero"])
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_agrees_with_a_dense_solve(self, name, k):
+        h = lanczos_case(name)
+        spectrum = np.linalg.eigvalsh(h.toarray())
+        norm = np.abs(spectrum).max()  # ||H||_2
+        assert h.shape[0] > fock.DENSE_EIG_LIMIT
+        assert np.max(np.abs(fock.lowest_eigenvalues(h, k) - spectrum[:k])) <= 1e-12 * norm
+        vals, vecs = fock.lowest_eigenvalues(h, k, vectors=True)
+        assert np.max(np.abs(vals - spectrum[:k])) <= 1e-12 * norm
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(k))) <= 1e-12
+        assert np.max(np.linalg.norm(h @ vecs - vecs * vals, axis=0)) <= 1e-10 * norm
+
+    def test_two_calls_are_bit_identical(self):
+        h = lanczos_case("random-500")
+        first, again = (fock.lowest_eigenvalues(h, 10, vectors=True) for _ in range(2))
+        assert np.array_equal(first[0], again[0]) and np.array_equal(first[1], again[1])
+
+    def test_start_on_an_exact_eigenvector(self):
+        # row and column 350 hold only the diagonal 0, so e_350 is an exact
+        # eigenvector: the first product lies in the basis, and the solve
+        # must go on from a fresh direction
+        h = lanczos_case("negative-zero")
+        v0 = np.zeros(h.shape[0])
+        v0[350] = 1.0
+        expected = np.linalg.eigvalsh(h.toarray())[:10]
+        out = fock.lowest_eigenvalues(h, 10, v0=v0)
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.linalg.norm(h.toarray(), 2)
+
+    def test_warm_start_in_an_invariant_subspace(self):
+        # the diagonal 40-mode form at cutoff 1: the fine start is a sum of
+        # ten exact eigenvectors, whose Krylov space ends after ten vectors
+        n = 40
+        f = bd.QuadraticForm(Statistics.BOSON, U=np.zeros((n, n)),
+                             V=np.diag(1.0 + 0.01 * np.arange(n)), const=0.0)
+        fine = fock._simplex_hamiltonians(f, 1)[1].toarray()
+        expected = np.linalg.eigvalsh(fine)[:10]
+        out = fock.truncation_stable_spectrum(f, cutoff=1, k=10, tol=1e-6)
+        assert len(out) == 10
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.linalg.norm(fine, 2)
+
+    def test_nan_matrix_raises_within_one_pass(self):
+        # one pass is ncv = 24 products; a budget of 100 * dim passes would
+        # take minutes
+        class Counted(sp.csr_matrix):
+            products = 0
+
+            def __matmul__(self, other):
+                Counted.products += 1
+                return super().__matmul__(other)
+
+        h = Counted(lanczos_case("random-500"))
+        h.data[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            fock.lowest_eigenvalues(h, 10)
+        assert 0 < Counted.products <= 24
 
 
 class TestParitySectors:
@@ -556,6 +655,23 @@ class TestTruncationStable:
         f = bd.QuadraticForm(Statistics.BOSON, U=np.zeros((3, 3)), V=np.eye(3), const=0.0)
         with pytest.raises(bd.ResourceLimitError, match="209934"):
             fock.truncation_stable_spectrum(f, cutoff=53, k=10, tol=1e-6)
+
+    def test_overflowing_hamiltonian_refused_before_any_assembly(self, monkeypatch):
+        # H's entries reach 2e308 * 6 on the fine list of cutoff 6: assembled,
+        # they were NaN, with an "invalid value" warning; the Lanczos solve
+        # would then spend its whole budget on them
+        def refuse(*args, **kwargs):
+            raise AssertionError("assembled or solved before the overflow was refused")
+
+        monkeypatch.setattr(fock, "lowest_eigenvalues", refuse)
+        monkeypatch.setattr(fock, "build_hamiltonian", refuse)
+        f = bd.QuadraticForm(Statistics.BOSON, U=np.array([[0.0, 1e308], [1e308, 0.0]]),
+                             V=1e308 * np.eye(2), const=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(bd.ValidationError) as info:
+                fock.truncation_stable_spectrum(f, cutoff=3, k=10, tol=1e-6)
+        assert [v.check for v in info.value.violations] == ["derived_finite"]
 
     @pytest.mark.parametrize("n, cutoff", [(1, 40), (2, 8), (3, 5)])
     def test_one_assembly_per_doubling(self, monkeypatch, n, cutoff):
@@ -626,13 +742,13 @@ class TestWarmStart:
     def test_fine_start_lives_in_the_coarse_simplex(self, monkeypatch):
         n, cutoff = 2, 40  # simplices of 861 and 3321 states, both solved by Lanczos
         starts = []
-        eigsh = spla.eigsh
+        lanczos = fock._lanczos
 
-        def spy(matrix, **kwargs):
-            starts.append(kwargs["v0"].copy())
-            return eigsh(matrix, **kwargs)
+        def spy(matrix, v0, *args):
+            starts.append(v0.copy())
+            return lanczos(matrix, v0, *args)
 
-        monkeypatch.setattr(spla, "eigsh", spy)
+        monkeypatch.setattr(fock, "_lanczos", spy)
         f = bounded_boson_form(np.random.default_rng(90), n, seed=5)
         fock.truncation_stable_spectrum(f, cutoff=cutoff, k=5, tol=1e-6)
         coarse, fine = starts
@@ -772,16 +888,20 @@ class TestEigensolveGuard:
         # (3, 32): the simplex of 6545 states, a 24-vector basis at k = 10
         f = bounded_boson_form(np.random.default_rng(100), 3, seed=3)
         h = fock.build_hamiltonian(f, fock.build_boson_rep(3, 32)).tocsr()
-        dim, ncv, k = h.shape[0], 24, 10
-        estimate = 8 * dim * (2 * ncv + 5 + (k if vectors else 0))
+        dim, ncv, kept, k = h.shape[0], 24, 17, 10
+        # the start vector, the basis of ncv vectors and the residual, the
+        # last product, and the kept Ritz vectors a restart makes, k + 7
+        estimate = 8 * dim * (1 + (ncv + 1) + 1 + kept)
         tracemalloc.start()
         try:
             out = fock.lowest_eigenvalues(h, k, vectors=vectors)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the estimate counts the arrays of length dim; ARPACK's ncv x ncv
-        # workspace and scipy's bookkeeping add a few KB on top
+        # the estimate counts the arrays of length dim; the ncv x ncv
+        # projected matrix, its eigenvectors and numpy's bookkeeping add a
+        # few KB on top.  The returned vectors (k of them) are made when the
+        # kept Ritz vectors are gone, so they add nothing to the peak
         assert 0.85 * estimate <= peak <= estimate + 2**16
         if vectors:
             vals, vecs = out
