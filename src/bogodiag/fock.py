@@ -501,8 +501,9 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
     the matrix itself when it is CSR (as every assembled H is), with a
     basis of min(dim - 1, max(2k + 4, 20)) vectors.  Its stopping rule is
     ARPACK's on H + sigma*I, sigma the largest absolute row sum of H (a
-    bound on ||H||_2, read from the stored entries), so it is relative to
-    ||H|| even where an eigenvalue of H is 0; the shift enters only that
+    bound on ||H||_2, read from the stored entries), scaled by the power of
+    two just above sigma, so it is relative to ||H|| even where an
+    eigenvalue of H is 0 and at any scale of H; the shift enters only that
     test.  It starts from `v0`, by default a fixed-seed Gaussian vector, so
     results are deterministic.  The working set is estimated first and
     refused with ResourceLimitError above EIGENSOLVE_BYTES_GUARD, before
@@ -561,18 +562,24 @@ def _lanczos(matrix, v0: np.ndarray, k: int, ncv: int, sigma: float, iterations:
 
     Each pass extends the basis to `ncv` vectors, every new one
     orthogonalized twice against all before it (classical Gram-Schmidt),
-    and takes the Ritz pairs (theta, y) of the projected matrix T.  A pair
-    has converged when beta |y_last| <= 1e-12 max(eps^(2/3), |theta + sigma|),
-    beta the norm of the residual and eps LAPACK's unit roundoff 2^-53:
-    ARPACK's rule on H + sigma*I.  Once the k smallest have, this returns
-    (their values, their coefficients y, the basis), the Ritz vectors being
-    basis^t y.  Otherwise it restarts from the `_kept` smallest Ritz vectors
-    and the residual, which couples to each of them through beta y_last, so
-    T becomes diagonal plus an arrow.  A residual at most 1e-14 sigma is a
-    breakdown (the basis spans an invariant subspace): the next vector is a
-    fresh Gaussian draw, seeded and orthogonalized, coupled by 0.  Returns
-    None after `iterations` passes without convergence, and raises ValueError
-    on a non-finite T, whose Ritz values are not finite either.
+    and takes the Ritz pairs (theta, y) of the projected matrix T.  It runs
+    on H / s, s the power of two just above sigma: the division is exact,
+    and ||H / s||_2 < 1, so no norm overflows or underflows however large or
+    small H is.  A pair has converged when beta |y_last| <= 1e-12
+    max(eps^(2/3), |theta + sigma / s|), beta the norm of the residual and
+    eps LAPACK's unit roundoff 2^-53: ARPACK's rule on (H + sigma*I) / s.
+    On H + sigma*I itself, as ARPACK applies it, the floor eps^(2/3) is
+    absolute and passes the first Ritz values of any H below about 1e-22.
+    Once the k smallest have converged, this returns (their values, their
+    coefficients y, the basis), the Ritz vectors being basis^t y.
+    Otherwise it restarts from the `_kept` smallest Ritz vectors and the
+    residual, which couples to each of them through beta y_last, so T
+    becomes diagonal plus an arrow.  A residual at most 1e-14 sigma / s is
+    a breakdown (the basis spans an invariant subspace): the next vector is
+    a fresh Gaussian draw, seeded and orthogonalized, coupled by 0.  Returns
+    None after `iterations` passes without convergence, and raises
+    ValueError after the first pass on a non-finite T or sigma, for then
+    the Ritz values of H + sigma*I are not finite either.
     """
     dim = len(v0)
     basis = np.empty((ncv + 1, dim))
@@ -581,27 +588,31 @@ def _lanczos(matrix, v0: np.ndarray, k: int, ncv: int, sigma: float, iterations:
     # seed 1: the default start is the first draw of seed 0
     fresh = np.random.default_rng(1)
     floor = (np.finfo(float).eps / 2) ** (2 / 3)
+    # sigma = 0 is H = 0; a non-finite sigma raises below
+    scale = np.ldexp(1.0, np.frexp(sigma)[1]) if 0 < sigma < np.inf else 1.0
+    shift = sigma / scale
     start = 0
     for _ in range(iterations):
         for j in range(start, ncv):
             w = matrix @ basis[j]
+            w /= scale
             t[j, j] = _orthogonalize(w, basis[: j + 1])[j]
             beta = float(np.linalg.norm(w))
-            if beta <= 1e-14 * sigma:
+            if beta <= 1e-14 * shift:
                 w = fresh.standard_normal(dim)
                 _orthogonalize(w, basis[: j + 1])
-                beta, scale = 0.0, np.linalg.norm(w)
+                beta, norm = 0.0, np.linalg.norm(w)
             else:
-                scale = beta
-            np.divide(w, scale, out=basis[j + 1])
+                norm = beta
+            np.divide(w, norm, out=basis[j + 1])
             if j + 1 < ncv:
                 t[j, j + 1] = t[j + 1, j] = beta
-        if not np.isfinite(t).all():
+        if not (np.isfinite(t).all() and np.isfinite(sigma)):
             raise ValueError("Lanczos met a non-finite Ritz value")
         theta, y = np.linalg.eigh(t)
         bounds = beta * np.abs(y[-1, :k])
-        if np.all(bounds <= 1e-12 * np.maximum(floor, np.abs(theta[:k] + sigma))):
-            return theta[:k], y[:, :k], basis[:ncv]
+        if np.all(bounds <= 1e-12 * np.maximum(floor, np.abs(theta[:k] + shift))):
+            return scale * theta[:k], y[:, :k], basis[:ncv]
         start = _kept(k, ncv)
         basis[:start] = y[:, :start].T @ basis[:ncv]
         basis[start] = basis[ncv]

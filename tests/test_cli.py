@@ -412,6 +412,19 @@ class TestVerify:
         payload = json.loads(result.output)
         assert payload["compared"] == 10 and payload["max_abs_deviation"] <= 1e-6
 
+    def test_boson_lanczos_at_scale_1e154(self, runner, tmp_path):
+        # near the largest scale a form may have, |H v|^2 passes the largest
+        # double in both Lanczos solves; tol and the deviation scale alike
+        path = write_json(tmp_path / "b2.json", {
+            "statistics": "boson", "n": 2, "U": np.zeros((2, 2)).tolist(),
+            "V": [[1e154, 0.0], [0.0, 1.3e154]], "const": 0.0,
+        })
+        result = runner.invoke(main, ["verify", path, "--cutoff", "40", "--count", "10",
+                                      "--tol", "1e-6"])
+        assert result.exit_code == 0, result.output
+        payload = strict_json(result.stdout)
+        assert payload["compared"] == 10 and payload["max_abs_deviation"] <= 1e-6 * 1.3e154
+
     def test_boson_40_modes_at_cutoff_1(self, runner, tmp_path):
         # simplices of 41 and 861 states; mixed-radix keys of base 5 would
         # pass 2^63 on the fine one
