@@ -94,7 +94,7 @@ BOSON_DIM_GUARD = 200_000
 DENSE_EIG_LIMIT = 200
 
 #: Largest estimated working set of one eigensolve or one bosonic assembly
-#: (2 GiB): a dense solve reaches dimension 8192.
+#: (2 GiB): a dense solve reaches dimension 9459.
 EIGENSOLVE_BYTES_GUARD = 2 ** 31
 
 #: Coefficient turning the jacobian's antisymmetric part into the 2-form
@@ -496,7 +496,7 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
 
     Matrices up to DENSE_EIG_LIMIT and requests for (nearly) every
     eigenvalue take a dense solve on numpy's LAPACK (syevd), which raises
-    ValueError for a matrix that is not symmetric within 1e-10.  The rest
+    ValueError for a matrix that is not exactly symmetric.  The rest
     run the thick-restart Lanczos of :func:`_lanczos` on the CSR form of H,
     the matrix itself when it is CSR (as every assembled H is), with a
     basis of min(dim - 1, max(2k + 4, 20)) vectors.  Its stopping rule is
@@ -518,19 +518,17 @@ def lowest_eigenvalues(matrix, k: int, v0: Optional[np.ndarray] = None, vectors:
     if k == 0:
         return (np.zeros(0), np.zeros((dim, 0))) if vectors else np.zeros(0)
     if dim <= DENSE_EIG_LIMIT or k >= dim - 1:
-        # the matrix, its symmetrized copy, LAPACK's copy and the eigenvectors
-        _check_bytes(4 * 8 * dim * dim, f"dense eigensolve of dimension {dim}")
+        # the matrix, LAPACK's copy and the eigenvectors
+        _check_bytes(3 * 8 * dim * dim, f"dense eigensolve of dimension {dim}")
         dense = matrix.toarray()
-        sym = np.subtract(dense, dense.T)
-        dev = float(np.abs(sym, out=sym).max(initial=0.0))
-        if dev > 1e-10:
+        # every H the oracle assembles is symmetric bit for bit
+        if (dense != dense.T).any():
+            dev = float(np.abs(dense - dense.T).max())
             raise ValueError(f"matrix is not symmetric (deviation {dev:.3e})")
-        np.add(dense, dense.T, out=sym)
-        sym /= 2.0
         if vectors:
-            vals, vecs = np.linalg.eigh(sym)
+            vals, vecs = np.linalg.eigh(dense)
             return vals[:k], vecs[:, :k]
-        return np.linalg.eigvalsh(sym)[:k]
+        return np.linalg.eigvalsh(dense)[:k]
     ncv = min(dim - 1, max(2 * k + 4, 20))
     # the start vector, the basis with its residual, the last product, and
     # the Ritz vectors that a restart keeps, made before they overwrite the

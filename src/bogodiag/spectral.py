@@ -376,8 +376,12 @@ def diagonalize_boson(std: StandardForm) -> BosonModeData:
             alpha = (abs(r_diag[i]) / abs(t_diag[i])) ** 0.25
         s[i] *= alpha
     # mode order: descending product t_i r_i, so discrete modes come out
-    # sorted by ascending frequency sqrt(-t_i r_i)
-    mode_order = np.argsort(-t_diag * r_diag, kind="stable")
+    # sorted by ascending frequency sqrt(-t_i r_i); t and r over the powers
+    # of two of their largest magnitudes (exact), so the products of a tiny
+    # form do not underflow to a tie
+    t_unit = np.ldexp(t_diag, -math.frexp(np.max(np.abs(t_diag)))[1])
+    r_unit = np.ldexp(r_diag, -math.frexp(np.max(np.abs(r_diag)))[1])
+    mode_order = np.argsort(-t_unit * r_unit, kind="stable")
     s = s[mode_order]
     # deterministic sign: largest-magnitude entry of each row positive
     s *= np.where(s[np.arange(n), np.argmax(np.abs(s), axis=1)] < 0, -1.0, 1.0)[:, None]
@@ -416,11 +420,17 @@ def boson_mode_levels(t: float, r: float, count: int) -> np.ndarray:
     """Ladder of one discrete oscillator mode, bottom `count` rungs, as an array.
 
     Monotone increasing in m exactly when r < 0 (bounded below); a bare pair
-    has no rounding scale, so NonDiscreteMode unless exactly t r < 0.
+    has no rounding scale, so NonDiscreteMode unless exactly t r < 0.  The
+    frequency sqrt(-r t) is taken from the mantissas and exponents of t and
+    r, so it neither underflows nor overflows at any scale; wherever the
+    product -r t is a normal number it is that root bit for bit.
     """
     if _classify_mode(t, r, t == 0.0, r == 0.0) is not ModeClass.DISCRETE:
         raise NonDiscreteMode(f"mode (t={t}, r={r}) has no discrete ladder")
-    spacing = LEVEL_COEFF * (r / abs(r)) * np.sqrt(-r * t)
+    (mt, et), (mr, er) = math.frexp(t), math.frexp(r)
+    e = et + er
+    # -r t = -mr mt 2^e, and the root of 2^e is 2^(e // 2) times that of 2^(e % 2)
+    spacing = LEVEL_COEFF * (r / abs(r)) * math.ldexp(math.sqrt(-mr * mt * 2 ** (e % 2)), e // 2)
     return spacing * (np.arange(count) + 0.5)
 
 

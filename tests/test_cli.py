@@ -425,6 +425,20 @@ class TestVerify:
         payload = strict_json(result.stdout)
         assert payload["compared"] == 10 and payload["max_abs_deviation"] <= 1e-6 * 1.3e154
 
+    @pytest.mark.parametrize("scale", [1e-165, 1e-200, 1e-300])
+    def test_boson_at_tiny_scales(self, runner, tmp_path, scale):
+        # the closed form's products t r underflow below about 1e-154; its
+        # frequencies and mode order must not
+        path = write_json(tmp_path / "b2.json", {
+            "statistics": "boson", "n": 2, "U": np.zeros((2, 2)).tolist(),
+            "V": [[scale, 0.0], [0.0, 1.3 * scale]], "const": 0.0,
+        })
+        result = runner.invoke(main, ["verify", path, "--cutoff", "40", "--count", "10",
+                                      "--tol", "1e-6"])
+        assert result.exit_code == 0, result.output
+        payload = strict_json(result.stdout)
+        assert payload["compared"] == 10 and payload["max_abs_deviation"] <= 1e-6 * 1.3 * scale
+
     def test_boson_40_modes_at_cutoff_1(self, runner, tmp_path):
         # simplices of 41 and 861 states; mixed-radix keys of base 5 would
         # pass 2^63 on the fine one

@@ -190,7 +190,24 @@ class TestBuildHamiltonian:
         both = bd.QuadraticForm(statistics, U=f1.U + f2.U, V=f1.V + f2.V, const=f1.const + f2.const)
         h1, h2, h12 = (fock.build_hamiltonian(f, rep).toarray() for f in (f1, f2, both))
         assert np.max(np.abs(h12 - h1 - h2)) <= 1e-12
-        assert np.max(np.abs(h1 - h1.T)) <= 1e-12
+        # exactly: the dense solve of lowest_eigenvalues refuses any asymmetry
+        assert np.array_equal(h1, h1.T)
+
+    @pytest.mark.parametrize("n, cutoff", [(1, 8), (2, 6), (3, 4), (4, 3)])
+    def test_boson_hamiltonians_exactly_symmetric(self, n, cutoff):
+        # U and V asymmetric within TOL_SYM, as validate admits them: the
+        # classes pair V + V^t and U_ij + U_ji, and the coarse H gathered
+        # from the fine one is a principal submatrix, so both are symmetric
+        # bit for bit
+        rng = np.random.default_rng(70 + n)
+        f = random_boson_form(rng, n)
+        tilt = 0.5 * bd.forms.TOL_SYM * f.scale
+        f = bd.QuadraticForm(Statistics.BOSON, U=f.U + tilt * np.triu(np.ones((n, n)), 1),
+                             V=f.V - tilt * np.tril(np.ones((n, n)), -1), const=f.const)
+        assert bd.validate(f) == [] and (n == 1 or not np.array_equal(f.U, f.U.T))
+        coarse, fine, _ = fock._simplex_hamiltonians(f, cutoff)
+        for h in (fock.build_hamiltonian(f, fock.build_boson_rep(n, cutoff)), coarse, fine):
+            assert (h != h.T).nnz == 0
 
     def test_mismatch_rejected(self):
         rep = fock.build_fermion_rep(2)
@@ -446,6 +463,16 @@ class TestExactSpectrum:
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             fock.lowest_eigenvalues(sp.diags([1.0], [1], shape=(2, 2)), 2)
+
+    def test_asymmetry_refused_at_any_scale(self):
+        # a symmetric part of 1e-12 and an upper triangle of 1e-11: the
+        # asymmetry is ten times the entries, which an absolute allowance of
+        # 1e-10 passed
+        a = np.random.default_rng(35).uniform(-1.0, 1.0, (6, 6))
+        h = sp.csr_matrix(1e-12 * (a + a.T) + np.triu(np.full((6, 6), 1e-11), 1))
+        for vectors in (False, True):
+            with pytest.raises(ValueError, match="not symmetric"):
+                fock.lowest_eigenvalues(h, 3, vectors=vectors)
 
     @pytest.mark.parametrize("dim", [6, 300], ids=["dense", "lanczos"])
     def test_k_below_one(self, dim):
@@ -924,6 +951,22 @@ class TestEigensolveGuard:
             norm_1 = abs(h).sum(axis=0).max()
             residuals = np.linalg.norm(h @ vecs - vecs * vals, axis=0)
             assert np.all(residuals <= 1e-8 * norm_1)
+
+    def test_dense_solve_peak(self):
+        # the matrix, LAPACK's copy and the eigenvectors: the estimate is
+        # 3 * 8 * dim^2, and the traced peak, which leaves out LAPACK's own
+        # copy, stays at about two of those arrays
+        dim = 200
+        a = np.random.default_rng(200).uniform(-1.0, 1.0, (dim, dim))
+        h = sp.csr_matrix(a + a.T)
+        tracemalloc.start()
+        try:
+            vals, vecs = fock.lowest_eigenvalues(h, 10, vectors=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert vals.shape == (10,) and vecs.shape == (dim, 10)
+        assert peak < 2.5 * 8 * dim * dim
 
     def test_admitted_dense_fallback_still_solves(self):
         vals = fock.lowest_eigenvalues(sp.diags(np.arange(1300.0, 0.0, -1.0)), 1299)

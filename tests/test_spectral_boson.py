@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -85,6 +86,15 @@ class TestDiagonalizeBoson:
         mode = data.modes[0]
         assert (mode.t, mode.r) == pytest.approx((0.5, -0.5))
         assert mode.mode_class is ModeClass.DISCRETE
+
+    def test_mode_order_at_tiny_scale(self):
+        # frequencies 3 and sqrt(2): the products t r, about 1e-330, underflow
+        # to a tie unless t and r are rescaled first
+        scale = 1e-165
+        data = bd.diagonalize_boson(boson_std(scale * np.diag([1.0, 2.0]),
+                                              -scale * np.diag([9.0, 1.0])))
+        freqs = [math.sqrt(-(m.t / scale) * (m.r / scale)) for m in data.modes]
+        assert freqs == pytest.approx([math.sqrt(2.0), 3.0], rel=1e-14)
 
     def test_non_real_pencil(self):
         with pytest.raises(bd.NonRealSpectrum):
@@ -354,6 +364,13 @@ class TestModeLevels:
             levels = bd.boson_mode_levels(t, r, count)
             assert isinstance(levels, np.ndarray) and levels.dtype == np.float64
             assert np.array_equal(levels.view(np.uint64), expected.view(np.uint64))
+
+    @pytest.mark.parametrize("scale", [1e-165, 1e200])
+    def test_frequency_at_extreme_scales(self, scale):
+        # -r t underflows to 0 or overflows to inf here; the root of the
+        # mantissas' product, scaled after, does neither
+        levels = bd.boson_mode_levels(scale, -scale, 3)
+        assert levels / scale == pytest.approx([2.0, 6.0, 10.0], rel=1e-15)
 
     def test_non_discrete_rejected(self):
         for t, r in [(0.5, 0.5), (0.0, 1.0), (1.0, 0.0), (0.0, 0.0), (-0.5, -0.5)]:
