@@ -62,7 +62,10 @@ class Statistics(enum.Enum):
 
 
 def _as_square_matrix(m, name: str, n: Optional[int] = None) -> np.ndarray:
-    arr = np.array(m, dtype=float, copy=True)
+    try:
+        arr = np.array(m, dtype=float, copy=True)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must be a numeric square matrix: {exc}") from None
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"{name} must be a square matrix, got shape {arr.shape}")
     if n is not None and arr.shape[0] != n:

@@ -46,7 +46,11 @@ class SingularPoint:
     jacobian: np.ndarray
 
     def __post_init__(self):
-        jac = np.array(self.jacobian, dtype=float, copy=True)
+        try:
+            jac = np.array(self.jacobian, dtype=float, copy=True)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(
+                f"jacobian of point {self.label!r} must be a numeric square matrix: {exc}") from None
         if jac.ndim != 2 or jac.shape[0] != jac.shape[1] or jac.shape[0] < 1:
             raise ValidationError(f"jacobian must be square, got shape {jac.shape}")
         if not np.isfinite(jac).all():

@@ -246,13 +246,6 @@ class SpectrumResult:
             yield text if stop < count else text[:-2] + "\n  ]\n}"
 
 
-def _norm(a: np.ndarray) -> float:
-    """Frobenius norm as max|a| * ||a / max|a|||: finite wherever the entries
-    are, where the plain sum of squares overflows past about 1e154."""
-    peak = float(np.max(np.abs(a)))
-    return peak * float(np.linalg.norm(a / peak)) if peak > 0.0 else 0.0
-
-
 def degenerate(values) -> bool:
     """Numerical rank test min |x| <= DEGENERACY_TOL * max |x| on nonempty
     singular values or frequencies; rescaling them leaves it unchanged."""
@@ -288,38 +281,49 @@ def _is_zero(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 def diagonalize_boson(std: StandardForm) -> BosonModeData:
     """Simultaneously diagonalize (T, R) through the pencil M = R T.
 
-    tau = IMAG_TOL_FACTOR * ||R|| ||T|| is the size of the rounding in M,
-    which ||M|| is not where M cancels to zero; tau is inf where the product
-    overflows, and the residual check then decides alone.  NonRealSpectrum:
-    an imaginary part above tau.  Eigenvalues within tau form clusters; a
-    cluster of m at mean mu passes the rank test when the m-th smallest
-    singular value of M - mu I is at most tau, and its right singular
-    vectors become its basis.  On sheared forms tau can merge eigenvalues
-    that eig resolves, so a cluster that fails is split on the finer scale
-    IMAG_TOL_FACTOR * ||M||: NonRealSpectrum on an imaginary part above it,
-    DefectiveMatrix when it does not split.  Rotations inside each cluster
-    diagonalize the restriction of T, then the dual block of R where
-    _is_zero finds it zero; once per mode of S, it finds t_i or r_i zero.
+    T and R are first divided by the powers of two of their largest
+    entries, which is exact, and every decision is made on the quotients:
+    rescaling a form by a power of two leaves S the same bit for bit and
+    scales each t and r by exactly that power.  Numbers that leave (the
+    balancing ratio, the residual tolerance, refusal messages) are in form
+    units.  tau = IMAG_TOL_FACTOR * ||R|| ||T|| of the quotients, always
+    finite, is the size of the rounding in M, which ||M|| is not where M
+    cancels to zero.  NonRealSpectrum: an imaginary part above tau.
+    Eigenvalues within tau form clusters; a cluster of m at mean mu passes
+    the rank test when the m-th smallest singular value of M - mu I is at
+    most tau, and its right singular vectors become its basis.  On sheared
+    forms tau can merge eigenvalues that eig resolves, so a cluster that
+    fails is split on the finer scale IMAG_TOL_FACTOR * ||M||:
+    NonRealSpectrum on an imaginary part above it, DefectiveMatrix when it
+    does not split.  Rotations inside each cluster diagonalize the
+    restriction of T, then the dual block of R where _is_zero finds it
+    zero; once per mode of S, it finds t_i or r_i zero.
     """
     if std.statistics is not Statistics.BOSON:
         raise ValueError("expected a bosonic standard form")
-    t_mat, r_mat = std.T, std.R
     n = std.n
+    t_exp, r_exp = (math.frexp(float(np.max(np.abs(a))))[1] for a in (std.T, std.R))
+    t_mat, r_mat = np.ldexp(std.T, -t_exp), np.ldexp(std.R, -r_exp)
+
+    def form_units(value):
+        # a number of M times 2^(t_exp + r_exp), inf where that overflows
+        with np.errstate(over="ignore"):
+            return np.ldexp(value, t_exp + r_exp)
+
     pencil = r_mat @ t_mat
-    t_norm, r_norm = _norm(t_mat), _norm(r_mat)
+    t_norm, r_norm = np.linalg.norm(t_mat), np.linalg.norm(r_mat)
     tau = IMAG_TOL_FACTOR * r_norm * t_norm
     eigvals, eigvecs = np.linalg.eig(pencil)
     max_imag = float(np.max(np.abs(eigvals.imag)))
     if max_imag > tau:
-        raise NonRealSpectrum(
-            f"R*T has complex eigenvalues (imaginary part {max_imag:.3e} above the limit {tau:.3e})"
-        )
+        raise NonRealSpectrum(f"R*T has complex eigenvalues (imaginary part "
+                              f"{form_units(max_imag):.3e} above the limit {form_units(tau):.3e})")
     order = np.argsort(eigvals.real, kind="stable")
     imag = np.abs(eigvals.imag[order])
     eigvals = eigvals.real[order]
     eigvecs = eigvecs.real[:, order]
 
-    fine_tol = IMAG_TOL_FACTOR * _norm(pencil)
+    fine_tol = IMAG_TOL_FACTOR * np.linalg.norm(pencil)
     pending = _cluster_indices(eigvals, tau)
     clusters = []
     while pending:
@@ -334,13 +338,14 @@ def diagonalize_boson(std: StandardForm) -> BosonModeData:
             clusters.append(cl)
             continue
         if np.max(imag[cl]) > fine_tol:
+            worst = form_units(np.max(imag[cl]))
             raise NonRealSpectrum(f"R*T has complex eigenvalues (imaginary part "
-                                  f"{np.max(imag[cl]):.3e} above the limit {fine_tol:.3e})")
+                                  f"{worst:.3e} above the limit {form_units(fine_tol):.3e})")
         parts = _cluster_indices(eigvals[cl], fine_tol)
         if len(parts) == 1:
             raise DefectiveMatrix(
-                f"eigenvalue {mu:.6g} of R*T has multiplicity {m}, but R*T - mu I has "
-                f"singular value {sing[n - m]:.3e} above the limit {tau:.3e}"
+                f"eigenvalue {form_units(mu):.6g} of R*T has multiplicity {m}, but R*T - mu I has "
+                f"singular value {form_units(sing[n - m]):.3e} above the limit {form_units(tau):.3e}"
             )
         pending += [cl[part] for part in parts]
     # R is read in the dual basis, the rows of the inverse.  Inside a cluster
@@ -367,21 +372,17 @@ def diagonalize_boson(std: StandardForm) -> BosonModeData:
     # one zero test per mode, unchanged by balancing: t -> a^2 t, r -> r / a^2
     t_zero, r_zero = _is_zero(t_mat, s.T), _is_zero(r_mat, s_inv)
 
-    # per-mode scaling freedom: balance |t_i| = |r_i| where possible,
-    # otherwise normalize the mode row of S
+    # per-mode scaling freedom: balance |t_i| = |r_i| in form units where
+    # possible, otherwise normalize the mode row of S
     for i in range(n):
         if t_zero[i] or r_zero[i]:
             alpha = 1.0 / float(np.linalg.norm(s[i]))
         else:
-            alpha = (abs(r_diag[i]) / abs(t_diag[i])) ** 0.25
+            alpha = float(np.ldexp(abs(r_diag[i]) / abs(t_diag[i]), r_exp - t_exp)) ** 0.25
         s[i] *= alpha
     # mode order: descending product t_i r_i, so discrete modes come out
-    # sorted by ascending frequency sqrt(-t_i r_i); t and r over the powers
-    # of two of their largest magnitudes (exact), so the products of a tiny
-    # form do not underflow to a tie
-    t_unit = np.ldexp(t_diag, -math.frexp(np.max(np.abs(t_diag)))[1])
-    r_unit = np.ldexp(r_diag, -math.frexp(np.max(np.abs(r_diag)))[1])
-    mode_order = np.argsort(-t_unit * r_unit, kind="stable")
+    # sorted by ascending frequency sqrt(-t_i r_i)
+    mode_order = np.argsort(-t_diag * r_diag, kind="stable")
     s = s[mode_order]
     # deterministic sign: largest-magnitude entry of each row positive
     s *= np.where(s[np.arange(n), np.argmax(np.abs(s), axis=1)] < 0, -1.0, 1.0)[:, None]
@@ -390,7 +391,7 @@ def diagonalize_boson(std: StandardForm) -> BosonModeData:
 
     moved = apply_transform(std, BogoliubovTransform(Statistics.BOSON, S=s))
     t_full, r_full = moved.T, moved.R
-    tol_diag = IMAG_TOL_FACTOR * (t_norm + r_norm)
+    tol_diag = IMAG_TOL_FACTOR * (np.ldexp(t_norm, t_exp) + np.ldexp(r_norm, r_exp))
     mask = ~np.eye(n, dtype=bool)
     off = max(float(np.max(np.abs(a[mask]), initial=0.0)) for a in (t_full, r_full))
     if off > tol_diag:

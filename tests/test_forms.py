@@ -86,6 +86,41 @@ class TestValidate:
             bd.QuadraticForm(Statistics.BOSON, U=np.zeros((2, 2)), V=np.zeros((3, 3)))
 
 
+class TestConstructorRefusals:
+    """Each constructor refuses malformed input with a ValidationError (a
+    ValueError for random_canonical's mode count) that says what is wrong."""
+
+    @pytest.mark.parametrize("u", [[["a"]], [[1.0, 2.0], [1.0]]], ids=["string", "ragged"])
+    def test_non_numeric_form_matrix(self, u):
+        with pytest.raises(bd.ValidationError, match="U must be a numeric square matrix"):
+            bd.QuadraticForm(Statistics.BOSON, u, [[1.0]])
+
+    def test_non_numeric_transform_entry(self):
+        with pytest.raises(bd.ValidationError, match="S must be a numeric square matrix"):
+            bd.BogoliubovTransform(Statistics.BOSON, S=[["s"]])
+
+    def test_non_square_matrix(self):
+        with pytest.raises(bd.ValidationError,
+                           match=r"U must be a square matrix, got shape \(2, 3\)"):
+            bd.QuadraticForm(Statistics.BOSON, np.zeros((2, 3)), np.zeros((2, 3)))
+
+    def test_empty_form(self):
+        with pytest.raises(bd.ValidationError, match="mode count must be at least 1"):
+            bd.QuadraticForm(Statistics.FERMION, np.zeros((0, 0)), np.zeros((0, 0)))
+
+    def test_bosonic_standard_form_without_t_or_r(self):
+        with pytest.raises(bd.ValidationError, match="bosonic standard form requires T and R"):
+            bd.StandardForm(Statistics.BOSON, T=np.eye(2))
+
+    def test_fermionic_standard_form_without_c(self):
+        with pytest.raises(bd.ValidationError, match="fermionic standard form requires C"):
+            bd.StandardForm(Statistics.FERMION, T=np.eye(2), R=np.eye(2))
+
+    def test_random_canonical_without_modes(self):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            bd.random_canonical(Statistics.BOSON, 0)
+
+
 class TestStandardForm:
     def test_boson_splitting(self):
         f = bd.QuadraticForm(Statistics.BOSON, U=np.zeros((2, 2)), V=np.eye(2))

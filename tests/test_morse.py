@@ -121,6 +121,17 @@ class TestPointSign:
                 assert len(bd.local_witten_spectrum(np.diag(jac), 2).energies) == 2
 
 
+class TestConstruction:
+    def test_non_numeric_jacobian(self):
+        with pytest.raises(bd.ValidationError,
+                           match="jacobian of point 'p' must be a numeric square matrix"):
+            bd.SingularPoint("p", [["x"]])
+
+    def test_fixture_without_dimensions(self):
+        with pytest.raises(bd.ValidationError, match="dimension must be at least 1"):
+            bd.VectorFieldFixture(n=0, chi=0, points=())
+
+
 class TestPoincareHopf:
     def test_sphere(self):
         report = bd.morse_report(sphere_fixture())

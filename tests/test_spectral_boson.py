@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import bounded_boson_form, refusal_peak
+from conftest import bounded_boson_form, random_boson_form, refusal_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,6 +95,35 @@ class TestDiagonalizeBoson:
                                               -scale * np.diag([9.0, 1.0])))
         freqs = [math.sqrt(-(m.t / scale) * (m.r / scale)) for m in data.modes]
         assert freqs == pytest.approx([math.sqrt(2.0), 3.0], rel=1e-14)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_power_of_two_covariance(self, n):
+        # every decision is made on T and R over the powers of two of their
+        # largest entries: 2^k T, 2^k R give the same S bit for bit and t, r
+        # times exactly 2^k, or the same refusal
+        rng = np.random.default_rng(50 + n)
+        draws = [bounded_boson_form(rng, n, seed=trial) for trial in range(4)]
+        for form in draws + [random_boson_form(rng, n) for _ in range(4)]:
+            std = bd.to_standard(form)
+            try:
+                base = bd.diagonalize_boson(std)
+            except bd.BogodiagError as exc:
+                base = type(exc)
+            for k in (-400, -100, -7, 5, 100, 400):
+                scaled = boson_std(np.ldexp(std.T, k), np.ldexp(std.R, k), k0=std.k0)
+                if isinstance(base, type):
+                    with pytest.raises(base):
+                        bd.diagonalize_boson(scaled)
+                    continue
+                data = bd.diagonalize_boson(scaled)
+                assert np.array_equal(data.S, base.S), k
+                assert [(m.t, m.r, m.mode_class) for m in data.modes] == [
+                    (math.ldexp(m.t, k), math.ldexp(m.r, k), m.mode_class) for m in base.modes], k
+
+    def test_fermionic_form_refused(self):
+        std = bd.StandardForm(statistics=Statistics.FERMION, C=np.eye(2))
+        with pytest.raises(ValueError, match="expected a bosonic standard form"):
+            bd.diagonalize_boson(std)
 
     def test_non_real_pencil(self):
         with pytest.raises(bd.NonRealSpectrum):

@@ -23,6 +23,11 @@ class TestDiagonalizeFermion:
         _, s_numbers = bd.fermion_invariants(np.diag([3.0, -2.0]))
         assert s_numbers == pytest.approx((3.0, 2.0))
 
+    def test_bosonic_form_refused(self):
+        std = bd.StandardForm(statistics=Statistics.BOSON, T=np.eye(2), R=-np.eye(2))
+        with pytest.raises(ValueError, match="expected a fermionic standard form"):
+            bd.diagonalize_fermion(std)
+
     def test_rotation_absorbed(self):
         u = 1.7
         c = u * np.array([[0.0, 1.0], [-1.0, 0.0]])

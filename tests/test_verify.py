@@ -33,6 +33,19 @@ def test_boson_pass_n2():
     assert report.warning is None and "warning" not in report.to_dict()
 
 
+@pytest.mark.parametrize("scale", [1e-160, 1e-200, 1e-280])
+@pytest.mark.parametrize("n", [2, 3])
+def test_boson_pass_at_tiny_scales(n, scale):
+    # the pencil R T of the scaled form has entries near scale^2, below the
+    # smallest double: the closed form must be made from T and R over powers
+    # of two, or its residual check refuses it as defective
+    base = bounded_boson_form(np.random.default_rng(2), n, seed=2)
+    form = bd.QuadraticForm(Statistics.BOSON, U=scale * base.U, V=scale * base.V)
+    report = bd.verify_form(form, cutoff=16, count=10, tol=1e-6)
+    assert report.ok and report.compared == 10
+    assert report.max_abs_deviation <= 1e-6 * form.scale
+
+
 def test_unbounded_boson_compares_nothing():
     form = bd.QuadraticForm(Statistics.BOSON, U=[[0.0]], V=[[-1.0]])
     report = bd.verify_form(form, cutoff=40, count=10, tol=1e-9)
